@@ -56,7 +56,7 @@ from .cyclic import CyclicModule, NormalizedBarModule, normalized
 from .linalg import rank
 from .matrix import ExactMatrix
 from .orbits import OrbitPlane
-from .reduction import MorseReduction
+from .reduction import MorseReduction, homology_via_reduction, reduce_chain_complex
 from .rings import BaseRing
 
 
@@ -1040,6 +1040,14 @@ class ConjugateReport:
         return not self.refused and all(s == "equal" for _, _, _, s in self.rows)
 
 
+def _hochschild_dims(nb: NormalizedBarModule, top: int) -> dict[int, int]:
+    """dim HH_q for q <= top, from a sparse reduction of the normalized complex."""
+    hh_cx = nb.hochschild_complex(top + 1)
+    cols = {d: _matrix_columns(M) for d, M in hh_cx.diffs.items()}
+    red, _ = reduce_chain_complex(hh_cx.ring, hh_cx.ranks, lambda d, j: cols[d][j])
+    return {q: homology_via_reduction(red, q).dimension for q in range(top + 1)}
+
+
 def conjugate_dimension_check(
     A,
     degrees: tuple[int, int],
@@ -1052,10 +1060,10 @@ def conjugate_dimension_check(
 
     Over the prime field the twist entering the graded comparison preserves
     dimensions, so for bounded HH the prediction in degree d is
-    sum_i dim HH_{d+2i}.  HH dimensions come from the normalized complex;
-    boundedness is checked empirically: the top `hh_margin` computed
-    degrees must vanish, otherwise the check refuses rather than folding a
-    possibly infinite sum.
+    sum_i dim HH_{d+2i}.  HH dimensions come from a Morse reduction of the
+    normalized Hochschild complex; boundedness is checked empirically: the
+    top `hh_margin` computed degrees must vanish, otherwise the check
+    refuses rather than folding a possibly infinite sum.
 
     A caller who already ran the tower for this algebra can pass its table
     as hp_table; it must cover `degrees` and is trusted to belong to A.
@@ -1066,9 +1074,7 @@ def conjugate_dimension_check(
         raise ValueError("the comparison is a positive-characteristic statement")
     lo, hi = degrees
     q_check = max(hi, 0) + hh_margin + 2
-    nb = normalized(A)
-    hh_cx = nb.hochschild_complex(q_check + 1)
-    hh_dims = {q: hh_cx.homology(q).dimension for q in range(q_check + 1)}
+    hh_dims = _hochschild_dims(normalized(A), q_check)
     nonzero = [q for q, v in hh_dims.items() if v]
     bound = max(nonzero) if nonzero else -1
     if bound > q_check - hh_margin:

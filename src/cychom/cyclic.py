@@ -873,6 +873,10 @@ _SORT_NETWORKS = {
 }
 
 
+# summands per block of _residual_coeffs
+_RESIDUAL_BLOCK = 1 << 20
+
+
 def _residual_coeffs(lhs: _CodeBranches, rhs: _CodeBranches | None) -> np.ndarray:
     """Per-segment coefficient sums of lhs - rhs, grouped by output tuple.
 
@@ -888,11 +892,19 @@ def _residual_coeffs(lhs: _CodeBranches, rhs: _CodeBranches | None) -> np.ndarra
     if w == 1:
         return parts[0][1]
     rows = parts[0][0].shape[0]
+    # rows are independent; blocks of them bound the sort's working memory
+    step = max(1, _RESIDUAL_BLOCK // w)
+    return np.concatenate([_block_residuals(parts, r, r + step) for r in range(0, rows, step)])
+
+
+def _block_residuals(parts, start: int, stop: int) -> np.ndarray:
+    w = len(parts)
+    rows = min(stop, parts[0][0].shape[0]) - start
     codes = np.empty((rows, w), dtype=np.int32)
     coeffs = np.empty((rows, w), dtype=np.int32)
     for idx, (cd, cf) in enumerate(parts):
-        codes[:, idx] = cd
-        coeffs[:, idx] = cf
+        codes[:, idx] = cd[start:stop]
+        coeffs[:, idx] = cf[start:stop]
     if w in _SORT_NETWORKS:
         for a, b in _SORT_NETWORKS[w]:
             ca, cb = codes[:, a], codes[:, b]

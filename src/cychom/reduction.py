@@ -46,6 +46,7 @@ class MorseReduction:
         # log entries: (a, b, lam, col_items, row_items) with snapshots as tuples
         self.log: list[tuple] = []
         self._reduced = False
+        self._alive_by_degree: dict[int, list[int]] = {}  # filled by reduce()
 
     # -- construction -------------------------------------------------------
 
@@ -93,6 +94,9 @@ class MorseReduction:
                 continue
             self._cancel(a, b, lam, heap)
         self._reduced = True
+        for i, ok in enumerate(self.alive_flags):
+            if ok:
+                self._alive_by_degree.setdefault(self.degree[i], []).append(i)
 
     def _cancel(self, a: int, b: int, lam, heap) -> None:
         ring = self.ring
@@ -144,8 +148,11 @@ class MorseReduction:
     # -- results ------------------------------------------------------------
 
     def alive(self, degree: int | None = None) -> list[int]:
+        """Surviving cells, in id order; after reduce() by a per-degree index."""
         if degree is None:
             return [i for i, ok in enumerate(self.alive_flags) if ok]
+        if self._reduced:
+            return list(self._alive_by_degree.get(degree, ()))
         return [
             i for i, ok in enumerate(self.alive_flags) if ok and self.degree[i] == degree
         ]

@@ -7,6 +7,7 @@ from cychom.bicomplex import (
     PeriodicBicomplexWindow,
     WindowError,
     _composite_rank,
+    _hochschild_dims,
     _persistent_rank,
     _OperatorColumns,
     _stage_map,
@@ -24,7 +25,7 @@ from cychom.bicomplex import (
     truncation_inclusion,
 )
 from cychom.complexes import homology_map, validate_complex
-from cychom.cyclic import cyclic_bar_module
+from cychom.cyclic import cyclic_bar_module, normalized
 from cychom.linalg import rank
 from cychom.matrix import ExactMatrix
 from cychom.rings import GF, QQ
@@ -373,6 +374,19 @@ def test_conjugate_dimension_check_ground_field():
     for _, left, right, status in report.rows:
         assert status == "equal"
         assert left == right
+
+
+@pytest.mark.parametrize(
+    "name,base,top",
+    [("dual-numbers", F3, 6), ("matrix-algebra(2)", GF(2), 4), ("group-algebra(3)", F3, 5)],
+)
+def test_sparse_hochschild_dims_match_dense_homology(name, base, top):
+    # the reduction route of conjugate_dimension_check against dense rref
+    nb = normalized(catalog(name, base))
+    dense = nb.hochschild_complex(top + 1)
+    expected = {q: dense.homology(q).dimension for q in range(top + 1)}
+    assert _hochschild_dims(nb, top) == expected
+    assert any(expected.values())
 
 
 def test_conjugate_dimension_check_rejects_char_zero():

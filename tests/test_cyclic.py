@@ -315,3 +315,24 @@ def test_residual_sort_network_matches_argsort(monkeypatch):
     monkeypatch.setattr(cyc, "_SORT_NETWORKS", {})
     slow = cyc._residual_coeffs(lhs, rhs)
     assert np.array_equal(fast, slow)
+
+
+def test_residual_blocks_match_one_block(monkeypatch):
+    # _residual_coeffs works through blocks of rows; any block size must
+    # give the one-block result entry for entry, on the network path
+    # (width 2) and on the generic sort path (the norm's wider states)
+    import numpy as np
+    import cychom.cyclic as cyc
+
+    ops = FastOps(catalog("matrix-algebra(2)", QQ))
+    x = ops.identity_state(2)
+    cases = [
+        (ops.face(ops.degeneracy(x, 1), 0), ops.scaled(ops.cyclic(ops.cyclic(x)), -1)),
+        (ops.norm(ops.one_minus_cyclic(x)), None),
+    ]
+    for lhs, rhs in cases:
+        whole = cyc._residual_coeffs(lhs, rhs)
+        for block in (1, 7, 50):
+            monkeypatch.setattr(cyc, "_RESIDUAL_BLOCK", block)
+            assert np.array_equal(cyc._residual_coeffs(lhs, rhs), whole)
+        monkeypatch.undo()

@@ -168,3 +168,27 @@ def test_integer_reduction_matches_snf_homology(m, n, data):
     red, _ = reduction_of(C)
     for d in (0, 1):
         assert homology_via_reduction(red, d) == complex_homology(C, d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 5]))
+def test_alive_index_matches_scan_of_flags(seed, p):
+    # alive(d) after reduce() reads a per-degree index; it must list what a
+    # scan of alive_flags finds, in id order.  Only odd degrees get random
+    # boundaries, so d o d = 0 holds.
+    import random
+
+    rnd = random.Random(seed)
+    red = MorseReduction(GF(p))
+    degrees = [rnd.randrange(4) for _ in range(rnd.randrange(1, 30))]
+    cells = [red.add_cell(d) for d in degrees]
+    for i in cells:
+        if degrees[i] % 2 == 0:
+            continue
+        below = [j for j in cells if degrees[j] == degrees[i] - 1]
+        picked = rnd.sample(below, min(len(below), rnd.randrange(3)))
+        red.set_boundary(i, {j: rnd.randrange(1, p) for j in picked})
+    red.reduce()
+    for d in range(-1, 5):
+        scan = [i for i, ok in enumerate(red.alive_flags) if ok and red.degree[i] == d]
+        assert red.alive(d) == scan

@@ -18,6 +18,7 @@ from cychom.cyclic import cyclic_bar_module
 from cychom.linalg import rank
 from cychom.orbits import OrbitPlane
 from cychom.rings import GF, QQ
+from scalar_orbits import ScalarOrbitPlane
 
 BASES = (GF(2), GF(3), GF(5), QQ)
 # top truncation row by algebra dimension; row 4 is the first to carry
@@ -121,8 +122,8 @@ def test_orbit_plane_survivor_counts():
 def _contract(plane, r, parity, chain):
     """h on a row-r chain {code: coeff} in a column of the given parity.
 
-    Written out term by term from the formulas in `orbits`, independently
-    of the memoized zig-zags there.
+    Written out term by term from the formulas in `orbits` with the scalar
+    helpers of the oracle, independently of any zig-zag.
     """
     p = plane.p
     by_orbit: dict = {}
@@ -154,7 +155,10 @@ def _contract(plane, r, parity, chain):
 
 
 def _included(plane, column, q, x):
-    """The perturbed inclusion sum_k (-h v)^k i of a survivor, by (row, code)."""
+    """The perturbed inclusion sum_k (-h v)^k i of a survivor, by (row, code).
+
+    plane is a ScalarOrbitPlane: only its code helpers are used.
+    """
     p = plane.p
     if column % 2 == 0:
         v = {x: 1}
@@ -208,17 +212,59 @@ def test_orbit_plane_inclusion_is_a_chain_map(name, base, top):
     # the perturbation lemma's inclusion i' must satisfy D i' = i' D' on
     # the materialized plane: this pins signs that ranks alone cannot see
     A = catalog(name, base)
-    plane = OrbitPlane(A)
+    plane, scalar = OrbitPlane(A), ScalarOrbitPlane(A)
     ops = bicomplex._OperatorColumns(cyclic_bar_module(A))
     checked = 0
     for d in (0, 1):
         for q in range(top + 1):
             for x in plane.survivors(q):
-                lhs = _total_boundary(ops, d, _included(plane, d - q, q, x))
+                lhs = _total_boundary(ops, d, _included(scalar, d - q, q, x))
                 rhs: dict = {}
                 for (r, y), c in plane.boundary(d - q, q, x).items():
-                    for key, e in _included(plane, d - 1 - r, r, y).items():
+                    for key, e in _included(scalar, d - 1 - r, r, y).items():
                         rhs[key] = (rhs.get(key, 0) + c * e) % base.p
                 assert lhs == {k: v for k, v in rhs.items() if v}, (d, q, x)
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize(
+    "name,base,top",
+    [
+        ("dual-numbers", GF(3), 16),
+        ("dual-numbers", GF(2), 20),
+        ("ground-field", GF(5), 20),
+        ("matrix-algebra(2)", GF(2), 9),
+        ("field-extension(1,0,1)", GF(2), 9),
+        ("group-algebra(3)", GF(3), 9),
+        ("truncated-poly(3)", GF(2), 9),
+    ],
+)
+def test_orbit_plane_matches_scalar_recursion(name, base, top):
+    # the numpy engine against the per-code recursion it replaced, on rows
+    # deeper than the materialized plane above can reach; rows are asked
+    # for in an interleaved order so that later walks reuse earlier levels
+    A = catalog(name, base)
+    plane, scalar = OrbitPlane(A), ScalarOrbitPlane(A)
+    compared = 0
+    for q in [*range(0, top + 1, 2), *range(1, top + 1, 2)]:
+        assert plane.survivors(q) == scalar.survivors(q), q
+        for column in (1, 0):
+            for x in plane.survivors(q):
+                assert plane.boundary(column, q, x) == scalar.boundary(column, q, x), (
+                    q, column, x,
+                )
+                compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize(
+    "name,q", [("dual-numbers", 62), ("dual-numbers", 63), ("matrix-algebra(2)", 31)]
+)
+def test_orbit_plane_refuses_rows_beyond_64_bit_codes(name, q):
+    # dim^(q+1) >= 2^63: refused before anything is enumerated or allocated
+    plane = OrbitPlane(catalog(name, GF(2)))
+    dim = plane.dim
+    for call in (lambda: plane.survivors(q), lambda: plane.boundary(0, q, 0)):
+        with pytest.raises(ValueError, match=rf"row {q} .* {dim}-dimensional"):
+            call()
