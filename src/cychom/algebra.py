@@ -161,26 +161,6 @@ class Algebra:
         P = ExactMatrix(self.base, dim, dim, entries)
         return self.rebased(P)
 
-    def integer_lift(self) -> "Algebra":
-        """The same table read over Z (entries must be integers).
-
-        Identities verified for the lift hold after any base change, so one
-        integer computation settles the F_p and Q versions at once.  Raises
-        if the lifted table is not associative (possible in general, never
-        for the catalog).
-        """
-        if self.base == ZZ:
-            return self
-        dim = self.dim
-        dense = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                for k, c in self.structure[i][j]:
-                    dense[i][j][k] = _scalar_to_int(self, c)
-        return Algebra.from_structure_constants(
-            ZZ, dim, dense, [_scalar_to_int(self, u) for u in self.unit]
-        )
-
     def base_changed_mod_p(self, p: int) -> "Algebra":
         """Reduce a Z-algebra's structure constants mod p."""
         if self.base != ZZ:

@@ -41,9 +41,10 @@ from `reduction`, which over a field cancels everything cancellable, so
 surviving cells count homology and tower maps are composites
   reduced(Q) --lift--> stage(Q) --include--> stage(Q')
              --project--> reduced(Q'),
-realized by replaying the cancellation log.  For homogeneous chains only
-log entries whose cancelled pair touches the chain's degree act, which is
-what makes long towers affordable.
+realized by the reduction's transport_up and transport_down.  Given the
+degree of a homogeneous chain they replay only the log entries whose
+cancelled pair touches that degree, which is what makes long towers
+affordable.
 """
 
 from __future__ import annotations
@@ -403,19 +404,6 @@ class _ReducedStage:
         self.red = red
         self.ids = ids
         self.rev = rev
-        # cancellation log filtered by the degree it can act on.  For a
-        # homogeneous degree-d chain, projection is affected by entries
-        # whose lower cell has degree d (the rewrite) and by those whose
-        # upper cell does (the forced coordinate drop); lifting only by
-        # entries whose upper cell has degree d.  Relative log order must
-        # survive the filtering.
-        self._down_by_deg: dict[int, list] = {}
-        self._up_by_deg: dict[int, list] = {}
-        for entry in red.log:
-            a, b = entry[0], entry[1]
-            self._down_by_deg.setdefault(red.degree[a], []).append(entry)
-            self._down_by_deg.setdefault(red.degree[b], []).append(entry)
-            self._up_by_deg.setdefault(red.degree[b], []).append(entry)
 
     def alive(self, d: int) -> list[int]:
         return self.red.alive(d)
@@ -428,45 +416,6 @@ class _ReducedStage:
     def s_shift(self, d: int, key):
         """Key of the periodicity shift of cell (d, key) in degree d - 2, or None."""
         raise NotImplementedError
-
-    def lift(self, cell: int) -> dict[int, object]:
-        """A truncation chain projecting to a surviving cell (degree-filtered)."""
-        ring = self.ring
-        d = self.red.degree[cell]
-        v: dict[int, object] = {cell: ring.one}
-        for a, b, lam, _, row_items in reversed(self._up_by_deg.get(d, ())):
-            acc = ring.zero
-            for y, c_ya in row_items:
-                vy = v.get(y)
-                if vy is not None:
-                    acc = ring.add(acc, ring.mul(c_ya, vy))
-            if acc != 0:
-                coeff = ring.neg(ring.mul(acc, ring.inv(lam)))
-                new = ring.add(v.get(b, ring.zero), coeff)
-                if new == 0:
-                    v.pop(b, None)
-                else:
-                    v[b] = new
-        return v
-
-    def project(self, chain: dict[int, object], d: int) -> dict[int, object]:
-        """Image of a homogeneous degree-d chain among surviving cells."""
-        ring = self.ring
-        v = {i: c for i, c in chain.items() if c != 0}
-        for a, b, lam, col_items, _ in self._down_by_deg.get(d, ()):
-            va = v.pop(a, None)
-            if va is not None:
-                factor = ring.neg(ring.mul(va, ring.inv(lam)))
-                for x, c in col_items:
-                    if x == a:
-                        continue
-                    new = ring.add(v.get(x, ring.zero), ring.mul(factor, c))
-                    if new == 0:
-                        v.pop(x, None)
-                    else:
-                        v[x] = new
-            v.pop(b, None)
-        return v
 
 
 class _TotalStage(_ReducedStage):
@@ -520,9 +469,9 @@ def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
     row_pos = {cell: r for r, cell in enumerate(rows_alive)}
     entries = {}
     for j, y in enumerate(cols_alive):
-        lifted = src.lift(y)
+        lifted = src.red.transport_up({y: ring.one}, d)
         moved = {dst.ids[src.rev[cell]]: c for cell, c in lifted.items()}
-        down = dst.project(moved, d)
+        down = dst.red.transport_down(moved, d)
         for cell, c in down.items():
             entries[(row_pos[cell], j)] = c
     return ExactMatrix(
@@ -876,14 +825,14 @@ def _s_map_on_stage(stage: _ReducedStage, n: int) -> ExactMatrix:
     row_pos = {cell: r for r, cell in enumerate(rows_alive)}
     entries = {}
     for j, y in enumerate(cols_alive):
-        lifted = stage.lift(y)
+        lifted = stage.red.transport_up({y: ring.one}, n)
         shifted: dict[int, object] = {}
         for cell, c in lifted.items():
             d_cell, key = stage.rev[cell]
             tgt = stage.s_shift(d_cell, key)
             if tgt is not None:
                 shifted[stage.ids[(d_cell - 2, tgt)]] = c
-        down = stage.project(shifted, n - 2)
+        down = stage.red.transport_down(shifted, n - 2)
         for cell, c in down.items():
             entries[(row_pos[cell], j)] = c
     return ExactMatrix(

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebra import Algebra, AlgebraError, algebra_from_json, catalog
 from .bicomplex import (
@@ -396,6 +396,10 @@ _COMMANDS = {
 def run(command: str, config: RunConfig) -> ReportDocument:
     config.validate()
     t0 = time.perf_counter()
+    if config.algebra is not None and config.algebra.endswith(".json"):
+        # the report names the ring the file fixes, which --base cannot change
+        ring = _load_algebra(config).base
+        config = replace(config, base=ring.kind, p=ring.p)
     doc = _COMMANDS[command](config)
     doc.timings["total_s"] = round(time.perf_counter() - t0, 3)
     return doc

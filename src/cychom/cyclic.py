@@ -10,17 +10,19 @@ Conventions, fixed once for the whole package:
   N_n = sum of t_n^i over i = 0..n.
   b = sum (-1)^i d_i (all faces); b' drops the last face.
 
-Two implementations of the operators coexist: ExactMatrix columns (general,
-exact, used by the homology pipelines) and a vectorized integer engine on
-tuple arrays (used to sweep operator identities at sizes where building the
-matrices one column at a time would blow the time budget).  Tests pin the
-two against each other on small modules.
+The homology pipelines read the operators as ExactMatrix objects, which
+`_BarOperators` assembles in numpy: every basis tuple of a degree at once,
+as int64 codes, with duplicate entries summed by a sort.  The identity
+sweeps act on tuple arrays instead (TupleOps, and FastOps for several
+bases at once) and never build the matrices; tests pin both against the
+matrices on small modules.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,40 +33,210 @@ from .rings import BaseRing, Scalar, ZZ
 
 
 # ---------------------------------------------------------------------------
-# exact-matrix cyclic modules
+# operator assembly on int64 codes
+
+_INT64 = 2**63
+
+
+class _Codes:
+    """Basis tuples of the bar modules as int64 codes in a mixed radix.
+
+    A tuple of m slots is coded most significant slot first, with slot 0
+    in 0..d-1 and slots 1..m-1 in offset..d-1.  Offset 0 gives the bar
+    module's basis A^(m); offset 1 the normalized one's, whose tuples
+    carry no unit (basis vector 0) in slots >= 1.
+    """
+
+    def __init__(self, d: int, offset: int):
+        self.d = d
+        self.offset = offset
+        self.radix = d - offset
+
+    def rank(self, m: int) -> int:
+        return self.d * self.radix ** (m - 1)
+
+    def digits(self, m: int) -> np.ndarray:
+        """The (rank, m) digit array of every code, in code order."""
+        codes = np.arange(self.rank(m), dtype=np.int64)
+        D = np.empty((len(codes), m), dtype=np.int64)
+        for k in range(m - 1, 0, -1):
+            D[:, k] = codes % self.radix + self.offset
+            codes //= self.radix
+        D[:, 0] = codes
+        return D
+
+    def encode(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Codes of digit rows, and the mask of rows that are tuples here (None: all)."""
+        codes = D[:, 0].copy()
+        for k in range(1, D.shape[1]):
+            codes = codes * self.radix + (D[:, k] - self.offset)
+        valid = (D[:, 1:] >= self.offset).all(axis=1) if self.offset else None
+        return codes, valid
+
+
+class _BarOperators:
+    """Faces, degeneracies and signed rotations of A's bar modules, assembled in numpy.
+
+    Each operator is a list of pieces per degree: for every source code
+    r = cols[k], the target tuple digits[k] with coefficient coeffs[k].
+    `_matrix` sums the pieces into an ExactMatrix.  Over Q the structure
+    constants and the unit are scaled by the lcm of their denominators,
+    so that everything runs on integers, and divided back at the end.
+    """
+
+    def __init__(self, A: Algebra):
+        base = A.base
+        d = A.dim
+        self.base = base
+        self.raw = _Codes(d, 0)
+        self.normalized = _Codes(d, 1)
+        consts = [c for row in A.structure for terms in row for _, c in terms]
+        consts += list(A.unit)
+        scale = 1  # the lcm of the denominators; ints have denominator 1
+        for c in consts:
+            scale *= (c * scale).denominator
+        self.scale = scale
+        self.bound = max([1, base.characteristic] + [abs(int(c * scale)) for c in consts])
+        if self.bound >= _INT64:
+            raise ValueError("structure constants or p do not fit in 64-bit integers")
+        terms = max(1, max(len(t) for row in A.structure for t in row))
+        self.K = np.zeros((d, d, terms), dtype=np.int64)
+        self.C = np.zeros((d, d, terms), dtype=np.int64)
+        for i in range(d):
+            for j in range(d):
+                for t, (k, c) in enumerate(A.structure[i][j]):
+                    self.K[i, j, t], self.C[i, j, t] = k, int(c * scale)
+        self.unit = [(u, int(c * scale)) for u, c in enumerate(A.unit) if c != 0]
+
+    def _matrix(self, src: _Codes, m: int, dst: _Codes, m_out: int, width: int,
+                pieces, scaled: bool) -> ExactMatrix:
+        """Matrix from m-slot tuples (coded by src) to m_out-slot tuples (by dst).
+
+        pieces(D) yields (cols, digits, coeffs) given the digit array D of
+        every source code; at most `width` of them meet in one entry.
+        """
+        ncols, nrows = src.rank(m), dst.rank(m_out)
+        if max(ncols, nrows) >= _INT64 or width * self.bound >= _INT64:
+            raise ValueError(
+                f"an operator on {ncols} x {nrows} basis tuples does not fit in 64-bit codes"
+            )
+        parts = []
+        for cols, digits, coeffs in pieces(src.digits(m)):
+            rows, valid = dst.encode(digits)
+            if valid is not None:
+                cols, rows, coeffs = cols[valid], rows[valid], coeffs[valid]
+            parts.append((cols, rows, coeffs))
+        cols, rows, vals = (np.concatenate(x) for x in zip(*parts))
+        if len(vals):
+            order = np.lexsort((rows, cols))
+            cols, rows, vals = cols[order], rows[order], vals[order]
+            edge = np.ones(len(vals), dtype=bool)
+            edge[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+            starts = np.flatnonzero(edge)
+            cols, rows = cols[starts], rows[starts]
+            vals = np.add.reduceat(vals, starts)
+        if self.base.kind == "Fp":
+            vals %= self.base.p
+        keep = vals != 0
+        values = vals[keep].tolist()
+        if self.base.kind == "Q":
+            den = self.scale if scaled else 1
+            values = [self.base.coerce(v) / den for v in values]
+        keys = zip(rows[keep].tolist(), cols[keep].tolist())
+        return ExactMatrix(self.base, nrows, ncols, dict(zip(keys, values)), _normalized=True)
+
+    def _face_pieces(self, D: np.ndarray, i: int, sign: int):
+        """Pieces of sign * d_i on the tuples D."""
+        n = D.shape[1] - 1
+        if i < n:
+            x, y, rest, slot = D[:, i], D[:, i + 1], np.delete(D, i + 1, axis=1), i
+        else:
+            x, y, rest, slot = D[:, n], D[:, 0], D[:, :n], 0
+        for t in range(self.K.shape[2]):
+            c = self.C[x, y, t]
+            (hit,) = np.nonzero(c)
+            digits = rest[hit]
+            digits[:, slot] = self.K[x[hit], y[hit], t]
+            yield hit, digits, sign * c[hit]
+
+    def faces(self, codes: _Codes, n: int, signs: dict[int, int]) -> ExactMatrix:
+        """sum_i signs[i] d_i : X_n -> X_{n-1}."""
+
+        def pieces(D):
+            for i, sign in signs.items():
+                yield from self._face_pieces(D, i, sign)
+
+        width = len(signs) * self.K.shape[2]
+        return self._matrix(codes, n + 1, codes, n, width, pieces, scaled=True)
+
+    def degeneracy(self, n: int, j: int) -> ExactMatrix:
+        """s_j : X_n -> X_{n+1}, inserting the unit after slot j."""
+
+        def pieces(D):
+            src = np.arange(len(D))
+            for u, c in self.unit:
+                yield src, np.insert(D, j + 1, u, axis=1), np.full(len(D), c)
+
+        return self._matrix(self.raw, n + 1, self.raw, n + 2, 1, pieces, scaled=True)
+
+    def rotations(self, codes: _Codes, n: int, signs: dict[int, int], unit_first: bool
+                  ) -> ExactMatrix:
+        """sum_k signs[k] tau^k on X_n, with the unit put in front if unit_first.
+
+        tau^k moves the last k slots to the front.
+        """
+
+        def pieces(D):
+            src = np.arange(len(D))
+            for k, sign in signs.items():
+                digits = np.roll(D, k, axis=1)
+                if unit_first:
+                    digits = np.insert(digits, 0, 0, axis=1)
+                yield src, digits, np.full(len(D), sign)
+
+        m_out = n + 2 if unit_first else n + 1
+        return self._matrix(codes, n + 1, codes, m_out, len(signs), pieces, scaled=False)
+
+    def recode(self, src: _Codes, dst: _Codes, n: int) -> ExactMatrix:
+        """The basis tuples of X_n coded by src that dst also codes, as a 0/1 matrix."""
+
+        def pieces(D):
+            yield np.arange(len(D)), D, np.ones(len(D), dtype=np.int64)
+
+        return self._matrix(src, n + 1, dst, n + 1, 1, pieces, scaled=False)
+
+
+# ---------------------------------------------------------------------------
+# cyclic bar modules
 
 
 class CyclicModule:
-    """Simplicial module with a signed cyclic operator, one matrix per op.
+    """The cyclic bar construction of an algebra, one matrix per operator.
 
-    Operator matrices are produced lazily and memoized; everything handed
-    out is an immutable ExactMatrix, so concurrent readers are safe and
-    duplicate inserts of the same key are harmless.  `algebra` is the
-    algebra whose bar construction this is; the homology routes that never
-    materialize the operators start from it.
+    Basis of X_n: tuples of basis indices, coded big-endian base dim(A)
+    (slot 0 is the most significant digit).  Operator matrices are
+    produced lazily and memoized; everything handed out is an immutable
+    ExactMatrix, so concurrent readers are safe and duplicate inserts of
+    the same key are harmless.  The homology routes that never
+    materialize the operators start from `algebra`.
     """
 
-    def __init__(
-        self, base: BaseRing, rank_fn, face_fn, degeneracy_fn, cyclic_fn, algebra: Algebra
-    ):
-        self.base = base
-        self.algebra = algebra
-        self._rank_fn = rank_fn
-        self._face_fn = face_fn
-        self._degeneracy_fn = degeneracy_fn
-        self._cyclic_fn = cyclic_fn
-        self._ranks: dict[int, int] = {}
+    def __init__(self, A: Algebra):
+        self.base = A.base
+        self.algebra = A
         self._faces: dict[tuple[int, int], ExactMatrix] = {}
         self._degens: dict[tuple[int, int], ExactMatrix] = {}
         self._cyclics: dict[int, ExactMatrix] = {}
         self._norms: dict[int, ExactMatrix] = {}
 
+    @cached_property
+    def _ops(self) -> _BarOperators:
+        return _BarOperators(self.algebra)
+
     def rank(self, n: int) -> int:
         if n < 0:
             return 0
-        if n not in self._ranks:
-            self._ranks[n] = self._rank_fn(n)
-        return self._ranks[n]
+        return self.algebra.dim ** (n + 1)
 
     def face(self, n: int, i: int) -> ExactMatrix:
         if n < 1:
@@ -72,53 +244,40 @@ class CyclicModule:
         if not (0 <= i <= n):
             raise ValueError(f"face index {i} outside 0..{n}")
         if (n, i) not in self._faces:
-            self._faces[(n, i)] = self._face_fn(n, i)
+            self._faces[(n, i)] = self._ops.faces(self._ops.raw, n, {i: 1})
         return self._faces[(n, i)]
 
     def degeneracy(self, n: int, j: int) -> ExactMatrix:
         if not (0 <= j <= n):
             raise ValueError(f"degeneracy index {j} outside 0..{n}")
         if (n, j) not in self._degens:
-            self._degens[(n, j)] = self._degeneracy_fn(n, j)
+            self._degens[(n, j)] = self._ops.degeneracy(n, j)
         return self._degens[(n, j)]
 
     def cyclic(self, n: int) -> ExactMatrix:
         """The signed operator t_n = (-1)^n tau_n."""
         if n not in self._cyclics:
-            self._cyclics[n] = self._cyclic_fn(n)
+            self._cyclics[n] = self._ops.rotations(self._ops.raw, n, {1: (-1) ** n}, False)
         return self._cyclics[n]
 
     def norm(self, n: int) -> ExactMatrix:
-        """N_n = sum_{i=0}^{n} t_n^i."""
+        """N_n = sum_{i=0}^{n} t_n^i, where t_n^i = (-1)^{ni} tau_n^i."""
         if n not in self._norms:
-            t = self.cyclic(n)
-            acc = ExactMatrix.identity(self.base, self.rank(n))
-            out = acc
-            for _ in range(n):
-                acc = t.mul(acc)
-                out = out.add(acc)
-            self._norms[n] = out
+            signs = {i: (-1) ** (n * i) for i in range(n + 1)}
+            self._norms[n] = self._ops.rotations(self._ops.raw, n, signs, False)
         return self._norms[n]
 
     def hochschild_boundary(self, n: int) -> ExactMatrix:
         """b = sum (-1)^i d_i : X_n -> X_{n-1}."""
         if n == 0:
             return ExactMatrix.zero(self.base, 0, self.rank(0))
-        out = self.face(n, 0)
-        for i in range(1, n + 1):
-            term = self.face(n, i)
-            out = out.add(term) if i % 2 == 0 else out.sub(term)
-        return out
+        return self._ops.faces(self._ops.raw, n, {i: (-1) ** i for i in range(n + 1)})
 
     def bar_boundary(self, n: int) -> ExactMatrix:
         """b' = sum_{i<n} (-1)^i d_i : X_n -> X_{n-1}."""
         if n == 0:
             return ExactMatrix.zero(self.base, 0, self.rank(0))
-        out = self.face(n, 0)
-        for i in range(1, n):
-            term = self.face(n, i)
-            out = out.add(term) if i % 2 == 0 else out.sub(term)
-        return out
+        return self._ops.faces(self._ops.raw, n, {i: (-1) ** i for i in range(n)})
 
     def extra_degeneracy(self, n: int) -> ExactMatrix:
         """s_{-1} = tau_{n+1} s_n : X_n -> X_{n+1}, inserts the unit in front.
@@ -138,73 +297,8 @@ class CyclicModule:
 
 
 def cyclic_bar_module(A: Algebra, n_max: int | None = None) -> CyclicModule:
-    """The cyclic bar construction of A; n_max is advisory only.
-
-    Basis of X_n: tuples of basis indices, encoded big-endian base dim(A)
-    (slot 0 is the most significant digit).
-    """
-    base = A.base
-    d = A.dim
-
-    def decode(n: int, code: int) -> list[int]:
-        digits = []
-        for _ in range(n + 1):
-            digits.append(code % d)
-            code //= d
-        digits.reverse()
-        return digits
-
-    def encode(digits) -> int:
-        code = 0
-        for x in digits:
-            code = code * d + x
-        return code
-
-    def rank_fn(n: int) -> int:
-        return d ** (n + 1)
-
-    def face_fn(n: int, i: int) -> ExactMatrix:
-        rows, cols = d**n, d ** (n + 1)
-        entries: dict[tuple[int, int], Scalar] = {}
-        for col in range(cols):
-            a = decode(n, col)
-            if i < n:
-                prod = A.basis_product(a[i], a[i + 1])
-                rest = a[:i] + [0] + a[i + 2 :]
-                slot = i
-            else:
-                prod = A.basis_product(a[n], a[0])
-                rest = [0] + a[1:n]
-                slot = 0
-            for k, c in prod.items():
-                rest[slot] = k
-                row = encode(rest)
-                prev = entries.get((row, col))
-                entries[(row, col)] = c if prev is None else base.add(prev, c)
-        return ExactMatrix(base, rows, cols, entries)
-
-    def degeneracy_fn(n: int, j: int) -> ExactMatrix:
-        rows, cols = d ** (n + 2), d ** (n + 1)
-        entries: dict[tuple[int, int], Scalar] = {}
-        for col in range(cols):
-            a = decode(n, col)
-            for u, c in enumerate(A.unit):
-                if c == 0:
-                    continue
-                row = encode(a[: j + 1] + [u] + a[j + 1 :])
-                entries[(row, col)] = c
-        return ExactMatrix(base, rows, cols, entries)
-
-    def cyclic_fn(n: int) -> ExactMatrix:
-        size = d ** (n + 1)
-        sign = base.coerce(1 if n % 2 == 0 else -1)
-        entries = {}
-        for col in range(size):
-            a = decode(n, col)
-            entries[(encode([a[n]] + a[:n]), col)] = sign
-        return ExactMatrix(base, size, size, entries)
-
-    return CyclicModule(base, rank_fn, face_fn, degeneracy_fn, cyclic_fn, A)
+    """The cyclic bar construction of A; n_max is advisory only."""
+    return CyclicModule(A)
 
 
 _bar_memo: dict[Algebra, CyclicModule] = {}
@@ -257,123 +351,48 @@ class NormalizedBarModule:
         self._bnd: dict[int, ExactMatrix] = {}
         self._connes: dict[int, ExactMatrix] = {}
 
+    @cached_property
+    def _ops(self) -> _BarOperators:
+        return _BarOperators(self.algebra)
+
     def rank(self, n: int) -> int:
         if n < 0:
             return 0
         return self.algebra.dim * (self.algebra.dim - 1) ** n
 
-    # tuple <-> index, mixed radix: slot 0 in 0..d-1, slots 1..n in 1..d-1
-
-    def decode(self, n: int, code: int) -> list[int]:
-        d = self.algebra.dim
-        tail = []
-        for _ in range(n):
-            tail.append(code % (d - 1) + 1)
-            code //= d - 1
-        tail.append(code)
-        tail.reverse()
-        return tail
-
-    def encode(self, digits) -> int:
-        d = self.algebra.dim
-        code = digits[0]
-        for x in digits[1:]:
-            code = code * (d - 1) + (x - 1)
-        return code
-
-    def _raw_code(self, digits) -> int:
-        d = self.algebra.dim
-        code = 0
-        for x in digits:
-            code = code * d + x
-        return code
-
     def inclusion(self, n: int) -> ExactMatrix:
         """Section X-bar_n -> X_n picking the non-degenerate basis tuples."""
-        entries = {}
-        for col in range(self.rank(n)):
-            entries[(self._raw_code(self.decode(n, col)), col)] = self.base.one
-        return ExactMatrix(self.base, self.raw.rank(n), self.rank(n), entries)
+        return self._ops.recode(self._ops.normalized, self._ops.raw, n)
 
     def projection(self, n: int) -> ExactMatrix:
         """Quotient map X_n -> X-bar_n killing degenerate basis tuples."""
-        d = self.algebra.dim
-        entries = {}
-        for col in range(self.raw.rank(n)):
-            digits = []
-            code = col
-            for _ in range(n + 1):
-                digits.append(code % d)
-                code //= d
-            digits.reverse()
-            if any(x == 0 for x in digits[1:]):
-                continue
-            entries[(self.encode(digits), col)] = self.base.one
-        return ExactMatrix(self.base, self.rank(n), self.raw.rank(n), entries)
+        return self._ops.recode(self._ops.raw, self._ops.normalized, n)
 
     def boundary(self, n: int) -> ExactMatrix:
-        """Induced Hochschild differential b-bar : X-bar_n -> X-bar_{n-1}."""
+        """Induced Hochschild differential b-bar : X-bar_n -> X-bar_{n-1}.
+
+        Assembled tuple-wise rather than by three matrix products; the
+        intermediate raw rank d^(n+1) would dwarf the quotient ranks.
+        """
         if n not in self._bnd:
             if n <= 0:
                 self._bnd[n] = ExactMatrix.zero(self.base, 0, self.rank(max(n, 0)))
             else:
-                self._bnd[n] = self._induced_boundary(n)
+                signs = {i: (-1) ** i for i in range(n + 1)}
+                self._bnd[n] = self._ops.faces(self._ops.normalized, n, signs)
         return self._bnd[n]
-
-    def _induced_boundary(self, n: int) -> ExactMatrix:
-        # computed tuple-wise rather than by three matrix products; the
-        # intermediate raw rank d^(n+1) would dwarf the quotient ranks
-        A = self.algebra
-        base = self.base
-        entries: dict[tuple[int, int], Scalar] = {}
-        for col in range(self.rank(n)):
-            a = self.decode(n, col)
-            for i in range(n + 1):
-                sign = base.coerce(1 if i % 2 == 0 else -1)
-                if i < n:
-                    prod = A.basis_product(a[i], a[i + 1])
-                    head, tail = a[:i], a[i + 2 :]
-                else:
-                    prod = A.basis_product(a[n], a[0])
-                    head, tail = [], a[1:n]
-                for k, c in prod.items():
-                    digits = head + [k] + tail
-                    if any(x == 0 for x in digits[1:]):
-                        continue  # lands on a degenerate tuple
-                    row = self.encode(digits)
-                    v = base.add(entries.get((row, col), base.zero), base.mul(sign, c))
-                    if v == 0:
-                        entries.pop((row, col), None)
-                    else:
-                        entries[(row, col)] = v
-        return ExactMatrix(base, self.rank(n - 1), self.rank(n), entries)
 
     def connes(self, n: int) -> ExactMatrix:
         """Induced Connes operator B-bar : X-bar_n -> X-bar_{n+1}.
 
         On the quotient the (1 - t) factor's t-part dies (it lands on
-        degenerate tuples), leaving B-bar(a) = sum_i (-1)^{ni} of the
-        cyclic rotations of a with the unit stuck in front; rotations
-        that put the original a_0 into an interior slot survive only
-        when a_0 is not the unit.
+        degenerate tuples), leaving B-bar = s_{-1} N: the signed rotations
+        t^k = (-1)^{nk} tau^k of a with the unit stuck in front, less those
+        that land on degenerate tuples.
         """
         if n not in self._connes:
-            base = self.base
-            entries: dict[tuple[int, int], Scalar] = {}
-            for col in range(self.rank(n)):
-                a = self.decode(n, col)
-                for i in range(n + 1):
-                    rotated = [0] + a[i:] + a[:i]
-                    if any(x == 0 for x in rotated[1:]):
-                        continue
-                    sign = base.coerce(1 if (n * i) % 2 == 0 else -1)
-                    row = self.encode(rotated)
-                    v = base.add(entries.get((row, col), base.zero), sign)
-                    if v == 0:
-                        entries.pop((row, col), None)
-                    else:
-                        entries[(row, col)] = v
-            self._connes[n] = ExactMatrix(base, self.rank(n + 1), self.rank(n), entries)
+            signs = {k: (-1) ** (n * k) for k in range(n + 1)}
+            self._connes[n] = self._ops.rotations(self._ops.normalized, n, signs, True)
         return self._connes[n]
 
     def hochschild_complex(self, n_max: int) -> ChainComplex:

@@ -17,14 +17,22 @@ corresponding maps are, per logged cancellation,
                                then delete the b coordinate;
   up   (reduced -> original):  v |-> v - lam^{-1} (sum_y <dy,a> v[y]) b,
 
-replayed forward (down) or backward (up) over the log.  Pivots are
-chosen by Markowitz score with deterministic tie-breaking so repeated
-runs reduce identically.
+replayed forward (down) or backward (up) over the log.  A homogeneous
+degree-d chain is touched only by the entries whose cells have degree d,
+so the transports can replay a per-degree slice of the log instead.
+
+Over a field cancelling any invertible entry is a valid elimination step
+(Skoldberg, "Morse theory from an algebraic viewpoint", Trans. AMS 358,
+2006), so no global pivot order is kept.  reduce() sweeps the cells in id
+order and cancels each live cell against the unit entry of its boundary
+with the shortest row, lowest id first; the choice depends only on the
+current entries, so repeated runs reduce identically.  Over a field one
+sweep empties every boundary: fill-in only ever lands in columns that
+are nonzero already.  Over Z fill-in can create units in a column the
+sweep has passed, so sweeps repeat while one cancelled anything.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .rings import BaseRing
 
@@ -47,6 +55,7 @@ class MorseReduction:
         self.log: list[tuple] = []
         self._reduced = False
         self._alive_by_degree: dict[int, list[int]] = {}  # filled by reduce()
+        self._log_by_degree: tuple[dict, dict] | None = None  # built on demand
 
     # -- construction -------------------------------------------------------
 
@@ -68,37 +77,32 @@ class MorseReduction:
 
     # -- reduction ----------------------------------------------------------
 
-    def _score(self, b: int, a: int) -> tuple[int, int, int]:
-        return ((len(self.rows[a]) - 1) * (len(self.cols[b]) - 1), b, a)
-
     def reduce(self) -> None:
         if self._reduced:
             return
         ring = self.ring
-        heap: list[tuple[int, int, int]] = []
-        for b, col in enumerate(self.cols):
-            for a, c in col.items():
-                if ring.is_unit(c):
-                    heap.append(self._score(b, a))
-        heapq.heapify(heap)
-        while heap:
-            score, b, a = heapq.heappop(heap)
-            if not (self.alive_flags[a] and self.alive_flags[b]):
-                continue
-            lam = self.cols[b].get(a)
-            if lam is None or not ring.is_unit(lam):
-                continue
-            current = self._score(b, a)
-            if current[0] > score:
-                heapq.heappush(heap, current)
-                continue
-            self._cancel(a, b, lam, heap)
+        cols, rows, alive = self.cols, self.rows, self.alive_flags
+        field = ring.is_field  # every stored entry of a field is a unit
+        while True:
+            cancelled = False
+            for b in range(len(cols)):
+                col = cols[b]
+                if not (alive[b] and col):
+                    continue
+                units = col if field else [a for a, c in col.items() if ring.is_unit(c)]
+                if not units:
+                    continue
+                a = min(units, key=lambda x: (len(rows[x]), x))
+                self._cancel(a, b, col[a])
+                cancelled = True
+            if field or not cancelled:
+                break
         self._reduced = True
-        for i, ok in enumerate(self.alive_flags):
+        for i, ok in enumerate(alive):
             if ok:
                 self._alive_by_degree.setdefault(self.degree[i], []).append(i)
 
-    def _cancel(self, a: int, b: int, lam, heap) -> None:
+    def _cancel(self, a: int, b: int, lam) -> None:
         ring = self.ring
         cols, rows = self.cols, self.rows
         col_b = cols[b]
@@ -133,8 +137,6 @@ class MorseReduction:
                 if old is None:
                     col_y[x] = delta
                     rows[x].add(y)
-                    if ring.is_unit(delta):
-                        heapq.heappush(heap, self._score(y, x))
                 else:
                     new = ring.add(old, delta)
                     if new == 0:
@@ -142,8 +144,6 @@ class MorseReduction:
                         rows[x].discard(y)
                     else:
                         col_y[x] = new
-                        if ring.is_unit(new) and not ring.is_unit(old):
-                            heapq.heappush(heap, self._score(y, x))
 
     # -- results ------------------------------------------------------------
 
@@ -171,11 +171,38 @@ class MorseReduction:
 
     # -- chain transport -----------------------------------------------------
 
-    def transport_down(self, chain: dict[int, object]) -> dict[int, object]:
-        """Image of an original chain in the reduced complex (replays forward)."""
+    def _degree_log(self, degree: int) -> tuple[list, list]:
+        """The log entries that act on a homogeneous degree-d chain, in log order.
+
+        Projection down is affected by entries whose lower cell has degree
+        d (the rewrite) and by those whose upper cell does (the forced
+        coordinate drop); lifting up only by entries whose upper cell has
+        degree d.
+        """
+        if self._log_by_degree is None:
+            down: dict[int, list] = {}
+            up: dict[int, list] = {}
+            for entry in self.log:
+                da, db = self.degree[entry[0]], self.degree[entry[1]]
+                down.setdefault(da, []).append(entry)
+                down.setdefault(db, []).append(entry)
+                up.setdefault(db, []).append(entry)
+            self._log_by_degree = (down, up)
+        down, up = self._log_by_degree
+        return down.get(degree, []), up.get(degree, [])
+
+    def transport_down(
+        self, chain: dict[int, object], degree: int | None = None
+    ) -> dict[int, object]:
+        """Image of an original chain in the reduced complex (replays forward).
+
+        A chain that is homogeneous of a known degree may pass it, and then
+        only the log entries that can act on it are replayed.
+        """
         ring = self.ring
         v = {i: c for i, c in chain.items() if c != 0}
-        for a, b, lam, col_items, _ in self.log:
+        log = self.log if degree is None else self._degree_log(degree)[0]
+        for a, b, lam, col_items, _ in log:
             va = v.pop(a, None)
             if va is not None:
                 factor = ring.neg(ring.mul(va, ring.inv(lam)))
@@ -191,11 +218,17 @@ class MorseReduction:
             v.pop(b, None)
         return v
 
-    def transport_up(self, chain: dict[int, object]) -> dict[int, object]:
-        """A chain of the original complex mapping onto a reduced chain (replays backward)."""
+    def transport_up(
+        self, chain: dict[int, object], degree: int | None = None
+    ) -> dict[int, object]:
+        """A chain of the original complex mapping onto a reduced chain (replays backward).
+
+        `degree` restricts the replay as in transport_down.
+        """
         ring = self.ring
         v = {i: c for i, c in chain.items() if c != 0}
-        for a, b, lam, _, row_items in reversed(self.log):
+        log = self.log if degree is None else self._degree_log(degree)[1]
+        for a, b, lam, _, row_items in reversed(log):
             acc = ring.zero
             for y, c_ya in row_items:
                 vy = v.get(y)

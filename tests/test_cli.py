@@ -4,7 +4,7 @@ import pytest
 
 from cychom.algebra import algebra_to_json, catalog
 from cychom.cli import RunConfig, SpecError, _parse_degrees, _parse_schedule, main
-from cychom.rings import GF
+from cychom.rings import GF, QQ
 
 
 def run_cli(capsys, argv):
@@ -105,6 +105,27 @@ def test_algebra_json_file_matches_catalog(capsys, tmp_path):
     )
     assert code_file == code_cat == 0
     assert doc_file["tables"] == doc_cat["tables"]
+
+
+def test_config_reports_the_ring_of_an_algebra_file(capsys, tmp_path):
+    # the file fixes the ring and --base does not apply, so the config must
+    # name the file's ring, not --base or its default
+    f3 = tmp_path / "dual3.json"
+    f3.write_text(json.dumps(algebra_to_json(catalog("dual-numbers", GF(3)))))
+    q = tmp_path / "dualq.json"
+    q.write_text(json.dumps(algebra_to_json(catalog("dual-numbers", QQ))))
+    runs = [
+        (["hc", "--algebra", str(f3), "--degrees", "0..1"], ("Fp", 3)),
+        (["hp-poly", "--algebra", str(f3), "--base", "Z", "--degrees", "0..0",
+          "--q-schedule", "2,4"], ("Fp", 3)),
+        (["hc", "--algebra", str(q), "--base", "Fp", "--p", "5", "--degrees", "0..1"],
+         ("Q", None)),
+    ]
+    for argv, (base, p) in runs:
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["config"]["base"] == base
+        assert doc["config"].get("p") == p
 
 
 def test_default_schedule_echoed_in_report(capsys):

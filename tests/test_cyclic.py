@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
+import tuple_operators as oracle
 from cychom.rings import ZZ, QQ, GF
 from cychom.matrix import ExactMatrix
-from cychom.algebra import catalog
+from cychom.algebra import CATALOG_NAMES, AlgebraError, catalog
 from cychom.cyclic import (
-    CyclicModule,
     FastOps,
+    NormalizedBarModule,
     TupleOps,
     bar_complex,
     bar_module,
@@ -75,6 +78,70 @@ def test_norm_kills_one_minus_t():
         one = ExactMatrix.identity(F3, X.rank(n))
         assert N.mul(one.sub(t)).is_zero()
         assert one.sub(t).mul(N).is_zero()
+
+
+# -- numpy assembly agrees with the per-tuple builders ------------------------------
+
+
+def _fractional_algebra():
+    # a non-permutation change of basis gives structure constants with
+    # denominators 2 and 3
+    P = ExactMatrix.from_rows(QQ, [[1, 0, 0], [0, 2, 1], [0, 0, 3]])
+    return catalog("truncated-poly(3)", QQ).rebased(P)
+
+
+def _assert_same(got, want, what):
+    assert got == want, what
+    assert {type(v) for v in got.entries.values()} <= {type(want.ring.one)}, what
+
+
+_ASSEMBLY_CASES = [(name, base) for name in CATALOG_NAMES for base in (F2, F3, F5, QQ)]
+_ASSEMBLY_CASES.append(("fractional", QQ))
+
+
+@pytest.mark.parametrize(
+    "name,base", _ASSEMBLY_CASES, ids=[f"{n}-{b.label()}" for n, b in _ASSEMBLY_CASES]
+)
+def test_operator_assembly_matches_per_tuple_builders(name, base):
+    if name == "fractional":
+        A = _fractional_algebra()
+        assert any(Fraction(c).denominator > 1 for r in A.structure for t in r for _, c in t)
+    else:
+        try:
+            A = catalog(name, base)
+        except AlgebraError:
+            pytest.skip(f"{name} does not exist over {base.label()}")
+    X = cyclic_bar_module(A)
+    for n in range(6):
+        faces = [oracle.face(A, n, i) for i in range(n + 1)] if n else []
+        for i, want in enumerate(faces):
+            _assert_same(X.face(n, i), want, ("face", n, i))
+        for j in range(n + 1):
+            _assert_same(X.degeneracy(n, j), oracle.degeneracy(A, n, j), ("degeneracy", n, j))
+        _assert_same(X.cyclic(n), oracle.cyclic(A, n), ("cyclic", n))
+        _assert_same(X.norm(n), oracle.norm(A, n), ("norm", n))
+        if n:
+            b = faces[0]
+            for i in range(1, n + 1):
+                if i == n:
+                    _assert_same(X.bar_boundary(n), b, ("b'", n))
+                b = b.add(faces[i]) if i % 2 == 0 else b.sub(faces[i])
+            _assert_same(X.hochschild_boundary(n), b, ("b", n))
+    Xb = NormalizedBarModule(A)
+    U = Xb.algebra
+    for n in range(6):
+        if n:
+            _assert_same(Xb.boundary(n), oracle.normalized_boundary(U, n), ("b-bar", n))
+        _assert_same(Xb.connes(n), oracle.normalized_connes(U, n), ("B-bar", n))
+        _assert_same(Xb.inclusion(n), oracle.inclusion(U, n), ("inclusion", n))
+        _assert_same(Xb.projection(n), oracle.projection(U, n), ("projection", n))
+
+
+def test_operator_assembly_refuses_codes_beyond_64_bits():
+    X = cyclic_bar_module(catalog("matrix-algebra(2)", F2))
+    with pytest.raises(ValueError, match="64-bit"):
+        X.face(31, 0)  # 4^32 basis tuples
+    assert X.rank(31) == 4**32
 
 
 # -- vectorized engine agrees with the matrices ----------------------------------

@@ -12,6 +12,7 @@ from cychom.reduction import (
     reduce_chain_complex,
     residual_complex,
 )
+from markowitz_reduction import MarkowitzReduction
 
 
 def reduction_of(C: ChainComplex):
@@ -192,3 +193,116 @@ def test_alive_index_matches_scan_of_flags(seed, p):
     for d in range(-1, 5):
         scan = [i for i, ok in enumerate(red.alive_flags) if ok and red.degree[i] == d]
         assert red.alive(d) == scan
+
+
+# -- the sweep against the Markowitz-heap oracle -----------------------------------
+
+
+def _scrambled_complex(ring, data):
+    """A random complex in degrees 0..top with known homology, in a scrambled basis.
+
+    It starts as a sum of pieces: a cell alone, or a pair of cells in
+    degrees d, d - 1 joined by a scalar k (over Z a non-unit k leaves
+    torsion).  Then random elementary changes of basis e_i += c e_j within
+    a degree rewrite the differentials on both sides of that degree.
+    """
+    top = data.draw(st.integers(1, 3))
+    scalars = [0, 1, 2, 3] if ring == ZZ else [0, 1, 2, -1]
+    ranks = {d: 0 for d in range(top + 1)}
+    entries = {d: {} for d in range(1, top + 1)}
+    for _ in range(data.draw(st.integers(1, 9))):
+        d = data.draw(st.integers(0, top))
+        k = data.draw(st.sampled_from(scalars))
+        if d == 0 or k == 0:
+            ranks[d] += 1
+            continue
+        entries[d][(ranks[d - 1], ranks[d])] = k
+        ranks[d - 1] += 1
+        ranks[d] += 1
+    diffs = {d: ExactMatrix(ring, ranks[d - 1], ranks[d], entries[d]) for d in entries}
+    for _ in range(data.draw(st.integers(0, 12))):
+        d = data.draw(st.integers(0, top))
+        if ranks[d] < 2:
+            continue
+        i, j = data.draw(st.lists(st.integers(0, ranks[d] - 1), min_size=2, max_size=2, unique=True))
+        c = ring.coerce(data.draw(st.sampled_from([1, -1, 2])))
+        E = ExactMatrix.identity(ring, ranks[d]) + ExactMatrix(ring, ranks[d], ranks[d], {(j, i): c})
+        E_inv = ExactMatrix.identity(ring, ranks[d]) - ExactMatrix(ring, ranks[d], ranks[d], {(j, i): c})
+        if d in diffs:
+            diffs[d] = diffs[d] * E
+        if d + 1 in diffs:
+            diffs[d + 1] = E_inv * diffs[d + 1]
+    C = ChainComplex(ring, ranks, diffs)
+    assert C.validate().ok
+    return C
+
+
+def _reduced(C: ChainComplex, engine):
+    red = engine(C.ring)
+    ids = {(d, j): red.add_cell(d) for d in sorted(C.ranks) for j in range(C.ranks[d])}
+    for d, M in C.diffs.items():
+        for j in range(M.ncols):
+            col = M.col(j)
+            if col:
+                red.set_boundary(ids[(d, j)], {ids[(d - 1, i)]: c for i, c in col.items()})
+    red.reduce()
+    return red
+
+
+_RINGS = st.sampled_from([GF(2), GF(3), GF(5), QQ, ZZ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RINGS, st.data())
+def test_sweep_matches_markowitz_oracle(ring, data):
+    C = _scrambled_complex(ring, data)
+    sweep, oracle = _reduced(C, MorseReduction), _reduced(C, MarkowitzReduction)
+    for d in C.ranks:
+        if ring.is_field:
+            assert sweep.is_exactly_reduced()
+            assert len(sweep.alive(d)) == len(oracle.alive(d)) == complex_homology(C, d).dimension
+        else:
+            assert homology_via_reduction(sweep, d) == homology_via_reduction(oracle, d)
+            assert homology_via_reduction(sweep, d) == complex_homology(C, d)
+    # sweeps repeat until no unit is left to cancel
+    assert not any(ring.is_unit(c) for i in sweep.alive() for c in sweep.cols[i].values())
+
+
+def test_integer_sweeps_repeat_for_units_made_by_fill_in():
+    # d(y) = 2a + 3x has no unit when the sweep passes y; cancelling b
+    # against a rewrites it to x, a unit that only a second sweep cancels
+    red = MorseReduction(ZZ)
+    a, x, y, b = red.add_cell(0), red.add_cell(0), red.add_cell(1), red.add_cell(1)
+    red.set_boundary(y, {a: 2, x: 3})
+    red.set_boundary(b, {a: 1, x: 1})
+    red.reduce()
+    assert [entry[:2] for entry in red.log] == [(a, b), (x, y)]
+    assert red.alive() == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(_RINGS, st.data())
+def test_reduction_is_deterministic(ring, data):
+    C = _scrambled_complex(ring, data)
+    first, second = _reduced(C, MorseReduction), _reduced(C, MorseReduction)
+    assert first.log == second.log
+    assert first.alive_flags == second.alive_flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([GF(2), GF(3), GF(5), QQ]), st.data())
+def test_degree_filtered_transport_matches_full_replay(ring, data):
+    # a homogeneous chain is touched only by the log entries its degree
+    # selects, so replaying that slice must give the full replay's result
+    C = _scrambled_complex(ring, data)
+    red = _reduced(C, MorseReduction)
+    d = data.draw(st.sampled_from(sorted(C.ranks)))
+    cells = [i for i, deg in enumerate(red.degree) if deg == d]
+    survivors = red.alive(d)
+    for pool in (cells, survivors):
+        if not pool:
+            continue
+        picked = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+        chain = {i: ring.coerce(data.draw(st.integers(-3, 3))) for i in picked}
+        assert red.transport_down(chain, d) == red.transport_down(chain)
+        assert red.transport_up(chain, d) == red.transport_up(chain)
