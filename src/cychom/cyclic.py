@@ -13,9 +13,11 @@ Conventions, fixed once for the whole package:
 The homology pipelines read the operators as ExactMatrix objects, which
 `_BarOperators` assembles in numpy: every basis tuple of a degree at once,
 as int64 codes, with duplicate entries summed by a sort.  The identity
-sweeps act on tuple arrays instead (TupleOps, and FastOps for several
-bases at once) and never build the matrices; tests pin both against the
-matrices on small modules.
+sweep never builds the matrices.  `SummandOps` applies the same operators,
+from the same integer structure table, to flat arrays of nonzero summands
+(source row, output code, coefficient), a bounded block of source rows
+at a time; one sweep judges the integer residuals exactly and mod several
+primes.  Tests pin it against the matrices on small modules.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .algebra import Algebra
 from .complexes import ChainComplex
 from .matrix import ExactMatrix
-from .rings import BaseRing, Scalar, ZZ
+from .rings import BaseRing, ZZ
 
 
 # ---------------------------------------------------------------------------
@@ -511,165 +513,162 @@ def mixed_complex_from_display(n: int):
 
 
 # ---------------------------------------------------------------------------
-# vectorized operator engine
+# identity sweep on int64 summands
 
-# Operators as maps on arrays of basis tuples.  A state is (src, tup, coeff):
-# src tags which basis vector of the domain each row came from, tup is the
-# current tuple of basis indices, coeff the integer coefficient.  Applying
-# an operator may split rows (structure constants with several terms).
-# Integer arithmetic throughout; over F_p coefficients are compared mod p.
+# summands per block of the sweep: a block takes as many source rows as the
+# widest identity of its degree can expand into this many summands
+_SWEEP_BLOCK = 1 << 18
 
 
-class TupleState:
-    __slots__ = ("src", "tup", "coeff")
+class _Summands:
+    """Images of a block of basis tuples, as flat arrays of nonzero summands.
 
-    def __init__(self, src: np.ndarray, tup: np.ndarray, coeff: np.ndarray):
+    Summand k is coeff[k] times the basis tuple coded code[k] (big-endian
+    base d, `slots` slots), in the image of the basis tuple coded src[k].
+    """
+
+    __slots__ = ("slots", "src", "code", "coeff")
+
+    def __init__(self, slots: int, src: np.ndarray, code: np.ndarray, coeff: np.ndarray):
+        self.slots = slots
         self.src = src
-        self.tup = tup
+        self.code = code
         self.coeff = coeff
 
-    @property
-    def slots(self) -> int:
-        return self.tup.shape[1]
+
+def _join(slots: int, parts: list[_Summands]) -> _Summands:
+    if len(parts) == 1:
+        return parts[0]
+    columns = zip(*((s.src, s.code, s.coeff) for s in parts))
+    return _Summands(slots, *(np.concatenate(c) for c in columns))
 
 
-class TupleOps:
-    """The bar module's operators acting on whole basis enumerations."""
+class SummandOps:
+    """Faces, degeneracies, t, N and 1 - t acting on int64 summands.
+
+    Takes the integer structure table of `_BarOperators`, so coefficients
+    are exact integers: over F_p they are reduced only when a residual is
+    judged, which gives the same verdict because reduction mod p is a ring
+    map.  A face expands each summand into every nonzero term of its
+    product; the other operators are arithmetic on the codes.
+    """
 
     def __init__(self, A: Algebra):
-        self.A = A
-        self.d = A.dim
-        C = np.zeros((self.d, self.d, self.d), dtype=np.int64)
-        for i in range(self.d):
-            for j in range(self.d):
-                for k, c in A.structure[i][j]:
-                    C[i, j, k] = _as_int(c)
-        self.C = C
-        self.unit = np.array([_as_int(u) for u in A.unit], dtype=np.int64)
-        self.p = A.base.p if A.base.kind == "Fp" else None
+        ops = _BarOperators(A)
+        if ops.scale != 1:
+            raise ValueError("the identity sweep needs integer structure constants")
+        d = self.d = A.dim
+        T = ops.K.shape[2]
+        K, C = ops.K.reshape(d * d, T), ops.C.reshape(d * d, T)
+        # the t-th term of every basis product, indexed by the pair code x*d + y
+        self.terms = [(K[:, t].copy(), C[:, t].copy()) for t in range(T)]
+        self.unit = ops.unit
+        self.bound = ops.bound
 
-    def identity_state(self, n: int) -> TupleState:
-        size = self.d ** (n + 1)
-        src = np.arange(size, dtype=np.int64)
-        tup = np.zeros((size, n + 1), dtype=np.int64)
-        code = src.copy()
-        for slot in range(n, -1, -1):
-            tup[:, slot] = code % self.d
-            code //= self.d
-        return TupleState(src, tup, np.ones(size, dtype=np.int64))
+    def identity_state(self, n: int, start: int = 0, stop: int | None = None) -> _Summands:
+        """The basis tuples of X_n coded start..stop-1, each its own image."""
+        src = np.arange(start, self.d ** (n + 1) if stop is None else stop, dtype=np.int64)
+        return _Summands(n + 1, src, src, np.ones(len(src), dtype=np.int64))
 
-    def face(self, s: TupleState, i: int) -> TupleState:
-        n = s.slots - 1
+    def face(self, s: _Summands, i: int) -> _Summands:
+        n, d, code = s.slots - 1, self.d, s.code
         if n < 1:
             raise ValueError("faces start at degree 1")
         if not (0 <= i <= n):
             raise ValueError(f"face index {i} outside 0..{n}")
         if i < n:
-            prods = self.C[s.tup[:, i], s.tup[:, i + 1]]  # (M, d)
-            keep = np.delete(s.tup, i + 1, axis=1)
-            slot = i
+            p = d ** (n - 1 - i)  # weight of slot i+1; the product lands in slot i
+            q = code // p
+            high = q // (d * d)
+            pair = q - high * (d * d)
+            head = high * (p * d) + (code - q * p)
         else:
-            prods = self.C[s.tup[:, n], s.tup[:, 0]]
-            keep = s.tup[:, :n].copy()
-            slot = 0
-        rows, ks = np.nonzero(prods)
-        tup = keep[rows]
-        tup[:, slot] = ks
-        return TupleState(
-            s.src[rows], tup, self._reduce(s.coeff[rows] * prods[rows, ks])
-        )
-
-    def degeneracy(self, s: TupleState, j: int) -> TupleState:
-        n = s.slots - 1
-        if not (0 <= j <= n):
-            raise ValueError(f"degeneracy index {j} outside 0..{n}")
-        (us,) = np.nonzero(self.unit)
+            p = d ** (n - 1)  # the product of the last and first slots lands in front
+            q = code // d
+            first = q // p
+            pair = (code - q * d) * d + first
+            head = q - first * p
         parts = []
-        for u in us:
-            tup = np.insert(s.tup, j + 1, u, axis=1)
-            parts.append(
-                TupleState(s.src, tup, self._reduce(s.coeff * self.unit[u]))
-            )
-        return _concat(parts)
+        for K, C in self.terms:
+            c = C[pair]
+            hit = c != 0
+            if hit.all():
+                parts.append(_Summands(n, s.src, head + K[pair] * p, s.coeff * c))
+            elif hit.any():
+                k = pair[hit]
+                parts.append(_Summands(n, s.src[hit], head[hit] + K[k] * p, s.coeff[hit] * c[hit]))
+        if not parts:  # every product met here is 0
+            return _Summands(n, s.src[:0], s.code[:0], s.coeff[:0])
+        return _join(n, parts)
 
-    def cyclic(self, s: TupleState) -> TupleState:
-        n = s.slots - 1
-        tup = np.roll(s.tup, 1, axis=1)
-        coeff = s.coeff if n % 2 == 0 else -s.coeff
-        return TupleState(s.src, tup, coeff)
+    def degeneracy(self, s: _Summands, j: int) -> _Summands:
+        if not (0 <= j < s.slots):
+            raise ValueError(f"degeneracy index {j} outside 0..{s.slots - 1}")
+        p = self.d ** (s.slots - 1 - j)  # weight of the slots after j
+        head = s.code + (s.code // p) * (p * (self.d - 1))  # slot j+1 opened, holding 0
+        parts = [_Summands(s.slots + 1, s.src, head + u * p, s.coeff * c) for u, c in self.unit]
+        return _join(s.slots + 1, parts)
 
-    def norm(self, s: TupleState) -> TupleState:
+    def cyclic(self, s: _Summands) -> _Summands:
+        rest = s.code // self.d
+        code = (s.code - rest * self.d) * self.d ** (s.slots - 1) + rest
+        return _Summands(s.slots, s.src, code, s.coeff if s.slots % 2 else -s.coeff)
+
+    def norm(self, s: _Summands) -> _Summands:
         parts = [s]
-        cur = s
         for _ in range(s.slots - 1):
-            cur = self.cyclic(cur)
-            parts.append(cur)
-        return _concat(parts)
+            parts.append(self.cyclic(parts[-1]))
+        return _join(s.slots, parts)
 
-    def one_minus_cyclic(self, s: TupleState) -> TupleState:
+    def one_minus_cyclic(self, s: _Summands) -> _Summands:
         t = self.cyclic(s)
-        return _concat([s, TupleState(t.src, t.tup, -t.coeff)])
+        return _join(s.slots, [s, _Summands(s.slots, t.src, t.code, -t.coeff)])
 
-    def scaled(self, s: TupleState, c: int) -> TupleState:
-        return TupleState(s.src, s.tup, self._reduce(s.coeff * c))
-
-    def _reduce(self, coeff: np.ndarray) -> np.ndarray:
-        return coeff % self.p if self.p is not None else coeff
-
-    def canonical(self, s: TupleState) -> tuple[np.ndarray, np.ndarray]:
-        """Collapse duplicates, drop zeros; key = src composed with tuple.
-
-        Key fits int64: src < d^{n+1} and the tuple code < d^{n+2}, so the
-        combined key stays under d^{2n+3} <= 4^21 for the sizes swept here.
-        """
-        key = s.src.copy()
-        for slot in range(s.slots):
-            key = key * self.d + s.tup[:, slot]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        coeff = s.coeff[order]
-        if len(key):
-            boundaries = np.empty(len(key), dtype=bool)
-            boundaries[0] = True
-            boundaries[1:] = key[1:] != key[:-1]
-            (starts,) = np.nonzero(boundaries)
-            sums = np.add.reduceat(coeff, starts)
-            sums = self._reduce(sums)
-            keys = key[starts]
-            keep = sums != 0
-            return keys[keep], sums[keep]
-        return key, coeff
-
-    def equal(self, a: TupleState, b: TupleState) -> bool:
-        if a.slots != b.slots:
-            return False
-        ka, ca = self.canonical(a)
-        kb, cb = self.canonical(b)
-        return len(ka) == len(kb) and bool(np.all(ka == kb)) and bool(np.all(ca == cb))
-
-    def is_zero(self, s: TupleState) -> bool:
-        k, _ = self.canonical(s)
-        return len(k) == 0
+    def scaled(self, s: _Summands, c: int) -> _Summands:
+        return _Summands(s.slots, s.src, s.code, s.coeff * c)
 
 
-def _concat(parts: list[TupleState]) -> TupleState:
-    return TupleState(
-        np.concatenate([p.src for p in parts]),
-        np.concatenate([p.tup for p in parts]),
-        np.concatenate([p.coeff for p in parts]),
-    )
+def _residual(lhs: _Summands, rhs: _Summands | None, d: int, start: int, bits: int
+              ) -> np.ndarray:
+    """Coefficient sums of lhs - rhs per (source row, output tuple).
 
-
-def _as_int(c: Scalar) -> int:
-    v = int(c)
-    if v != c:
-        raise ValueError("vectorized engine needs integer structure constants")
-    return v
+    lhs = rhs exactly iff every sum is 0, and mod p iff every sum is
+    divisible by p; the array is empty when the sides agree summand for
+    summand.  Otherwise the summands of both sides are sorted once, by the
+    key (src - start) * d^slots + code with the coefficient plus
+    2^(bits-1) packed into the low `bits` bits, and a key's sum is the
+    difference of the prefix sums at its last summand and the previous
+    key's.  That difference is exact even where a prefix sum wraps in
+    int64, because every key's sum fits.
+    """
+    if rhs is not None and all(np.array_equal(a, b) for a, b in (
+            (lhs.code, rhs.code), (lhs.src, rhs.src), (lhs.coeff, rhs.coeff))):
+        return lhs.coeff[:0]
+    sides = [(lhs, lhs.coeff)] if rhs is None else [(lhs, lhs.coeff), (rhs, -rhs.coeff)]
+    bias = 1 << (bits - 1)
+    packed = np.empty(sum(len(coeff) for _, coeff in sides), dtype=np.int64)
+    at = 0
+    for s, coeff in sides:
+        out = packed[at:at + len(coeff)]
+        at += len(coeff)
+        np.subtract(s.src, start, out=out)
+        out *= d**s.slots
+        out += s.code
+        out <<= bits
+        out += bias
+        out += coeff
+    packed.sort()
+    key = packed >> bits
+    sums = np.cumsum((packed & ((1 << bits) - 1)) - bias)
+    last = np.empty(len(key), dtype=bool)
+    last[-1:] = True
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    return np.diff(sums[last], prepend=0)
 
 
 # Identity programs.  A program is a list of op codes applied left to right
-# (so [("s", j), ("d", i)] is the composite d_i s_j); both engines interpret
-# the same list, which keeps the reference and the fast sweep in sync.
+# (so [("s", j), ("d", i)] is the composite d_i s_j); the summand engine and
+# the tests' reference engines interpret the same list.
 
 
 def identity_programs(n: int):
@@ -738,214 +737,54 @@ def _run_program(engine, state, program):
     return state
 
 
-def cyclic_identity_report(A: Algebra, n_max: int) -> list[str]:
-    """Sweep the simplicial and signed cyclic identities up to degree n_max.
+def _run_cached(engine, state, program, first):
+    if program:
+        key = program[0]
+        hit = first.get(key)
+        if hit is None:
+            hit = first[key] = _run_program(engine, state, program[:1])
+        state = hit
+        program = program[1:]
+    return _run_program(engine, state, program)
 
-    Returns failure descriptions; empty means every identity held exactly.
+
+def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, int, int]:
+    """Degree n's identities, the bits a packed coefficient takes, and rows per block.
+
+    A face multiplies the summands per source row by at most the terms of
+    a product, a degeneracy by the unit's terms, N by n+1 and 1 - t by 2;
+    a coefficient grows by at most `bound` per face or degeneracy.  Raises
+    ValueError, before anything is allocated, when a code with its packed
+    coefficient, or the sum of a key's coefficients, would not fit in 64 bits.
     """
-    ops = TupleOps(A)
-    bad: list[str] = []
-    for n in range(n_max + 1):
-        x = ops.identity_state(n)
-        for name, lhs_prog, rhs_prog in identity_programs(n):
-            lhs = _run_program(ops, x, lhs_prog)
-            if rhs_prog is None:
-                ok = ops.is_zero(lhs)
-            else:
-                ok = ops.equal(lhs, _run_program(ops, x, rhs_prog))
-            if not ok:
-                bad.append(f"{name} fails")
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# fast multibase sweep
-
-class _CodeBranches:
-    """Linear-map image of every basis tuple, packed as digit codes.
-
-    ``parts`` is a list of ``(codes, coeffs)`` pairs of shape ``(d**k,)``
-    int32 arrays: row ``r`` of every part is one summand of the image of
-    the basis tuple whose code is ``r`` (big-endian base-d digits).  The
-    row index staying implicit lets every operator run as flat integer
-    arithmetic; the digit count ``slots`` rides along because a code alone
-    does not determine it.  Codes stay below d**11 and coefficients below
-    a few hundred, so int32 is safe throughout.
-    """
-
-    __slots__ = ("slots", "parts")
-
-    def __init__(self, slots, parts):
-        self.slots = slots
-        self.parts = parts
-
-
-class FastOps:
-    """Integer-table twin of TupleOps built for the full identity sweep.
-
-    Works over an integral structure table, so one sweep settles every
-    base at once: reducing table entries mod p is a ring map, hence the
-    mod-p residuals of an identity equal the residuals computed over the
-    entrywise mod-p algebra.  Requires every basis product to have at most
-    two terms, which covers the whole catalog; TupleOps stays as the
-    general engine and the two are pinned against each other in tests.
-    """
-
-    MAX_TERMS = 2
-
-    def __init__(self, A: Algebra):
-        d = A.dim
-        K = np.zeros((self.MAX_TERMS, d * d), dtype=np.int32)
-        C = np.zeros((self.MAX_TERMS, d * d), dtype=np.int32)
-        for i in range(d):
-            for j in range(d):
-                terms = A.structure[i][j]
-                if len(terms) > self.MAX_TERMS:
-                    raise ValueError("product has more than two terms; use TupleOps")
-                for m, (k, c) in enumerate(terms):
-                    K[m, i * d + j] = k
-                    C[m, i * d + j] = _as_int(c)
-        self.dim = d
-        self.K = K
-        self.C = C
-        self.unit_terms = [(k, _as_int(u)) for k, u in enumerate(A.unit) if _as_int(u) != 0]
-
-    def identity_state(self, n: int) -> _CodeBranches:
-        rows = self.dim ** (n + 1)
-        codes = np.arange(rows, dtype=np.int32)
-        return _CodeBranches(n + 1, [(codes, np.ones(rows, dtype=np.int32))])
-
-    def _zero_part(self, rows):
-        z = np.zeros(rows, dtype=np.int32)
-        return (z, z.copy())
-
-    def face(self, s: _CodeBranches, i: int) -> _CodeBranches:
-        k, d = s.slots, self.dim
-        n = k - 1
-        if n < 1:
-            raise ValueError("faces start at degree 1")
-        out = []
-        for codes, coeffs in s.parts:
-            if i < n:
-                p = d ** (k - 2 - i)
-                q = codes // p
-                y = q % d
-                q //= d
-                x = q % d
-                head = (q // d) * (p * d) + codes % p
-            else:
-                p = d ** (n - 1)
-                x = codes % d
-                y = codes // (d ** n)
-                head = (codes // d) % p
-            pair = x * d + y
-            for m in range(self.MAX_TERMS):
-                c = coeffs * self.C[m][pair]
-                if c.any():
-                    out.append((head + self.K[m][pair] * p, c))
-        if not out:
-            out.append(self._zero_part(s.parts[0][0].shape[0]))
-        return _CodeBranches(k - 1, out)
-
-    def degeneracy(self, s: _CodeBranches, j: int) -> _CodeBranches:
-        k, d = s.slots, self.dim
-        p = d ** (k - 1 - j)
-        out = []
-        for codes, coeffs in s.parts:
-            head = (codes // p) * (p * d) + codes % p
-            for uk, uc in self.unit_terms:
-                out.append((head + uk * p, coeffs if uc == 1 else coeffs * uc))
-        return _CodeBranches(k + 1, out)
-
-    def cyclic(self, s: _CodeBranches) -> _CodeBranches:
-        k, d = s.slots, self.dim
-        top = d ** (k - 1)
-        flip = (k - 1) % 2 == 1
-        parts = [
-            ((codes % d) * top + codes // d, -coeffs if flip else coeffs)
-            for codes, coeffs in s.parts
-        ]
-        return _CodeBranches(k, parts)
-
-    def norm(self, s: _CodeBranches) -> _CodeBranches:
-        parts = list(s.parts)
-        rot = s
-        for _ in range(s.slots - 1):
-            rot = self.cyclic(rot)
-            parts.extend(rot.parts)
-        return _CodeBranches(s.slots, parts)
-
-    def one_minus_cyclic(self, s: _CodeBranches) -> _CodeBranches:
-        rot = self.cyclic(s)
-        parts = list(s.parts) + [(codes, -coeffs) for codes, coeffs in rot.parts]
-        return _CodeBranches(s.slots, parts)
-
-    def scaled(self, s: _CodeBranches, c: int) -> _CodeBranches:
-        return _CodeBranches(s.slots, [(codes, coeffs * c) for codes, coeffs in s.parts])
-
-
-# optimal compare-exchange schedules for tiny row widths
-_SORT_NETWORKS = {
-    2: ((0, 1),),
-    3: ((0, 2), (0, 1), (1, 2)),
-    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
-}
-
-
-# summands per block of _residual_coeffs
-_RESIDUAL_BLOCK = 1 << 20
-
-
-def _residual_coeffs(lhs: _CodeBranches, rhs: _CodeBranches | None) -> np.ndarray:
-    """Per-segment coefficient sums of lhs - rhs, grouped by output tuple.
-
-    The difference map is zero iff every returned entry is zero, and holds
-    mod p iff every entry is divisible by p.  Summands with coefficient 0
-    need no special handling: they add nothing to whichever segment their
-    code lands in.
-    """
-    parts = list(lhs.parts)
-    if rhs is not None:
-        parts += [(codes, -coeffs) for codes, coeffs in rhs.parts]
-    w = len(parts)
-    if w == 1:
-        return parts[0][1]
-    rows = parts[0][0].shape[0]
-    # rows are independent; blocks of them bound the sort's working memory
-    step = max(1, _RESIDUAL_BLOCK // w)
-    return np.concatenate([_block_residuals(parts, r, r + step) for r in range(0, rows, step)])
-
-
-def _block_residuals(parts, start: int, stop: int) -> np.ndarray:
-    w = len(parts)
-    rows = min(stop, parts[0][0].shape[0]) - start
-    codes = np.empty((rows, w), dtype=np.int32)
-    coeffs = np.empty((rows, w), dtype=np.int32)
-    for idx, (cd, cf) in enumerate(parts):
-        codes[:, idx] = cd[start:stop]
-        coeffs[:, idx] = cf[start:stop]
-    if w in _SORT_NETWORKS:
-        for a, b in _SORT_NETWORKS[w]:
-            ca, cb = codes[:, a], codes[:, b]
-            swap = ca > cb
-            ca2 = np.where(swap, cb, ca)
-            cb2 = np.where(swap, ca, cb)
-            codes[:, a], codes[:, b] = ca2, cb2
-            va, vb = coeffs[:, a], coeffs[:, b]
-            va2 = np.where(swap, vb, va)
-            vb2 = np.where(swap, va, vb)
-            coeffs[:, a], coeffs[:, b] = va2, vb2
-    else:
-        order = np.argsort(codes, axis=1, kind="stable")
-        codes = np.take_along_axis(codes, order, axis=1)
-        coeffs = np.take_along_axis(coeffs, order, axis=1)
-    sums = np.cumsum(coeffs, axis=1)
-    ends = np.empty(codes.shape, dtype=bool)
-    ends[:, -1] = True
-    ends[:, :-1] = codes[:, 1:] != codes[:, :-1]
-    # telescoping: segment sums are differences of prefix sums at segment
-    # ends, and all of them vanish iff all end prefixes do
-    return sums[ends]
+    T, U = len(ops.terms), len(ops.unit)
+    programs = list(identity_programs(n))
+    width, cmax, total, slots = 1, 1, 1, n + 1
+    for _, lhs, rhs in programs:
+        summands = coefficients = 0
+        for program in (lhs, rhs):
+            if program is None:
+                continue
+            w, depth, k = 1, 0, n + 1
+            for op, _ in program:
+                if op == "d":
+                    w, depth, k = w * T, depth + 1, k - 1
+                elif op == "s":
+                    w, depth, k = w * U, depth + 1, k + 1
+                elif op in ("N", "omt"):
+                    w *= n + 1 if op == "N" else 2
+                slots = max(slots, k)
+            summands += w
+            coefficients += w * ops.bound**depth
+            cmax = max(cmax, ops.bound**depth)
+        width, total = max(width, summands), max(total, coefficients)
+    bits = cmax.bit_length() + 1
+    key = ops.d**slots << bits
+    if key >= _INT64 or total >= _INT64:
+        raise ValueError(
+            f"the identities at degree {n} need codes or coefficients beyond 64-bit integers"
+        )
+    return programs, bits, max(1, min(_SWEEP_BLOCK // width, (_INT64 - 1) // key))
 
 
 def cyclic_identity_multibase_report(
@@ -959,29 +798,40 @@ def cyclic_identity_multibase_report(
     integer residuals mod a prime p reproduces the sweep over the entrywise
     mod-p algebra verbatim, while ``None`` asks for exact vanishing and
     settles Z and Q at once.  Returns, per modulus, the failing identities.
+
+    The source rows of each degree are swept in blocks, and within a block
+    an identity's first operator is applied once for every identity that
+    starts with it.
     """
-    ops = FastOps(A)
+    ops = SummandOps(A)
+    plans = [_sweep_plan(ops, n) for n in range(n_max + 1)]
     bad: dict[int | None, list[str]] = {m: [] for m in moduli}
-    for n in range(n_max + 1):
-        x = ops.identity_state(n)
-        first: dict[tuple, _CodeBranches] = {}
-        for name, lhs_prog, rhs_prog in identity_programs(n):
-            lhs = _run_cached(ops, x, lhs_prog, first)
-            rhs = _run_cached(ops, x, rhs_prog, first) if rhs_prog is not None else None
-            residual = _residual_coeffs(lhs, rhs)
-            for m in moduli:
-                ok = not (residual % m).any() if m else not residual.any()
-                if not ok:
+    for n, (programs, bits, step) in enumerate(plans):
+        failing: list[set] = [set() for _ in programs]
+        rows = ops.d ** (n + 1)
+        for start in range(0, rows, step):
+            x = ops.identity_state(n, start, min(rows, start + step))
+            first: dict[tuple, _Summands] = {}
+            for fails, (_, lhs_prog, rhs_prog) in zip(failing, programs):
+                if len(fails) == len(bad):
+                    continue  # fails for every modulus already
+                lhs = _run_cached(ops, x, lhs_prog, first)
+                rhs = _run_cached(ops, x, rhs_prog, first) if rhs_prog is not None else None
+                residual = _residual(lhs, rhs, ops.d, start, bits)
+                if residual.any():
+                    fails.update(m for m in bad if not m or (residual % m).any())
+        for fails, (name, _, _) in zip(failing, programs):
+            for m in bad:
+                if m in fails:
                     bad[m].append(f"{name} fails")
     return bad
 
 
-def _run_cached(engine, state, program, first):
-    if program:
-        key = program[0]
-        hit = first.get(key)
-        if hit is None:
-            hit = first[key] = _run_program(engine, state, program[:1])
-        state = hit
-        program = program[1:]
-    return _run_program(engine, state, program)
+def cyclic_identity_report(A: Algebra, n_max: int) -> list[str]:
+    """Sweep the simplicial and signed cyclic identities up to degree n_max.
+
+    Judged over A's own base: mod p over F_p, exactly over Q or Z.  Returns
+    failure descriptions; empty means every identity held.
+    """
+    modulus = A.base.p if A.base.kind == "Fp" else None
+    return cyclic_identity_multibase_report(A, (modulus,), n_max)[modulus]

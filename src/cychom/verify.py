@@ -29,7 +29,6 @@ from .complexes import HomologyGroup
 from .cyclic import (
     cyclic_bar_module,
     cyclic_identity_multibase_report,
-    cyclic_identity_report,
     hochschild_complex,
     normalized,
 )
@@ -159,24 +158,17 @@ def _exact_linear_algebra(ctx: SuiteContext) -> tuple[bool, str, dict]:
 
 
 def _cyclic_identities(ctx: SuiteContext) -> tuple[bool, str, dict]:
+    # one integer sweep settles Q exactly and, reduced mod p, the prime
+    # fields at once; the extensions only exist over their prime fields
+    sweeps = [(name, QQ, (2, 3, 5, None)) for name in CATALOG_NAMES
+              if not name.startswith("field-extension")]
+    sweeps += [("field-extension(1,1)", F2, (2,)), ("field-extension(2,0)", F3, (3,))]
     failures = {}
-    # catalog algebras with integral structure constants: one integer sweep
-    # settles Q exactly and, reduced mod p, the prime fields at once
-    for name in CATALOG_NAMES:
-        if name.startswith("field-extension"):
-            continue
-        bad = cyclic_identity_multibase_report(
-            catalog(name, QQ), (2, 3, 5, None), n_max=8
-        )
+    for name, base, moduli in sweeps:
+        bad = cyclic_identity_multibase_report(catalog(name, base), moduli, n_max=8)
         for m, probs in bad.items():
             if probs:
-                failures[f"{name} mod {m}"] = probs[:3]
-    # the extensions only exist over their prime fields; sweep them with the
-    # reference engine directly
-    for name, base in (("field-extension(1,1)", F2), ("field-extension(2,0)", F3)):
-        probs = cyclic_identity_report(catalog(name, base), 8)
-        if probs:
-            failures[f"{name}/{base.label()}"] = probs[:3]
+                failures[f"{name} mod {m}" if base is QQ else f"{name}/{base.label()}"] = probs[:3]
     ok = not failures
     msg = "all identities hold for every catalog algebra, n <= 8"
     return ok, msg if ok else "identity failures", {"failures": failures}

@@ -1,15 +1,17 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import identity_oracles as engines
 import tuple_operators as oracle
 from cychom.rings import ZZ, QQ, GF
 from cychom.matrix import ExactMatrix
-from cychom.algebra import CATALOG_NAMES, AlgebraError, catalog
+from cychom.algebra import CATALOG_NAMES, Algebra, AlgebraError, catalog
 from cychom.cyclic import (
-    FastOps,
     NormalizedBarModule,
-    TupleOps,
+    SummandOps,
     bar_complex,
     bar_module,
     cyclic_bar_module,
@@ -154,7 +156,7 @@ def test_operator_assembly_refuses_codes_beyond_64_bits():
 def test_tuple_engine_matches_matrices(name, base):
     A = catalog(name, base)
     X = bar_module(A)
-    ops = TupleOps(A)
+    ops = engines.TupleOps(A)
     for n in range(3):
         idstate = ops.identity_state(n)
         ncols = A.dim ** (n + 1)
@@ -346,7 +348,7 @@ def test_multibase_sweep_matches_per_base_reports():
         multi = cyclic_identity_multibase_report(A, (2, 3, 5, None), 3)
         for p in (2, 3, 5, None):
             base = GF(p) if p else QQ
-            assert multi[p] == cyclic_identity_report(catalog(name, base), 3) == []
+            assert multi[p] == engines.cyclic_identity_report(catalog(name, base), 3) == []
 
 
 def test_sweeps_detect_nonassociative_table():
@@ -371,16 +373,13 @@ def test_residual_sort_network_matches_argsort(monkeypatch):
     # force the generic sort path and compare against the network path on a
     # small-width state built from two-term products; the residual is not
     # zero here, which is the point: both paths must agree entry for entry
-    import numpy as np
-    import cychom.cyclic as cyc
-
-    ops = FastOps(catalog("matrix-algebra(2)", QQ))
+    ops = engines.FastOps(catalog("matrix-algebra(2)", QQ))
     x = ops.identity_state(2)
     lhs = ops.face(ops.degeneracy(x, 1), 0)
     rhs = ops.scaled(ops.cyclic(ops.cyclic(x)), -1)
-    fast = cyc._residual_coeffs(lhs, rhs)
-    monkeypatch.setattr(cyc, "_SORT_NETWORKS", {})
-    slow = cyc._residual_coeffs(lhs, rhs)
+    fast = engines._residual_coeffs(lhs, rhs)
+    monkeypatch.setattr(engines, "_SORT_NETWORKS", {})
+    slow = engines._residual_coeffs(lhs, rhs)
     assert np.array_equal(fast, slow)
 
 
@@ -388,18 +387,193 @@ def test_residual_blocks_match_one_block(monkeypatch):
     # _residual_coeffs works through blocks of rows; any block size must
     # give the one-block result entry for entry, on the network path
     # (width 2) and on the generic sort path (the norm's wider states)
-    import numpy as np
-    import cychom.cyclic as cyc
-
-    ops = FastOps(catalog("matrix-algebra(2)", QQ))
+    ops = engines.FastOps(catalog("matrix-algebra(2)", QQ))
     x = ops.identity_state(2)
     cases = [
         (ops.face(ops.degeneracy(x, 1), 0), ops.scaled(ops.cyclic(ops.cyclic(x)), -1)),
         (ops.norm(ops.one_minus_cyclic(x)), None),
     ]
     for lhs, rhs in cases:
-        whole = cyc._residual_coeffs(lhs, rhs)
+        whole = engines._residual_coeffs(lhs, rhs)
         for block in (1, 7, 50):
-            monkeypatch.setattr(cyc, "_RESIDUAL_BLOCK", block)
-            assert np.array_equal(cyc._residual_coeffs(lhs, rhs), whole)
+            monkeypatch.setattr(engines, "_RESIDUAL_BLOCK", block)
+            assert np.array_equal(engines._residual_coeffs(lhs, rhs), whole)
         monkeypatch.undo()
+
+
+# -- the summand sweep against the matrices and the reference engines ------------
+
+
+def _rebased_truncated_poly():
+    # a unimodular change of basis keeps the constants integral; it gives
+    # products with three terms and a unit with three terms
+    P = ExactMatrix.from_rows(QQ, [[1, 0, 0], [1, 1, 0], [-1, 2, 1]])
+    return catalog("truncated-poly(3)", QQ).rebased(P)
+
+
+def summands_to_matrix(A, state, ncols):
+    """Scatter a summand state into the matrix it represents over A's base."""
+    base = A.base
+    entries = {}
+    for src, code, coeff in zip(state.src.tolist(), state.code.tolist(), state.coeff.tolist()):
+        key = (code, src)
+        entries[key] = base.add(entries.get(key, base.zero), base.coerce(coeff))
+    entries = {k: v for k, v in entries.items() if v != 0}
+    return ExactMatrix(base, A.dim**state.slots, ncols, entries)
+
+
+@pytest.mark.parametrize(
+    "name,base",
+    [("dual-numbers", F3), ("field-extension(1,1)", F2), ("matrix-algebra(2)", F3),
+     ("rebased truncated-poly(3)", QQ)],
+)
+def test_summand_engine_matches_matrices(name, base):
+    A = _rebased_truncated_poly() if name.startswith("rebased") else catalog(name, base)
+    X = cyclic_bar_module(A)
+    ops = SummandOps(A)
+    for n in range(3):
+        x = ops.identity_state(n)
+        ncols = A.dim ** (n + 1)
+
+        def matrix(state):
+            return summands_to_matrix(A, state, ncols)
+
+        for i in range(n + 1) if n >= 1 else ():
+            assert matrix(ops.face(x, i)) == X.face(n, i), ("face", n, i)
+        for j in range(n + 1):
+            assert matrix(ops.degeneracy(x, j)) == X.degeneracy(n, j), ("degeneracy", n, j)
+        assert matrix(ops.cyclic(x)) == X.cyclic(n), ("cyclic", n)
+        assert matrix(ops.norm(x)) == X.norm(n), ("norm", n)
+        one_minus_t = ExactMatrix.identity(A.base, ncols).sub(X.cyclic(n))
+        assert matrix(ops.one_minus_cyclic(x)) == one_minus_t, ("1 - t", n)
+
+
+def test_summand_engine_lifts_the_two_term_limit():
+    A = _rebased_truncated_poly()
+    assert max(len(t) for row in A.structure for t in row) == 3
+    with pytest.raises(ValueError, match="two terms"):
+        engines.FastOps(A)
+    moduli = (2, 3, 5, None)
+    assert cyclic_identity_multibase_report(A, moduli, 5) == {m: [] for m in moduli}
+
+
+def test_summand_engine_refuses_fractional_tables():
+    with pytest.raises(ValueError, match="integer structure constants"):
+        SummandOps(_fractional_algebra())
+
+
+def _reduced(A, m):
+    """A's integer table over F_m (m None: over Z), unvalidated like a planted table."""
+    base = GF(m) if m else ZZ
+    structure = tuple(
+        tuple(
+            tuple((k, base.coerce(int(c))) for k, c in terms if base.coerce(int(c)))
+            for terms in row
+        )
+        for row in A.structure
+    )
+    return Algebra(base, A.dim, structure, tuple(base.coerce(int(u)) for u in A.unit))
+
+
+def _assert_matches_oracles(A, moduli):
+    # the TupleOps oracle judges each base on its own, for n <= 3; the
+    # FastOps oracle, where its two-term limit allows, all moduli at once for n <= 4
+    got = cyclic_identity_multibase_report(A, moduli, 3)
+    for m in moduli:
+        assert got[m] == engines.cyclic_identity_report(_reduced(A, m), 3), m
+    try:
+        engines.FastOps(A)
+    except ValueError:
+        return got
+    want = engines.cyclic_identity_multibase_report(A, moduli, 4)
+    assert cyclic_identity_multibase_report(A, moduli, 4) == want
+    return got
+
+
+_SWEPT = [name for name in CATALOG_NAMES if not name.startswith("field-extension")]
+
+
+@st.composite
+def unimodular_rebased(draw):
+    """A catalog algebra over Q in the basis of a random unimodular integer matrix."""
+    A = catalog(draw(st.sampled_from(_SWEPT)), QQ)
+    d = A.dim
+    entry = st.integers(-1, 1)
+    L = [[1 if i == j else draw(entry) if i > j else 0 for j in range(d)] for i in range(d)]
+    U = [[1 if i == j else draw(entry) if i < j else 0 for j in range(d)] for i in range(d)]
+    perm = draw(st.permutations(range(d)))
+    rows = [[sum(L[perm[i]][k] * U[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    return A.rebased(ExactMatrix.from_rows(QQ, rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(unimodular_rebased())
+def test_sweep_matches_oracles_on_rebased_catalog_algebras(A):
+    got = _assert_matches_oracles(A, (2, 3, 5, None))
+    assert got == {m: [] for m in (2, 3, 5, None)}
+
+
+@st.composite
+def planted_tables(draw):
+    """An integer table with e0 as two-sided unit and random products of the rest."""
+    d = draw(st.integers(2, 3))
+    coeff = st.integers(-2, 2).filter(bool)
+    structure = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if i == 0 or j == 0:
+                structure[i][j] = ((i + j, 1),)
+            else:
+                ks = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+                structure[i][j] = tuple((k, draw(coeff)) for k in sorted(ks))
+    return Algebra(ZZ, d, tuple(tuple(row) for row in structure), (1,) + (0,) * (d - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_tables())
+def test_sweep_matches_oracles_on_planted_tables(A):
+    _assert_matches_oracles(A, (2, 3, None))
+
+
+def test_sweep_reports_do_not_depend_on_the_block(monkeypatch):
+    import cychom.cyclic as cyc
+
+    broken = Algebra(ZZ, 3, (
+        (((0, 1),), ((1, 1),), ((2, 1),)),
+        (((1, 1),), ((2, 1),), ((0, 1),)),
+        (((2, 1),), (), ()),
+    ), (1, 0, 0))
+    cases = [
+        (catalog("matrix-algebra(2)", QQ), (2, 3, 5, None), 3),
+        (_rebased_truncated_poly(), (2, 3, None), 3),
+        (broken, (2, 3, None), 3),
+    ]
+    want = [cyclic_identity_multibase_report(A, moduli, n) for A, moduli, n in cases]
+    want_one = cyclic_identity_report(catalog("field-extension(1,1)", F2), 4)
+    assert all(want[2].values())
+    for block in (1, 7, 50):
+        monkeypatch.setattr(cyc, "_SWEEP_BLOCK", block)
+        assert [cyclic_identity_multibase_report(A, moduli, n) for A, moduli, n in cases] == want
+        assert cyclic_identity_report(catalog("field-extension(1,1)", F2), 4) == want_one
+
+
+def test_identity_sweep_refuses_what_64_bits_cannot_hold(monkeypatch):
+    import cychom.cyclic as cyc
+
+    def allocate(*args):
+        raise AssertionError("the sweep allocated before it refused")
+
+    monkeypatch.setattr(cyc.SummandOps, "identity_state", allocate)
+    # codes: 4^34 basis tuples after two degeneracies at degree 31
+    with pytest.raises(ValueError, match="64-bit"):
+        cyclic_identity_report(catalog("matrix-algebra(2)", F3), 31)
+    # coefficients: every code of a one-dimensional table is 0, but two
+    # products of 2^31 e0 grow a coefficient to 2^62
+    huge = Algebra(ZZ, 1, ((((0, 2**31),),),), (1,))
+    with pytest.raises(ValueError, match="64-bit"):
+        cyclic_identity_report(huge, 0)
+    monkeypatch.undo()
+    assert cyclic_identity_report(catalog("matrix-algebra(2)", F3), 2) == []
+    # 2^20 fits; its unit is 1 while e0 e0 = 2^20 e0, so d_0 s_0 = id fails
+    assert "d_0 s_0 = id @ n=0 fails" in cyclic_identity_report(
+        Algebra(ZZ, 1, ((((0, 2**20),),),), (1,)), 3)
