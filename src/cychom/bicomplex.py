@@ -36,11 +36,12 @@ Each theory is read off the smallest complex known to carry it:
 The materialized plane and first quadrant (_TotalStage) stay as the
 references the two reduced routes are tested against.
 
-Every stage is a finite complex reduced with the sparse Gaussian engine
-from `reduction`, which over a field cancels everything cancellable, so
-surviving cells count homology and tower maps are composites
-  reduced(Q) --lift--> stage(Q) --include--> stage(Q')
-             --project--> reduced(Q'),
+Every stage is a finite complex handed to the left-looking engine of
+`reduction` as per-degree CSC arrays, assembled in numpy from operator
+Coo placed at the offsets of a degree's summands.  Over a field the
+engine cancels everything cancellable, so surviving cells count homology
+and tower maps are composites
+  reduced(Q) --lift--> stage(Q) --include--> stage(Q') --project--> reduced(Q'),
 realized by the reduction's transport_up and transport_down.  Given the
 degree of a homogeneous chain they replay only the log entries whose
 cancelled pair touches that degree, which is what makes long towers
@@ -49,15 +50,17 @@ affordable.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+import numpy as np
 
 from .complexes import ChainComplex, ChainMap, ComplexReport, HomologyGroup
-from .cyclic import CyclicModule, NormalizedBarModule, normalized
+from .cyclic import Coo, CyclicModule, NormalizedBarModule, normalized
 from .linalg import rank
 from .matrix import ExactMatrix
 from .orbits import OrbitPlane
-from .reduction import MorseReduction, homology_via_reduction, reduce_chain_complex
+from .reduction import MorseReduction, csc_from_columns, homology_via_reduction
 from .rings import BaseRing
 
 
@@ -74,47 +77,65 @@ def _check_region(region: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# operator columns, cached per cyclic module
+# operators, cached per cyclic module, and block operators in CSC form
 
-def _matrix_columns(M: ExactMatrix) -> list[dict[int, object]]:
-    cols: list[dict[int, object]] = [{} for _ in range(M.ncols)]
-    for (i, j), c in M.entries.items():
-        cols[j][i] = c
-    return cols
-
-
-class _OperatorColumns:
-    """Column-wise views of the four plane operators, memoized per row.
+class _PlaneOperators:
+    """The four plane operators of every row as Coo, memoized per row.
 
     Every stage of one materialized tower shares these, so each operator
-    matrix is materialized once per q.
+    is assembled once per q.  Kinds: "b", "-b'" (b' with the sign it has
+    on odd columns), "N" and "1-t".
     """
 
     def __init__(self, X: CyclicModule):
         self.X = X
         self.ring = X.base
-        self._memo: dict[tuple[str, int], list[dict[int, object]]] = {}
+        self._memo: dict[tuple[str, int], Coo] = {}
 
     def rank(self, q: int) -> int:
         return self.X.rank(q)
 
-    def cols(self, kind: str, q: int) -> list[dict[int, object]]:
+    def coo(self, kind: str, q: int) -> Coo:
         key = (kind, q)
         hit = self._memo.get(key)
         if hit is None:
-            X = self.X
+            ops = self.X._ops
             if kind == "b":
-                M = X.hochschild_boundary(q)
-            elif kind == "b'":
-                M = X.bar_boundary(q)
+                hit = ops.faces(ops.raw, q, {i: (-1) ** i for i in range(q + 1)})
+            elif kind == "-b'":
+                hit = ops.faces(ops.raw, q, {i: -((-1) ** i) for i in range(q)})
             elif kind == "N":
-                M = X.norm(q)
+                hit = ops.rotations(ops.raw, q, {i: (-1) ** (q * i) for i in range(q + 1)}, False)
             elif kind == "1-t":
-                M = ExactMatrix.identity(X.base, X.rank(q)).sub(X.cyclic(q))
+                hit = ops.rotations(ops.raw, q, {0: 1, 1: -((-1) ** q)}, False)
             else:  # pragma: no cover - internal kinds only
                 raise ValueError(kind)
-            hit = self._memo[key] = _matrix_columns(M)
+            self._memo[key] = hit
         return hit
+
+
+def _csc(ncols: int, pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC arrays of a block operator with ncols columns.
+
+    pieces lists (row offset, column offset, Coo); blocks that share a
+    column must not share a row.  Values are int64, or Fractions in an
+    object array where some block has a denominator.
+    """
+    pieces = [(r, k, c) for r, k, c in pieces if len(c.vals)]
+    if not pieces:
+        return np.zeros(ncols + 1, dtype=np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
+    rows = np.concatenate([c.rows + r for r, _, c in pieces])
+    cols = np.concatenate([c.cols + k for _, k, c in pieces])
+    if all(c.den == 1 for _, _, c in pieces):
+        vals = np.concatenate([c.vals for _, _, c in pieces])
+    else:
+        vals = np.array(
+            [Fraction(v, c.den) for _, _, c in pieces for v in c.vals.tolist()], dtype=object
+        )
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
+    return indptr, rows[order], vals[order]
 
 
 # ---------------------------------------------------------------------------
@@ -184,31 +205,18 @@ class PeriodicBicomplexWindow:
             lo = self.p_lo + need_left
             return [p for p in range(lo, self.p_hi + 1) if p % 2 == par]
 
-        for q in range(self.q_max + 1):
-            for par in parities:
-                ps = columns(par, 1)
-                if ps:
-                    p0 = ps[0]
-                    if not (self.d_h(p0 - 1, q) * self.d_h(p0, q)).is_zero():
-                        problems += [f"d_h d_h != 0 at (p={p}, q={q})" for p in ps]
-        for q in range(2, self.q_max + 1):
-            for par in parities:
-                ps = columns(par, 0)
-                if ps:
-                    p0 = ps[0]
-                    if not (self.d_v(p0, q - 1) * self.d_v(p0, q)).is_zero():
-                        problems += [f"d_v d_v != 0 at (p={p}, q={q})" for p in ps]
-        for q in range(1, self.q_max + 1):
-            for par in parities:
-                ps = columns(par, 1)
-                if ps:
-                    p0 = ps[0]
-                    mixed = self.d_h(p0, q - 1) * self.d_v(p0, q)
-                    mixed = mixed.add(self.d_v(p0 - 1, q) * self.d_h(p0, q))
-                    if not mixed.is_zero():
-                        problems += [
-                            f"d_h d_v + d_v d_h != 0 at (p={p}, q={q})" for p in ps
-                        ]
+        squares = (  # (name, lowest q, columns needed on the left, composite at (p0, q))
+            ("d_h d_h", 0, 1, lambda p0, q: self.d_h(p0 - 1, q) * self.d_h(p0, q)),
+            ("d_v d_v", 2, 0, lambda p0, q: self.d_v(p0, q - 1) * self.d_v(p0, q)),
+            ("d_h d_v + d_v d_h", 1, 1, lambda p0, q: (self.d_h(p0, q - 1) * self.d_v(p0, q))
+             .add(self.d_v(p0 - 1, q) * self.d_h(p0, q))),
+        )
+        for name, q_lo, need_left, square in squares:
+            for q in range(q_lo, self.q_max + 1):
+                for par in parities:
+                    ps = columns(par, need_left)
+                    if ps and not square(ps[0], q).is_zero():
+                        problems += [f"{name} != 0 at (p={p}, q={q})" for p in ps]
         return ComplexReport(ok=not problems, problems=sorted(problems))
 
 
@@ -242,7 +250,7 @@ def _row_range(region: str, d: int, q_max: int) -> range:
 class _Layout:
     """Summand bookkeeping for one total degree: rows q and their offsets."""
 
-    def __init__(self, ops: _OperatorColumns, region: str, d: int, q_max: int):
+    def __init__(self, ops: _PlaneOperators, region: str, d: int, q_max: int):
         self.qs = list(_row_range(region, d, q_max))
         self.offsets: dict[int, int] = {}
         start = 0
@@ -250,52 +258,26 @@ class _Layout:
             self.offsets[q] = start
             start += ops.rank(q)
         self.total = start
-        self._starts = [self.offsets[q] for q in self.qs]
-
-    def locate(self, index: int) -> tuple[int, int]:
-        """(q, index within the row) of a global summand index."""
-        k = bisect_right(self._starts, index) - 1
-        q = self.qs[k]
-        return q, index - self.offsets[q]
 
 
-def _degree_boundary_columns(
-    ops: _OperatorColumns,
+def _degree_boundary(
+    ops: _PlaneOperators,
     region: str,
     d: int,
     layout: "_Layout",
     layout_below: "_Layout",
-) -> list[dict[int, object]]:
-    """Columns of the total differential from degree d to d - 1."""
-    ring = ops.ring
-    minus_one = ring.coerce(-1)
-    cols: list[dict[int, object]] = [{} for _ in range(layout.total)]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC of the total differential from degree d to d - 1."""
+    pieces = []
     for q in layout.qs:
-        p = d - q
-        base = layout.offsets[q]
-        even = p % 2 == 0
-        if region != "first" or p > 0:
-            off = layout_below.offsets[q]
-            op = ops.cols("N" if even else "1-t", q)
-            for j in range(ops.rank(q)):
-                col = cols[base + j]
-                for i, c in op[j].items():
-                    col[off + i] = c
+        even = (d - q) % 2 == 0
+        if region != "first" or d - q > 0:
+            op = ops.coo("N" if even else "1-t", q)
+            pieces.append((layout_below.offsets[q], layout.offsets[q], op))
         if q >= 1:
-            off = layout_below.offsets[q - 1]
-            if even:
-                op = ops.cols("b", q)
-                for j in range(ops.rank(q)):
-                    col = cols[base + j]
-                    for i, c in op[j].items():
-                        col[off + i] = c
-            else:
-                op = ops.cols("b'", q)
-                for j in range(ops.rank(q)):
-                    col = cols[base + j]
-                    for i, c in op[j].items():
-                        col[off + i] = ring.mul(minus_one, c)
-    return cols
+            op = ops.coo("b" if even else "-b'", q)
+            pieces.append((layout_below.offsets[q - 1], layout.offsets[q], op))
+    return _csc(layout.total, pieces)
 
 
 def row_truncated_total(
@@ -313,18 +295,14 @@ def row_truncated_total(
     lo, hi = degrees
     if lo > hi:
         raise ValueError("empty degree interval")
-    ops = _OperatorColumns(X)
+    ops = _PlaneOperators(X)
     layouts = {d: _Layout(ops, region, d, q_max) for d in range(lo, hi + 1)}
     ranks = {d: layouts[d].total for d in layouts}
     diffs: dict[int, ExactMatrix] = {}
     for d in range(lo + 1, hi + 1):
-        cols = _degree_boundary_columns(ops, region, d, layouts[d], layouts[d - 1])
-        entries = {
-            (i, j): c for j, col in enumerate(cols) for i, c in col.items()
-        }
-        diffs[d] = ExactMatrix(
-            X.base, ranks[d - 1], ranks[d], entries, _normalized=True
-        )
+        indptr, rows, vals = _degree_boundary(ops, region, d, layouts[d], layouts[d - 1])
+        cols = np.repeat(np.arange(ranks[d], dtype=np.int64), np.diff(indptr))
+        diffs[d] = Coo(X.base, ranks[d - 1], ranks[d], rows, cols, vals).matrix()
     return ChainComplex(X.base, ranks, diffs)
 
 
@@ -344,7 +322,7 @@ def truncation_inclusion(
         raise ValueError("q_from must be <= q_to")
     src = row_truncated_total(X, q_from, degrees, region)
     tgt = row_truncated_total(X, q_to, degrees, region)
-    ops = _OperatorColumns(X)
+    ops = _PlaneOperators(X)
     lo, hi = degrees
     components = {}
     one = X.base.one
@@ -368,42 +346,32 @@ def truncation_inclusion(
 class _ReducedStage:
     """A finite complex over a field, Morse-reduced, read in degrees [lo, hi].
 
-    cells[d] lists hashable cell keys for d in [lo-1, hi+1]; columns[d][j]
-    is the boundary of cells[d][j] as {key of degree d-1: coefficient}.
-    The hard truncation at the window edges only corrupts homology in the
+    ranks[d] counts the cells of degree d for d in [lo-1, hi+1];
+    boundaries[d] is the CSC of the differential out of degree d, for d
+    in [lo, hi+1], with rows indexing the cells of degree d - 1.  The
+    hard truncation at the window edges only corrupts homology in the
     edge degrees themselves, so groups and maps are read off for degrees
     in [lo, hi] only.  Over a field the reduction is exact and surviving
-    cells are a homology basis.  A cell keeps its (degree, key) address in
-    every stage built from the same filtered complex, which is what lets
-    `_stage_map` relabel chains between stages.
+    cells are a homology basis.  In every stage of one tower the cells of
+    a degree come in the same order, and a stage's cells are a prefix of
+    the next stage's, which is what lets `_stage_map` relabel a chain by
+    shifting its cell ids.
     """
 
-    def __init__(self, ring: BaseRing, q_max: int, lo: int, hi: int, cells, columns):
+    def __init__(self, ring: BaseRing, q_max: int, lo: int, hi: int, ranks, boundaries):
         if not ring.is_field:
             raise ValueError("tower stages require field coefficients")
         self.ring = ring
         self.q_max = q_max
         self.lo = lo
         self.hi = hi
-        red = MorseReduction(ring)
-        ids: dict[tuple[int, object], int] = {}
-        rev: list[tuple[int, object]] = []
-        for d in range(lo - 1, hi + 2):
-            for key in cells[d]:
-                ids[(d, key)] = red.add_cell(d)
-                rev.append((d, key))
-        for d in range(lo, hi + 2):
-            for key, col in zip(cells[d], columns[d]):
-                if col:
-                    red.set_boundary(
-                        ids[(d, key)], {ids[(d - 1, k)]: c for k, c in col.items()}
-                    )
+        self.ranks = ranks
+        red = MorseReduction(ring, ranks, boundaries)
         red.reduce()
         if not red.is_exactly_reduced():  # pragma: no cover - field guarantee
             raise RuntimeError("field reduction left residual boundary entries")
         self.red = red
-        self.ids = ids
-        self.rev = rev
+        self.start = red.start  # cell id of the first cell of each degree
 
     def alive(self, d: int) -> list[int]:
         return self.red.alive(d)
@@ -413,53 +381,49 @@ class _ReducedStage:
             raise ValueError(f"degree {d} is outside the trusted window")
         return HomologyGroup(self.ring, len(self.red.alive(d)))
 
-    def s_shift(self, d: int, key):
-        """Key of the periodicity shift of cell (d, key) in degree d - 2, or None."""
+    def s_shift(self, d: int) -> int:
+        """s: S sends the i-th cell of degree d to the (i - s)-th of d - 2, or to 0."""
         raise NotImplementedError
 
 
 class _TotalStage(_ReducedStage):
     """One row truncation of a region of the plane, materialized and reduced.
 
-    Cells are keyed by their index in the degree's row layout.  This is
-    the engine of the "left" region and the reference route that the
-    orbit-reduced plane and the normalized first quadrant are tested
-    against.
+    The cells of a degree are its row layout's basis tuples, rows in
+    increasing q, and each degree's CSC places the row operators' Coo at
+    the layout offsets.  This is the engine of the "left" region and the
+    reference route that the orbit-reduced plane and the normalized first
+    quadrant are tested against.
     """
 
     def __init__(
-        self, ops: _OperatorColumns, region: str, q_max: int, lo: int, hi: int
+        self, ops: _PlaneOperators, region: str, q_max: int, lo: int, hi: int
     ):
-        if not ops.ring.is_field:
-            raise ValueError("tower stages require field coefficients")
         self.ops = ops
         self.region = region
         degs = range(lo - 1, hi + 2)
         self.layouts = {d: _Layout(ops, region, d, q_max) for d in degs}
-        cells = {d: range(self.layouts[d].total) for d in degs}
-        columns = {
-            d: _degree_boundary_columns(
-                ops, region, d, self.layouts[d], self.layouts[d - 1]
-            )
+        ranks = {d: self.layouts[d].total for d in degs}
+        boundaries = {
+            d: _degree_boundary(ops, region, d, self.layouts[d], self.layouts[d - 1])
             for d in degs
             if d > lo - 1
         }
-        super().__init__(ops.ring, q_max, lo, hi, cells, columns)
+        super().__init__(ops.ring, q_max, lo, hi, ranks, boundaries)
 
-    def s_shift(self, d: int, key):
+    def s_shift(self, d: int) -> int:
         # the quotient of the first quadrant by columns p in {0, 1} is the
-        # first quadrant shifted two columns left: (p, q) -> (p - 2, q)
-        q, i = self.layouts[d].locate(key)
-        if d - q < 2:
-            return None
-        return self.layouts[d - 2].offsets[q] + i
+        # first quadrant shifted two columns left, (p, q) -> (p - 2, q); the
+        # rows q <= d - 2 lead both layouts with the same offsets
+        return 0
 
 
 def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
     """Matrix of H_d(inclusion) between two reduced truncations.
 
-    A cell keeps its (degree, key) address in every later truncation, so
-    the chain-level inclusion is an id-relabeling.
+    The degree-d cells of src are a prefix of those of dst, so the
+    chain-level inclusion shifts cell ids by the difference of the two
+    degree offsets.
     """
     if src.q_max > dst.q_max:
         raise ValueError("src truncation must sit inside dst")
@@ -467,11 +431,11 @@ def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
     rows_alive = dst.alive(d)
     cols_alive = src.alive(d)
     row_pos = {cell: r for r, cell in enumerate(rows_alive)}
+    shift = dst.start[d] - src.start[d]
     entries = {}
     for j, y in enumerate(cols_alive):
         lifted = src.red.transport_up({y: ring.one}, d)
-        moved = {dst.ids[src.rev[cell]]: c for cell, c in lifted.items()}
-        down = dst.red.transport_down(moved, d)
+        down = dst.red.transport_down({cell + shift: c for cell, c in lifted.items()}, d)
         for cell, c in down.items():
             entries[(row_pos[cell], j)] = c
     return ExactMatrix(
@@ -483,17 +447,24 @@ def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
 # stage builders: the routes in use and their materialized references
 
 def _plane_stages(X: CyclicModule, lo: int, hi: int):
-    """Row truncations Q -> stage of the orbit-reduced 2-periodic plane."""
+    """Row truncations Q -> stage of the orbit-reduced 2-periodic plane.
+
+    Every degree has one cell per surviving orbit (q, x), rows in order.
+    """
     plane = OrbitPlane(X.algebra)
 
     def stage(Q: int) -> _ReducedStage:
         keys = [(q, x) for q in range(Q + 1) for x in plane.survivors(q)]
-        cells = {d: keys for d in range(lo - 1, hi + 2)}
-        columns = {
-            d: [plane.boundary(d - q, q, x) for q, x in keys]
+        index = {key: i for i, key in enumerate(keys)}
+        ranks = {d: len(keys) for d in range(lo - 1, hi + 2)}
+        boundaries = {
+            d: csc_from_columns(
+                {index[key]: c for key, c in plane.boundary(d - q, q, x).items()}
+                for q, x in keys
+            )
             for d in range(lo, hi + 2)
         }
-        return _ReducedStage(X.base, Q, lo, hi, cells, columns)
+        return _ReducedStage(X.base, Q, lo, hi, ranks, boundaries)
 
     return stage
 
@@ -506,7 +477,7 @@ def _materialized_stages(region: str):
     """
 
     def stages(X: CyclicModule, lo: int, hi: int):
-        ops = _OperatorColumns(X)
+        ops = _PlaneOperators(X)
         return lambda Q: _TotalStage(ops, region, Q, lo, hi)
 
     return stages
@@ -515,37 +486,40 @@ def _materialized_stages(region: str):
 class _MixedStage(_ReducedStage):
     """Tot(b-bar + B-bar) of the normalized mixed complex, reduced.
 
-    Degree n is the sum of X-bar_{n-2k} over k >= 0, with cell (k, j) the
-    j-th basis tuple of the k-th summand; b-bar keeps k and B-bar lowers
-    it by one.  This computes HC with its periodicity S over any ground
-    ring (Loday, Cyclic Homology, 2.1.8); S drops the k = 0 summand and
-    shifts the rest down one step.
+    Degree n is the sum of X-bar_{n-2k} over k >= 0, summands in
+    increasing k; cell (k, j) is the j-th basis tuple of the k-th
+    summand.  b-bar keeps k and B-bar lowers it by one, so each degree's
+    CSC places their Coo at the summand offsets.  Over a field this
+    computes HC with its periodicity S (Loday, Cyclic Homology, 2.1.8);
+    S drops the k = 0 summand and shifts the rest down one step, which
+    moves every cell index down by the rank of the k = 0 summand.
     """
 
     def __init__(self, nb: NormalizedBarModule, lo: int, hi: int):
-        b_cols = {m: _matrix_columns(nb.boundary(m)) for m in range(1, hi + 2)}
-        B_cols = {m: _matrix_columns(nb.connes(m)) for m in range(hi)}
-        cells, columns = {}, {}
+        self.nb = nb
+        b = {m: nb.boundary_coo(m) for m in range(1, hi + 2)}
+        B = {m: nb.connes_coo(m) for m in range(hi)}
+        offsets = {}  # degree -> start of each summand k
+        ranks = {}
         for n in range(lo - 1, hi + 2):
-            cells[n] = [
-                (k, j) for k in range(n // 2 + 1) for j in range(nb.rank(n - 2 * k))
-            ]
-            if n < lo:
-                continue
-            cols = []
-            for k, j in cells[n]:
+            sizes = [nb.rank(n - 2 * k) for k in range(n // 2 + 1)]
+            offsets[n] = np.cumsum([0] + sizes[:-1]).tolist() if sizes else []
+            ranks[n] = sum(sizes)
+        boundaries = {}
+        for n in range(lo, hi + 2):
+            pieces = []
+            for k, at in enumerate(offsets[n]):
                 m = n - 2 * k
-                col = {(k, i): c for i, c in b_cols[m][j].items()} if m else {}
+                if m:
+                    pieces.append((offsets[n - 1][k], at, b[m]))
                 if k:
-                    col.update({(k - 1, i): c for i, c in B_cols[m][j].items()})
-                cols.append(col)
-            columns[n] = cols
+                    pieces.append((offsets[n - 1][k - 1], at, B[m]))
+            boundaries[n] = _csc(ranks[n], pieces)
         # q_max only orders the stages of a tower; this is a single stage
-        super().__init__(nb.base, hi + 1, lo, hi, cells, columns)
+        super().__init__(nb.base, hi + 1, lo, hi, ranks, boundaries)
 
-    def s_shift(self, d: int, key):
-        k, j = key
-        return (k - 1, j) if k else None
+    def s_shift(self, d: int) -> int:
+        return self.nb.rank(d)
 
 
 def _first_quadrant(X: CyclicModule, lo: int, hi: int) -> _ReducedStage:
@@ -555,7 +529,7 @@ def _first_quadrant(X: CyclicModule, lo: int, hi: int) -> _ReducedStage:
 
 def _cyclic_first_quadrant(X: CyclicModule, lo: int, hi: int) -> _ReducedStage:
     """The same from the materialized cyclic bicomplex (the reference route)."""
-    return _TotalStage(_OperatorColumns(X), "first", hi + 1, lo, hi)
+    return _TotalStage(_PlaneOperators(X), "first", hi + 1, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -817,21 +791,19 @@ def _s_map_on_stage(stage: _ReducedStage, n: int) -> ExactMatrix:
     """H_n -> H_{n-2} induced by the periodicity shift S of a first quadrant.
 
     S is the chain-level quotient map onto the complex two degrees down,
-    cell by cell as given by the stage's s_shift.
+    which moves cell indices down by the stage's s_shift.
     """
     ring = stage.ring
     rows_alive = stage.alive(n - 2)
     cols_alive = stage.alive(n)
     row_pos = {cell: r for r, cell in enumerate(rows_alive)}
+    first = stage.start[n] + stage.s_shift(n)  # the first cell S keeps
+    last = first + stage.ranks[n - 2]
+    shift = stage.start[n - 2] - first
     entries = {}
     for j, y in enumerate(cols_alive):
         lifted = stage.red.transport_up({y: ring.one}, n)
-        shifted: dict[int, object] = {}
-        for cell, c in lifted.items():
-            d_cell, key = stage.rev[cell]
-            tgt = stage.s_shift(d_cell, key)
-            if tgt is not None:
-                shifted[stage.ids[(d_cell - 2, tgt)]] = c
+        shifted = {cell + shift: c for cell, c in lifted.items() if first <= cell < last}
         down = stage.red.transport_down(shifted, n - 2)
         for cell, c in down.items():
             entries[(row_pos[cell], j)] = c
@@ -991,9 +963,10 @@ class ConjugateReport:
 
 def _hochschild_dims(nb: NormalizedBarModule, top: int) -> dict[int, int]:
     """dim HH_q for q <= top, from a sparse reduction of the normalized complex."""
-    hh_cx = nb.hochschild_complex(top + 1)
-    cols = {d: _matrix_columns(M) for d, M in hh_cx.diffs.items()}
-    red, _ = reduce_chain_complex(hh_cx.ring, hh_cx.ranks, lambda d, j: cols[d][j])
+    ranks = {q: nb.rank(q) for q in range(top + 2)}
+    boundaries = {q: _csc(ranks[q], [(0, 0, nb.boundary_coo(q))]) for q in range(1, top + 2)}
+    red = MorseReduction(nb.base, ranks, boundaries)
+    red.reduce()
     return {q: homology_via_reduction(red, q).dimension for q in range(top + 1)}
 
 

@@ -62,22 +62,19 @@ class RunConfig:
     suite: list[str] | None = None
     format: str = "json"
     out: str | None = None
-    jobs: int = 1
 
     def validate(self) -> None:
         if self.degrees is not None and self.degrees[0] > self.degrees[1]:
             raise SpecError(f"empty degree interval {self.degrees[0]}..{self.degrees[1]}")
         if self.persistence < 2:
             raise SpecError("persistence must be >= 2")
-        if self.jobs < 1:
-            raise SpecError("jobs must be >= 1")
         if self.base == "Fp" and self.p is None:
             raise SpecError("--base Fp needs --p")
         if self.normalized not in ("on", "off"):
             raise SpecError("--normalized takes on or off")
 
     def to_json(self) -> dict:
-        out = {"command": self.command, "format": self.format, "jobs": self.jobs}
+        out = {"command": self.command, "format": self.format}
         if self.algebra is not None:
             out["algebra"] = self.algebra
             out["base"] = self.base
@@ -190,57 +187,12 @@ def _need_order(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# degree-parallel table assembly
-
-def _algebra_payload(cfg: RunConfig) -> tuple[str, str]:
-    if cfg.algebra and cfg.algebra.endswith(".json"):
-        with open(cfg.algebra) as fh:
-            return ("json", fh.read())
-    return ("catalog", json.dumps([cfg.algebra, cfg.base, cfg.p]))
-
-
-def _degree_job(task: tuple) -> dict:
-    kind, payload, theory, d, schedule, persistence = task
-    if kind == "json":
-        A = algebra_from_json(payload)
-    else:
-        name, base, p = json.loads(payload)
-        A = catalog(name, ring_from_name(base, p))
-    X = cyclic_bar_module(A)
-    if theory == "hp-poly":
-        table = hp_poly(X, (d, d), schedule, persistence)
-    elif theory == "hc-minus-poly":
-        table = hc_minus_poly(X, (d, d), schedule, persistence)
-    else:
-        table = hp_s_tower_table(X, (d, d), persistence=persistence)
-    return table.to_json()
-
+# tower tables
 
 def _tower_table_json(cfg: RunConfig, theory: str) -> dict:
-    """One stabilization table, either shared-stage or degree-parallel.
-
-    Per-degree reports depend only on that degree's groups and maps, so
-    fanning the degree interval out to workers reproduces the serial
-    table entry for entry; workers just cannot share stages, which costs
-    memory and duplicated reduction work on small machines.
-    """
+    """One stabilization table; every degree reads the same shared stages."""
     lo, hi = _need_degrees(cfg)
     schedule = cfg.q_schedule
-    if cfg.jobs > 1 and hi > lo:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payload_kind, payload = _algebra_payload(cfg)
-        tasks = [
-            (payload_kind, payload, theory, d, schedule, cfg.persistence)
-            for d in range(lo, hi + 1)
-        ]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            parts = list(pool.map(_degree_job, tasks))
-        merged = parts[0]
-        for part in parts[1:]:
-            merged["degrees"].update(part["degrees"])
-            merged["verdicts"].update(part.get("verdicts", {}))
-        return merged
     X = cyclic_bar_module(_load_algebra(cfg))
     if theory == "hp-poly":
         return hp_poly(X, (lo, hi), schedule, cfg.persistence).to_json()
@@ -430,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--group-order", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("hh", help="Hochschild homology table")
     common(p, algebra=True, degrees=True)
@@ -475,7 +426,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "module_kind",
         "format",
         "out",
-        "jobs",
     ):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))

@@ -76,12 +76,38 @@ class _Codes:
         return codes, valid
 
 
+@dataclass(frozen=True)
+class Coo:
+    """An operator's nonzero entries vals / den at (rows, cols), by column, then row.
+
+    vals are int64, reduced mod p over F_p; den is 1 except over Q, where
+    it undoes the scaling of fractional structure constants.
+    """
+
+    base: BaseRing
+    nrows: int
+    ncols: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    den: int = 1
+
+    def matrix(self) -> ExactMatrix:
+        values = self.vals.tolist()
+        if self.base.kind == "Q":
+            values = [self.base.coerce(v) / self.den for v in values]
+        keys = zip(self.rows.tolist(), self.cols.tolist())
+        return ExactMatrix(
+            self.base, self.nrows, self.ncols, dict(zip(keys, values)), _normalized=True
+        )
+
+
 class _BarOperators:
     """Faces, degeneracies and signed rotations of A's bar modules, assembled in numpy.
 
     Each operator is a list of pieces per degree: for every source code
     r = cols[k], the target tuple digits[k] with coefficient coeffs[k].
-    `_matrix` sums the pieces into an ExactMatrix.  Over Q the structure
+    `_coo` sums the pieces into a Coo.  Over Q the structure
     constants and the unit are scaled by the lcm of their denominators,
     so that everything runs on integers, and divided back at the end.
     """
@@ -110,9 +136,9 @@ class _BarOperators:
                     self.K[i, j, t], self.C[i, j, t] = k, int(c * scale)
         self.unit = [(u, int(c * scale)) for u, c in enumerate(A.unit) if c != 0]
 
-    def _matrix(self, src: _Codes, m: int, dst: _Codes, m_out: int, width: int,
-                pieces, scaled: bool) -> ExactMatrix:
-        """Matrix from m-slot tuples (coded by src) to m_out-slot tuples (by dst).
+    def _coo(self, src: _Codes, m: int, dst: _Codes, m_out: int, width: int,
+             pieces, scaled: bool) -> "Coo":
+        """Operator from m-slot tuples (coded by src) to m_out-slot tuples (by dst).
 
         pieces(D) yields (cols, digits, coeffs) given the digit array D of
         every source code; at most `width` of them meet in one entry.
@@ -140,12 +166,8 @@ class _BarOperators:
         if self.base.kind == "Fp":
             vals %= self.base.p
         keep = vals != 0
-        values = vals[keep].tolist()
-        if self.base.kind == "Q":
-            den = self.scale if scaled else 1
-            values = [self.base.coerce(v) / den for v in values]
-        keys = zip(rows[keep].tolist(), cols[keep].tolist())
-        return ExactMatrix(self.base, nrows, ncols, dict(zip(keys, values)), _normalized=True)
+        den = self.scale if scaled and self.base.kind == "Q" else 1
+        return Coo(self.base, nrows, ncols, rows[keep], cols[keep], vals[keep], den)
 
     def _face_pieces(self, D: np.ndarray, i: int, sign: int):
         """Pieces of sign * d_i on the tuples D."""
@@ -161,7 +183,7 @@ class _BarOperators:
             digits[:, slot] = self.K[x[hit], y[hit], t]
             yield hit, digits, sign * c[hit]
 
-    def faces(self, codes: _Codes, n: int, signs: dict[int, int]) -> ExactMatrix:
+    def faces(self, codes: _Codes, n: int, signs: dict[int, int]) -> "Coo":
         """sum_i signs[i] d_i : X_n -> X_{n-1}."""
 
         def pieces(D):
@@ -169,9 +191,9 @@ class _BarOperators:
                 yield from self._face_pieces(D, i, sign)
 
         width = len(signs) * self.K.shape[2]
-        return self._matrix(codes, n + 1, codes, n, width, pieces, scaled=True)
+        return self._coo(codes, n + 1, codes, n, width, pieces, scaled=True)
 
-    def degeneracy(self, n: int, j: int) -> ExactMatrix:
+    def degeneracy(self, n: int, j: int) -> "Coo":
         """s_j : X_n -> X_{n+1}, inserting the unit after slot j."""
 
         def pieces(D):
@@ -179,10 +201,10 @@ class _BarOperators:
             for u, c in self.unit:
                 yield src, np.insert(D, j + 1, u, axis=1), np.full(len(D), c)
 
-        return self._matrix(self.raw, n + 1, self.raw, n + 2, 1, pieces, scaled=True)
+        return self._coo(self.raw, n + 1, self.raw, n + 2, 1, pieces, scaled=True)
 
     def rotations(self, codes: _Codes, n: int, signs: dict[int, int], unit_first: bool
-                  ) -> ExactMatrix:
+                  ) -> "Coo":
         """sum_k signs[k] tau^k on X_n, with the unit put in front if unit_first.
 
         tau^k moves the last k slots to the front.
@@ -197,15 +219,15 @@ class _BarOperators:
                 yield src, digits, np.full(len(D), sign)
 
         m_out = n + 2 if unit_first else n + 1
-        return self._matrix(codes, n + 1, codes, m_out, len(signs), pieces, scaled=False)
+        return self._coo(codes, n + 1, codes, m_out, len(signs), pieces, scaled=False)
 
-    def recode(self, src: _Codes, dst: _Codes, n: int) -> ExactMatrix:
+    def recode(self, src: _Codes, dst: _Codes, n: int) -> "Coo":
         """The basis tuples of X_n coded by src that dst also codes, as a 0/1 matrix."""
 
         def pieces(D):
             yield np.arange(len(D)), D, np.ones(len(D), dtype=np.int64)
 
-        return self._matrix(src, n + 1, dst, n + 1, 1, pieces, scaled=False)
+        return self._coo(src, n + 1, dst, n + 1, 1, pieces, scaled=False)
 
 
 # ---------------------------------------------------------------------------
@@ -246,40 +268,40 @@ class CyclicModule:
         if not (0 <= i <= n):
             raise ValueError(f"face index {i} outside 0..{n}")
         if (n, i) not in self._faces:
-            self._faces[(n, i)] = self._ops.faces(self._ops.raw, n, {i: 1})
+            self._faces[(n, i)] = self._ops.faces(self._ops.raw, n, {i: 1}).matrix()
         return self._faces[(n, i)]
 
     def degeneracy(self, n: int, j: int) -> ExactMatrix:
         if not (0 <= j <= n):
             raise ValueError(f"degeneracy index {j} outside 0..{n}")
         if (n, j) not in self._degens:
-            self._degens[(n, j)] = self._ops.degeneracy(n, j)
+            self._degens[(n, j)] = self._ops.degeneracy(n, j).matrix()
         return self._degens[(n, j)]
 
     def cyclic(self, n: int) -> ExactMatrix:
         """The signed operator t_n = (-1)^n tau_n."""
         if n not in self._cyclics:
-            self._cyclics[n] = self._ops.rotations(self._ops.raw, n, {1: (-1) ** n}, False)
+            self._cyclics[n] = self._ops.rotations(self._ops.raw, n, {1: (-1) ** n}, False).matrix()
         return self._cyclics[n]
 
     def norm(self, n: int) -> ExactMatrix:
         """N_n = sum_{i=0}^{n} t_n^i, where t_n^i = (-1)^{ni} tau_n^i."""
         if n not in self._norms:
             signs = {i: (-1) ** (n * i) for i in range(n + 1)}
-            self._norms[n] = self._ops.rotations(self._ops.raw, n, signs, False)
+            self._norms[n] = self._ops.rotations(self._ops.raw, n, signs, False).matrix()
         return self._norms[n]
 
     def hochschild_boundary(self, n: int) -> ExactMatrix:
         """b = sum (-1)^i d_i : X_n -> X_{n-1}."""
         if n == 0:
             return ExactMatrix.zero(self.base, 0, self.rank(0))
-        return self._ops.faces(self._ops.raw, n, {i: (-1) ** i for i in range(n + 1)})
+        return self._ops.faces(self._ops.raw, n, {i: (-1) ** i for i in range(n + 1)}).matrix()
 
     def bar_boundary(self, n: int) -> ExactMatrix:
         """b' = sum_{i<n} (-1)^i d_i : X_n -> X_{n-1}."""
         if n == 0:
             return ExactMatrix.zero(self.base, 0, self.rank(0))
-        return self._ops.faces(self._ops.raw, n, {i: (-1) ** i for i in range(n)})
+        return self._ops.faces(self._ops.raw, n, {i: (-1) ** i for i in range(n)}).matrix()
 
     def extra_degeneracy(self, n: int) -> ExactMatrix:
         """s_{-1} = tau_{n+1} s_n : X_n -> X_{n+1}, inserts the unit in front.
@@ -364,38 +386,44 @@ class NormalizedBarModule:
 
     def inclusion(self, n: int) -> ExactMatrix:
         """Section X-bar_n -> X_n picking the non-degenerate basis tuples."""
-        return self._ops.recode(self._ops.normalized, self._ops.raw, n)
+        return self._ops.recode(self._ops.normalized, self._ops.raw, n).matrix()
 
     def projection(self, n: int) -> ExactMatrix:
         """Quotient map X_n -> X-bar_n killing degenerate basis tuples."""
-        return self._ops.recode(self._ops.raw, self._ops.normalized, n)
+        return self._ops.recode(self._ops.raw, self._ops.normalized, n).matrix()
 
     def boundary(self, n: int) -> ExactMatrix:
-        """Induced Hochschild differential b-bar : X-bar_n -> X-bar_{n-1}.
-
-        Assembled tuple-wise rather than by three matrix products; the
-        intermediate raw rank d^(n+1) would dwarf the quotient ranks.
-        """
+        """Induced Hochschild differential b-bar : X-bar_n -> X-bar_{n-1}."""
         if n not in self._bnd:
             if n <= 0:
                 self._bnd[n] = ExactMatrix.zero(self.base, 0, self.rank(max(n, 0)))
             else:
-                signs = {i: (-1) ** i for i in range(n + 1)}
-                self._bnd[n] = self._ops.faces(self._ops.normalized, n, signs)
+                self._bnd[n] = self.boundary_coo(n).matrix()
         return self._bnd[n]
 
+    def boundary_coo(self, n: int) -> Coo:
+        """b-bar for n >= 1, assembled tuple-wise rather than by three matrix products.
+
+        The intermediate raw rank d^(n+1) would dwarf the quotient ranks.
+        """
+        return self._ops.faces(self._ops.normalized, n, {i: (-1) ** i for i in range(n + 1)})
+
     def connes(self, n: int) -> ExactMatrix:
-        """Induced Connes operator B-bar : X-bar_n -> X-bar_{n+1}.
+        """Induced Connes operator B-bar : X-bar_n -> X-bar_{n+1}."""
+        if n not in self._connes:
+            self._connes[n] = self.connes_coo(n).matrix()
+        return self._connes[n]
+
+    def connes_coo(self, n: int) -> Coo:
+        """B-bar as a Coo.
 
         On the quotient the (1 - t) factor's t-part dies (it lands on
         degenerate tuples), leaving B-bar = s_{-1} N: the signed rotations
         t^k = (-1)^{nk} tau^k of a with the unit stuck in front, less those
         that land on degenerate tuples.
         """
-        if n not in self._connes:
-            signs = {k: (-1) ** (n * k) for k in range(n + 1)}
-            self._connes[n] = self._ops.rotations(self._ops.normalized, n, signs, True)
-        return self._connes[n]
+        signs = {k: (-1) ** (n * k) for k in range(n + 1)}
+        return self._ops.rotations(self._ops.normalized, n, signs, True)
 
     def hochschild_complex(self, n_max: int) -> ChainComplex:
         ranks = {n: self.rank(n) for n in range(n_max + 1)}
@@ -562,6 +590,8 @@ class SummandOps:
         K, C = ops.K.reshape(d * d, T), ops.C.reshape(d * d, T)
         # the t-th term of every basis product, indexed by the pair code x*d + y
         self.terms = [(K[:, t].copy(), C[:, t].copy()) for t in range(T)]
+        # the pairs whose product has a term after the first
+        self.later = (C[:, 1:] != 0).any(axis=1)
         self.unit = ops.unit
         self.bound = ops.bound
 
@@ -588,15 +618,24 @@ class SummandOps:
             first = q // p
             pair = (code - q * d) * d + first
             head = q - first * p
+        K, C = self.terms[0]
+        c = C[pair]
+        hit = c != 0
         parts = []
-        for K, C in self.terms:
-            c = C[pair]
-            hit = c != 0
-            if hit.all():
-                parts.append(_Summands(n, s.src, head + K[pair] * p, s.coeff * c))
-            elif hit.any():
-                k = pair[hit]
-                parts.append(_Summands(n, s.src[hit], head[hit] + K[k] * p, s.coeff[hit] * c[hit]))
+        if hit.all():
+            parts.append(_Summands(n, s.src, head + K[pair] * p, s.coeff * c))
+        elif hit.any():
+            k = pair[hit]
+            parts.append(_Summands(n, s.src[hit], head[hit] + K[k] * p, s.coeff[hit] * c[hit]))
+        if len(self.terms) > 1:
+            more = np.flatnonzero(self.later[pair])  # only these meet a later term
+            for K, C in self.terms[1:]:
+                c = C[pair[more]]
+                hit = c != 0
+                rows = more[hit]
+                if len(rows):
+                    k = pair[rows]
+                    parts.append(_Summands(n, s.src[rows], head[rows] + K[k] * p, s.coeff[rows] * c[hit]))
         if not parts:  # every product met here is 0
             return _Summands(n, s.src[:0], s.code[:0], s.coeff[:0])
         return _join(n, parts)

@@ -113,9 +113,6 @@ class BaseRing:
             return a
         raise ValueError(f"{a} is not a unit in Z")
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     # -- misc ---------------------------------------------------------------
 
     def label(self) -> str:

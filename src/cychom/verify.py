@@ -489,20 +489,8 @@ def run_criterion(number: int, name: str, fn, ctx: SuiteContext) -> CriterionRes
     return CriterionResult(number, name, ok, time.perf_counter() - t0, summary, details)
 
 
-def _run_one_by_name(name: str) -> CriterionResult:
-    for number, n, fn in CRITERIA:
-        if n == name:
-            return run_criterion(number, n, fn, SuiteContext())
-    raise ValueError(f"unknown criterion {name!r}")
-
-
-def run_suite(selection=None, jobs: int = 1) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), in numeric order.
-
-    With jobs > 1 the criteria run in separate worker processes; each
-    worker then rebuilds its own tables, so this only pays off with
-    several idle cores.  The serial path shares one context.
-    """
+def run_suite(selection=None) -> list[CriterionResult]:
+    """Run the selected criteria (all by default), in numeric order, sharing one context."""
     if selection is None:
         chosen = list(CRITERIA)
     else:
@@ -511,13 +499,5 @@ def run_suite(selection=None, jobs: int = 1) -> list[CriterionResult]:
         if unknown:
             raise ValueError(f"unknown criteria: {', '.join(sorted(unknown))}")
         chosen = [c for c in CRITERIA if c[1] in wanted]
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs > 1 and len(chosen) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one_by_name, [c[1] for c in chosen]))
-        return results
     ctx = SuiteContext()
     return [run_criterion(number, name, fn, ctx) for number, name, fn in chosen]

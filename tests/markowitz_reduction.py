@@ -1,6 +1,7 @@
-"""The Markowitz-heap chain reduction, kept as the test oracle of `reduction`.
+"""The Markowitz-heap chain reduction, kept as a second test oracle of `reduction`.
 
-`MorseReduction.reduce` sweeps the cells in id order.  This engine picks
+It subclasses the dict/set engine of `dict_reduction`, whose reduce()
+sweeps the cells in id order.  This engine picks
 every pivot from a global heap ordered by Markowitz score
 (len(row) - 1) * (len(column) - 1), re-pushing entries that fill-in
 turns into units.  Both leave a homotopy-equivalent complex, so over a
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 
-from cychom.reduction import MorseReduction
+from dict_reduction import MorseReduction
 
 
 class MarkowitzReduction(MorseReduction):

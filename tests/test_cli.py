@@ -42,8 +42,6 @@ def test_config_invariants():
         RunConfig(command="hc", degrees=(4, 0)).validate()
     with pytest.raises(SpecError):
         RunConfig(command="hp-poly", degrees=(0, 1), persistence=1).validate()
-    with pytest.raises(SpecError):
-        RunConfig(command="hc", degrees=(0, 1), jobs=0).validate()
 
 
 # -- happy paths -----------------------------------------------------------------
@@ -174,16 +172,6 @@ def test_repeat_runs_are_identical_modulo_timings(capsys):
     doc1.pop("timings")
     doc2.pop("timings")
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
-
-
-def test_jobs_flag_reproduces_serial_table(capsys):
-    argv = [
-        "hp-poly", "--algebra", "ground-field", "--base", "Fp", "--p", "2",
-        "--degrees", "-2..2", "--q-schedule", "8,10,12,14,16,18",
-    ]
-    _, serial = run_json(capsys, argv + ["--jobs", "1"])
-    _, fanned = run_json(capsys, argv + ["--jobs", "2"])
-    assert serial["tables"] == fanned["tables"]
 
 
 def test_verify_single_criterion(capsys):

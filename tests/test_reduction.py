@@ -8,19 +8,21 @@ from cychom.matrix import ExactMatrix
 from cychom.complexes import ChainComplex, complex_homology
 from cychom.reduction import (
     MorseReduction,
+    csc_from_columns,
     homology_via_reduction,
-    reduce_chain_complex,
     residual_complex,
 )
+from dict_reduction import MorseReduction as DictReduction
 from markowitz_reduction import MarkowitzReduction
 
 
 def reduction_of(C: ChainComplex):
-    def boundary(d, j):
-        M = C.diff(d)
-        return {i: v for (i, jj), v in M.entries.items() if jj == j}
-
-    return reduce_chain_complex(C.ring, dict(C.ranks), boundary)
+    """C reduced, with the id table {(degree, index): cell id}."""
+    ranks = dict(C.ranks)
+    csc = {d: csc_from_columns(C.diff(d).col(j) for j in range(ranks[d])) for d in ranks if d - 1 in ranks}
+    red = MorseReduction(C.ring, ranks, csc)
+    red.reduce()
+    return red, {(d, j): red.start[d] + j for d in ranks for j in range(ranks[d])}
 
 
 def test_two_sphere_over_f2():
@@ -110,13 +112,11 @@ def test_transport_up_gives_cycles():
         assert (d1 * as_vec).is_zero()
 
 
-def test_boundary_set_twice_rejected():
-    red = MorseReduction(ZZ)
-    a = red.add_cell(0)
-    b = red.add_cell(1)
-    red.set_boundary(b, {a: 1})
+def test_boundary_that_does_not_fit_the_ranks_is_rejected():
     with pytest.raises(ValueError):
-        red.set_boundary(b, {a: 2})
+        MorseReduction(ZZ, {0: 1, 1: 1}, {1: ([0, 1, 1], [0], [1])})
+    with pytest.raises(ValueError):
+        MorseReduction(ZZ, {1: 1}, {1: ([0, 1], [0], [1])})
 
 
 def test_residual_complex_roundtrip():
@@ -180,15 +180,16 @@ def test_alive_index_matches_scan_of_flags(seed, p):
     import random
 
     rnd = random.Random(seed)
-    red = MorseReduction(GF(p))
-    degrees = [rnd.randrange(4) for _ in range(rnd.randrange(1, 30))]
-    cells = [red.add_cell(d) for d in degrees]
-    for i in cells:
-        if degrees[i] % 2 == 0:
-            continue
-        below = [j for j in cells if degrees[j] == degrees[i] - 1]
-        picked = rnd.sample(below, min(len(below), rnd.randrange(3)))
-        red.set_boundary(i, {j: rnd.randrange(1, p) for j in picked})
+    degrees = sorted(rnd.randrange(4) for _ in range(rnd.randrange(1, 30)))
+    ranks = {d: degrees.count(d) for d in range(4)}
+    boundaries = {}
+    for d in (1, 3):
+        columns = []
+        for _ in range(ranks[d]):
+            picked = rnd.sample(range(ranks[d - 1]), min(ranks[d - 1], rnd.randrange(3)))
+            columns.append({j: rnd.randrange(1, p) for j in picked})
+        boundaries[d] = csc_from_columns(columns)
+    red = MorseReduction(GF(p), ranks, boundaries)
     red.reduce()
     for d in range(-1, 5):
         scan = [i for i, ok in enumerate(red.alive_flags) if ok and red.degree[i] == d]
@@ -237,14 +238,22 @@ def _scrambled_complex(ring, data):
     return C
 
 
+def _csc(C: ChainComplex) -> dict:
+    return {d: csc_from_columns(M.col(j) for j in range(M.ncols)) for d, M in C.diffs.items()}
+
+
 def _reduced(C: ChainComplex, engine):
-    red = engine(C.ring)
-    ids = {(d, j): red.add_cell(d) for d in sorted(C.ranks) for j in range(C.ranks[d])}
-    for d, M in C.diffs.items():
-        for j in range(M.ncols):
-            col = M.col(j)
-            if col:
-                red.set_boundary(ids[(d, j)], {ids[(d - 1, i)]: c for i, c in col.items()})
+    """C reduced by `engine`; cells take the same ids in every engine."""
+    if engine is MorseReduction:
+        red = MorseReduction(C.ring, dict(C.ranks), _csc(C))
+    else:
+        red = engine(C.ring)
+        ids = {(d, j): red.add_cell(d) for d in sorted(C.ranks) for j in range(C.ranks[d])}
+        for d, M in C.diffs.items():
+            for j in range(M.ncols):
+                col = M.col(j)
+                if col:
+                    red.set_boundary(ids[(d, j)], {ids[(d - 1, i)]: c for i, c in col.items()})
     red.reduce()
     return red
 
@@ -271,13 +280,28 @@ def test_sweep_matches_markowitz_oracle(ring, data):
 def test_integer_sweeps_repeat_for_units_made_by_fill_in():
     # d(y) = 2a + 3x has no unit when the sweep passes y; cancelling b
     # against a rewrites it to x, a unit that only a second sweep cancels
-    red = MorseReduction(ZZ)
-    a, x, y, b = red.add_cell(0), red.add_cell(0), red.add_cell(1), red.add_cell(1)
-    red.set_boundary(y, {a: 2, x: 3})
-    red.set_boundary(b, {a: 1, x: 1})
+    # (cells are swept in id order and cancelled against their largest unit row)
+    x, a, y, b = 0, 1, 2, 3
+    red = MorseReduction(ZZ, {0: 2, 1: 2}, {1: csc_from_columns([{a: 2, x: 3}, {a: 1, x: 1}])})
     red.reduce()
     assert [entry[:2] for entry in red.log] == [(a, b), (x, y)]
     assert red.alive() == []
+
+
+def test_later_integer_sweeps_drop_cells_cancelled_as_upper_since():
+    # y and w both bound 2a + 3x.  The first sweep reads z = 2y - 2w and
+    # cancels (a, b); the second cancels (x, y), so when it reaches z it
+    # must drop the y coordinate, leaving 2w: H_1 = Z/2
+    x, a, y, w, b, z = range(6)
+    boundaries = {
+        1: csc_from_columns([{a: 2, x: 3}, {a: 2, x: 3}, {a: 1, x: 1}]),
+        2: csc_from_columns([{y - 2: 2, w - 2: -2}]),  # rows index degree 1
+    }
+    red = MorseReduction(ZZ, {0: 2, 1: 3, 2: 1}, boundaries)
+    red.reduce()
+    assert [entry[:2] for entry in red.log] == [(a, b), (x, y)]
+    assert red.alive() == [w, z] and red.cols[z] == {w: -2}
+    assert homology_via_reduction(red, 1).label() == "Z/2"
 
 
 @settings(max_examples=30, deadline=None)
@@ -306,3 +330,88 @@ def test_degree_filtered_transport_matches_full_replay(ring, data):
         chain = {i: ring.coerce(data.draw(st.integers(-3, 3))) for i in picked}
         assert red.transport_down(chain, d) == red.transport_down(chain)
         assert red.transport_up(chain, d) == red.transport_up(chain)
+
+
+# -- the left-looking sweep against the dict engine it replaced --------------------
+
+
+def _boundary_chain(C: ChainComplex, red, d: int, j: int) -> dict:
+    """The boundary of the j-th degree-d cell of C, on the reduction's cell ids."""
+    if d not in C.diffs:
+        return {}
+    return {red.start[d - 1] + i: c for i, c in C.diff(d).col(j).items()}
+
+
+def _cross_map(src, dst, d: int, ring) -> ExactMatrix:
+    """dst.transport_down o src.transport_up on the degree-d survivors."""
+    rows, cols = dst.alive(d), src.alive(d)
+    pos = {cell: r for r, cell in enumerate(rows)}
+    entries = {}
+    for j, y in enumerate(cols):
+        for cell, c in dst.transport_down(src.transport_up({y: ring.one}, d), d).items():
+            entries[(pos[cell], j)] = c
+    return ExactMatrix(ring, len(rows), len(cols), entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RINGS, st.data())
+def test_left_looking_sweep_matches_dict_oracle(ring, data):
+    from cychom.linalg import rank
+
+    C = _scrambled_complex(ring, data)
+    new, old = _reduced(C, MorseReduction), _reduced(C, DictReduction)
+    old.start = new.start  # both engines number the cells degree by degree
+    residual = {i: new.cols[i] for i in new.alive()}
+    for d in sorted(C.ranks):
+        # equal homology (Smith normal form over Z) and, over a field, survivors
+        assert homology_via_reduction(new, d) == homology_via_reduction(old, d)
+        if ring.is_field:
+            assert len(new.alive(d)) == len(old.alive(d)) == complex_homology(C, d).dimension
+        # the transports are chain maps: down o boundary = residual o down,
+        # and boundary o up = up o residual
+        for j in range(C.ranks[d]):
+            x = new.start[d] + j
+            lhs = new.transport_down(_boundary_chain(C, new, d, j), d - 1)
+            image = {}
+            for y, c in new.transport_down({x: ring.one}, d).items():
+                for z, e in residual[y].items():
+                    image[z] = ring.add(image.get(z, ring.zero), ring.mul(c, e))
+            assert lhs == {z: c for z, c in image.items() if c != 0}
+        for y in new.alive(d):
+            up = new.transport_up({y: ring.one}, d)
+            lhs = {}
+            for x, c in up.items():
+                for z, e in _boundary_chain(C, new, d, x - new.start[d]).items():
+                    lhs[z] = ring.add(lhs.get(z, ring.zero), ring.mul(c, e))
+            rhs = new.transport_up(residual[y], d - 1) if residual[y] else {}
+            assert {z: c for z, c in lhs.items() if c != 0} == rhs
+        # down o up is the identity on each engine's survivors; across the
+        # engines, over a field, both composites are invertible
+        n = len(new.alive(d))
+        assert _cross_map(new, new, d, ring) == ExactMatrix.identity(ring, n)
+        if ring.is_field and n:
+            assert rank(_cross_map(new, old, d, ring)) == rank(_cross_map(old, new, d, ring)) == n
+
+
+def test_non_unit_pivots_over_q_make_fractions():
+    # no entry is +-1, so every cancellation takes a Fraction pivot; H_1 is
+    # spanned by e_3 - 2 e_0
+    from fractions import Fraction
+
+    half = Fraction(1, 2)
+    d1 = ExactMatrix.from_rows(QQ, [[2, 3, 0, 4], [0, half, 3, 6]])
+    d2 = ExactMatrix.from_rows(QQ, [[18], [-12], [2], [0]])
+    C = ChainComplex(QQ, {0: 2, 1: 4, 2: 1}, {1: d1, 2: d2})
+    assert C.validate().ok
+    red, oracle = _reduced(C, MorseReduction), _reduced(C, DictReduction)
+    assert [len(red.alive(d)) for d in (0, 1, 2)] == [len(oracle.alive(d)) for d in (0, 1, 2)] == [0, 1, 0]
+    assert red.log and all(lam not in (1, -1) for _, _, lam, _, _ in red.log)
+    (y,) = red.alive(1)
+    up = red.transport_up({y: Fraction(1)}, 1)
+    down = red.transport_down({red.start[1] + 3: 1, red.start[1]: -2}, 1)
+    for chain in (up, down, red.transport_down(up, 1)):
+        assert chain and all(type(c) is Fraction for c in chain.values())
+    assert red.transport_down(up, 1) == {y: 1}
+    cycle = ExactMatrix(QQ, 4, 1, {(x - red.start[1], 0): c for x, c in up.items()})
+    assert (d1 * cycle).is_zero()
+    assert len(down) == 1 and down[y] != 0

@@ -8,8 +8,10 @@ groups and dying classes included.  Sizes are capped so the references
 stay cheap: rows of at most about a thousand basis tuples.
 """
 
+import functools
 import json
 
+import numpy as np
 import pytest
 
 from cychom import bicomplex
@@ -18,6 +20,7 @@ from cychom.cyclic import cyclic_bar_module
 from cychom.linalg import rank
 from cychom.orbits import OrbitPlane
 from cychom.rings import GF, QQ
+from dict_reduction import MorseReduction as DictReduction
 from scalar_orbits import ScalarOrbitPlane
 
 BASES = (GF(2), GF(3), GF(5), QQ)
@@ -180,19 +183,24 @@ def _included(plane, column, q, x):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _operator(ops, kind, q):
+    return ops.coo(kind, q).matrix()
+
+
 def _total_boundary(ops, d, chain):
     """The materialized plane's total differential on {(row, code): coeff}."""
     ring = ops.ring
     out: dict = {}
     for (q, j), c in chain.items():
         even = (d - q) % 2 == 0
-        pieces = [((q, "N" if even else "1-t"), 1)]
+        pieces = [(q, "N" if even else "1-t")]
         if q > 0:
-            pieces.append(((q - 1, "b" if even else "b'"), 1 if even else -1))
-        for (row, kind), sign in pieces:
-            for i, e in ops.cols(kind, q)[j].items():
+            pieces.append((q - 1, "b" if even else "-b'"))
+        for row, kind in pieces:
+            for i, e in _operator(ops, kind, q).col(j).items():
                 key = (row, i)
-                out[key] = ring.add(out.get(key, ring.zero), ring.mul(sign * c, e))
+                out[key] = ring.add(out.get(key, ring.zero), ring.mul(c, e))
     return {k: v for k, v in out.items() if v}
 
 
@@ -213,7 +221,7 @@ def test_orbit_plane_inclusion_is_a_chain_map(name, base, top):
     # the materialized plane: this pins signs that ranks alone cannot see
     A = catalog(name, base)
     plane, scalar = OrbitPlane(A), ScalarOrbitPlane(A)
-    ops = bicomplex._OperatorColumns(cyclic_bar_module(A))
+    ops = bicomplex._PlaneOperators(cyclic_bar_module(A))
     checked = 0
     for d in (0, 1):
         for q in range(top + 1):
@@ -268,3 +276,62 @@ def test_orbit_plane_refuses_rows_beyond_64_bit_codes(name, q):
     for call in (lambda: plane.survivors(q), lambda: plane.boundary(0, q, 0)):
         with pytest.raises(ValueError, match=rf"row {q} .* {dim}-dimensional"):
             call()
+
+
+# -- stages on the left-looking reduction and on the dict engine it replaced -----
+
+
+def _dict_engine(ring, ranks, boundaries):
+    """The dict engine of `dict_reduction` on a stage's CSC input, same cell ids."""
+    red = DictReduction(ring)
+    red.start = {}
+    for d in sorted(ranks):
+        red.start[d] = len(red.degree)
+        for _ in range(ranks[d]):
+            red.add_cell(d)
+    for d, (indptr, rows, values) in boundaries.items():
+        indptr, rows, values = (list(np.asarray(a).tolist()) for a in (indptr, rows, values))
+        for j in range(ranks[d]):
+            col = {red.start[d - 1] + rows[k]: values[k] for k in range(indptr[j], indptr[j + 1])}
+            if col:
+                red.set_boundary(red.start[d] + j, col)
+    return red
+
+
+@pytest.mark.parametrize("name,base", CONFIGS, ids=IDS)
+def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
+    X = _module(name, base)
+    top = TOP_ROW[X.rank(0)]
+    d_max = FIRST_QUADRANT[X.rank(0)][0]
+
+    def build():
+        ops = bicomplex._PlaneOperators(X)
+        plane = bicomplex._plane_stages(X, -1, 2)
+        return {
+            "plane": [plane(Q) for Q in (top - 2, top)],
+            "left": [bicomplex._TotalStage(ops, "left", Q, -2, 0) for Q in (top - 2, top)],
+            "mixed": [bicomplex._first_quadrant(X, 0, d_max)],
+            "first": [bicomplex._cyclic_first_quadrant(X, 0, d_max)],
+        }
+
+    new = build()
+    with monkeypatch.context() as m:
+        m.setattr(bicomplex, "MorseReduction", _dict_engine)
+        old = build()
+    for route, stages in new.items():
+        for stage, ref in zip(stages, old[route]):
+            assert isinstance(ref.red, DictReduction)
+            for d in range(stage.lo, stage.hi + 1):
+                assert stage.group(d) == ref.group(d), (route, d)
+        if len(stages) == 2:
+            for d in range(stages[0].lo, stages[0].hi + 1):
+                fast = bicomplex._stage_map(*stages, d)
+                slow = bicomplex._stage_map(*old[route], d)
+                assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
+                assert rank(fast) == rank(slow), (route, d)
+        else:
+            for n in range(2, d_max + 1):
+                fast = bicomplex._s_map_on_stage(stages[0], n)
+                slow = bicomplex._s_map_on_stage(old[route][0], n)
+                assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
+                assert rank(fast) == rank(slow), (route, n)
