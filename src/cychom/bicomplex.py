@@ -26,15 +26,20 @@ Each theory is read off the smallest complex known to carry it:
                   onto the Tate cohomology of its C_{q+1}-orbits, and the
                   perturbation lemma leaves a few cells per row whose row
                   truncations are exactly the tower stages;
+  hc_minus_poly - the orbit-reduced "left" region: the same cells in
+                  columns <= -1, and at column 0 the edge cells, a basis
+                  of ker N per orbit, where the zig-zags are cut;
   hc, sbi_S_map, hp_via_S_tower, hp_s_tower_table
                 - Tot(b-bar + B-bar) of the normalized mixed complex,
                   which has the first quadrant's HC and S (Loday 2.1.8).
                   Its direct-sum totalization is not the plane's: over Q
                   the ground field gets k in every even degree from it and
-                  0 from the plane, so it never stands in for hp_poly;
-  hc_minus_poly - the materialized "left" region, row by row.
-The materialized plane and first quadrant (_TotalStage) stay as the
-references the two reduced routes are tested against.
+                  0 from the plane, so it never stands in for hp_poly.
+Only the edge rows, the rows d <= top degree + 1 that meet column 0, are
+still enumerated tuple by tuple: their edge cells are a basis of ker N,
+and their boundary takes b's Coo.  The materialized regions
+(row_truncated_total, _TotalStage) run no theory; they are the
+references the reduced routes are tested against.
 
 Every stage is a finite complex handed to the left-looking engine of
 `reduction` as per-degree CSC arrays, assembled in numpy from operator
@@ -50,12 +55,14 @@ affordable.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .complexes import ChainComplex, ChainMap, ComplexReport, HomologyGroup
+from .complexes import ChainComplex, ComplexReport, HomologyGroup
 from .cyclic import Coo, CyclicModule, NormalizedBarModule, normalized
 from .linalg import rank
 from .matrix import ExactMatrix
@@ -240,6 +247,11 @@ def build_window(
 
 # ---------------------------------------------------------------------------
 # row-truncated total complexes (materialized form)
+#
+# No theory runs on these; they are the references of the reduced routes.
+# They stay here rather than in the tests' oracle module because the
+# benchmark uses them: perfbench/checks.py imports row_truncated_total, and
+# perfbench/spans.py wraps _TotalStage.__init__.
 
 def _row_range(region: str, d: int, q_max: int) -> range:
     lo = max(0, d) if region == "left" else 0
@@ -304,40 +316,6 @@ def row_truncated_total(
         cols = np.repeat(np.arange(ranks[d], dtype=np.int64), np.diff(indptr))
         diffs[d] = Coo(X.base, ranks[d - 1], ranks[d], rows, cols, vals).matrix()
     return ChainComplex(X.base, ranks, diffs)
-
-
-def truncation_inclusion(
-    X: CyclicModule,
-    q_from: int,
-    q_to: int,
-    degrees: tuple[int, int],
-    region: str = "plane",
-) -> ChainMap:
-    """The subcomplex inclusion of the q <= q_from truncation into q <= q_to.
-
-    Row layouts list q in increasing order, so on shared rows the inclusion
-    is the identity on leading summands.
-    """
-    if q_from > q_to:
-        raise ValueError("q_from must be <= q_to")
-    src = row_truncated_total(X, q_from, degrees, region)
-    tgt = row_truncated_total(X, q_to, degrees, region)
-    ops = _PlaneOperators(X)
-    lo, hi = degrees
-    components = {}
-    one = X.base.one
-    for d in range(lo, hi + 1):
-        sl = _Layout(ops, region, d, q_from)
-        tl = _Layout(ops, region, d, q_to)
-        entries = {}
-        for q in sl.qs:
-            so, to = sl.offsets[q], tl.offsets[q]
-            for j in range(ops.rank(q)):
-                entries[(to + j, so + j)] = one
-        components[d] = ExactMatrix(
-            X.base, tl.total, sl.total, entries, _normalized=True
-        )
-    return ChainMap(source=src, target=tgt, components=components)
 
 
 # ---------------------------------------------------------------------------
@@ -444,43 +422,58 @@ def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# stage builders: the routes in use and their materialized references
+# stage builders
 
-def _plane_stages(X: CyclicModule, lo: int, hi: int):
-    """Row truncations Q -> stage of the orbit-reduced 2-periodic plane.
+def _plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
+    """Row truncations Q -> stage of the orbit-reduced plane, or of its left region.
 
-    Every degree has one cell per surviving orbit (q, x), rows in order.
+    A degree lists its cells in row order.  On the plane it has one per
+    surviving orbit (q, x) of rows 0..Q.  On the left region p <= 0,
+    degree d has the edge cells (d, x, k) of row d at column 0 when
+    0 < d <= Q (row 0 has none), then the survivors of rows q > d.
     """
     plane = OrbitPlane(X.algebra)
+    ops = _PlaneOperators(X)
+
+    @functools.cache
+    def edge_columns(d: int) -> list[dict]:
+        """pi_edge b on the edge cells of row d: {edge cell of row d - 1: coeff}."""
+        b = ops.coo("b", d)
+        rows, cols, vals = plane.edge_boundary(d, b)
+        columns: list[dict] = [{} for _ in plane.edge_row(d)[0]]
+        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            columns[j][i] = v if b.den == 1 else Fraction(v, b.den)
+        return columns
 
     def stage(Q: int) -> _ReducedStage:
-        keys = [(q, x) for q in range(Q + 1) for x in plane.survivors(q)]
-        index = {key: i for i, key in enumerate(keys)}
-        ranks = {d: len(keys) for d in range(lo - 1, hi + 2)}
+        survivors = [(q, x) for q in range(Q + 1) for x in plane.survivors(q)]
+        index = {key: i for i, key in enumerate(survivors)}
+        degrees = range(lo - 1, hi + 2)
+        edged = range(1, Q + 1) if left else range(0)
+        edges = {d: plane.edge_row(d)[0] if d in edged else [] for d in degrees}
+        # the survivors of rows q <= d that the left region leaves out of degree d
+        skip = {d: bisect.bisect_left(survivors, (d + 1,)) if left else 0 for d in degrees}
+
+        def place(key: tuple, d: int) -> int:
+            """Cell id of key in degree d; edge cells come first, sorted."""
+            if len(key) == 3:
+                return bisect.bisect_left(edges[d], key)
+            return len(edges[d]) + index[key] - skip[d]
+
+        ranks = {d: len(edges[d]) + len(survivors) - skip[d] for d in degrees}
         boundaries = {
-            d: csc_from_columns(
-                {index[key]: c for key, c in plane.boundary(d - q, q, x).items()}
-                for q, x in keys
-            )
+            d: csc_from_columns([
+                *(edge_columns(d) if d in edged else []),
+                *(
+                    {place(key, d - 1): c for key, c in plane.boundary(d - q, q, x, left).items()}
+                    for q, x in survivors[skip[d]:]
+                ),
+            ])
             for d in range(lo, hi + 2)
         }
         return _ReducedStage(X.base, Q, lo, hi, ranks, boundaries)
 
     return stage
-
-
-def _materialized_stages(region: str):
-    """Stage builder on a materialized region of the plane.
-
-    It is the engine of the "left" region; on "plane" it is the reference
-    the orbit-reduced route is tested against.
-    """
-
-    def stages(X: CyclicModule, lo: int, hi: int):
-        ops = _PlaneOperators(X)
-        return lambda Q: _TotalStage(ops, region, Q, lo, hi)
-
-    return stages
 
 
 class _MixedStage(_ReducedStage):
@@ -525,11 +518,6 @@ class _MixedStage(_ReducedStage):
 def _first_quadrant(X: CyclicModule, lo: int, hi: int) -> _ReducedStage:
     """The reduced HC complex of X's algebra, read in degrees [lo, hi]."""
     return _MixedStage(normalized(X.algebra), lo, hi)
-
-
-def _cyclic_first_quadrant(X: CyclicModule, lo: int, hi: int) -> _ReducedStage:
-    """The same from the materialized cyclic bicomplex (the reference route)."""
-    return _TotalStage(_PlaneOperators(X), "first", hi + 1, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +750,14 @@ def hc_minus_poly(
     q_schedule=None,
     persistence: int = 3,
 ) -> HomologyTable:
-    """Direct-sum negative-cyclic homology: the columns p <= 0, truncated."""
+    """Direct-sum negative-cyclic homology: the columns p <= 0, truncated.
+
+    Runs on the orbit-reduced left region, like hp_poly on the plane.
+    """
     if q_schedule is None:
         q_schedule = default_q_schedule(degrees[1])
-    reports = _run_truncation_tower(
-        _materialized_stages("left"), X, degrees, q_schedule, persistence
-    )
+    stages = functools.partial(_plane_stages, left=True)
+    reports = _run_truncation_tower(stages, X, degrees, q_schedule, persistence)
     return _table_from_reports("HC-poly", X.base, reports)
 
 
@@ -833,7 +823,7 @@ def _check_tower_depth(d: int, K: int, persistence: int) -> None:
 
 
 def _s_tower_run(
-    stage: _TotalStage,
+    stage: _ReducedStage,
     window_lo: int,
     d: int,
     K: int,
@@ -894,7 +884,8 @@ def hp_via_S_tower(
 ) -> tuple[HomologyGroup | None, StabilizationReport]:
     """2-periodic homology of degree d as the limit of the periodicity tower.
 
-    Computes HC_{d+2K} -> ... -> HC_d inside one reduced (b, B) complex.  The limit is pro-constant exactly when the deepest maps are
+    Computes HC_{d+2K} -> ... -> HC_d inside one reduced (b, B) complex.
+    The limit is pro-constant exactly when the deepest maps are
     isomorphisms; the verdict demands this for the first `persistence`
     maps, and the stable deep value is then reported.
     """

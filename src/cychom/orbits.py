@@ -52,6 +52,21 @@ those orbits is evaluated from their faces again, looking up only the
 faces that land on a rotation of an orbit whose Z is nonzero; only such
 orbits are kept.  Survivors first appear in row p - 1, and Z vanishes in
 every row below it, so the walk stops there.
+
+The left region p <= 0, which carries negative cyclic homology, has the
+same rows cut at column 0, where nothing comes in.  There a row's
+homology is ker N, with a basis of edge cells (q, x, k) per orbit: f_k
+for 0 <= k < m on survivor and twisted orbits, where N = 0, and f_k - f_0
+for 1 <= k < m on free ones.  The retraction onto it is
+pi_edge = 1 - h N, with h the plane's h from column -1, so pi_edge(f_k) =
+f_k - f_0 on free orbits and f_k elsewhere; h = 0 out of column 0.  A
+survivor's zig-zag in the left region is therefore the plane's cut at
+column 0: its chain there, on the edge row e = d - 1 of a boundary out
+of total degree d, is projected by pi_edge instead of contracted.  An
+edge cell's reduced boundary is pi_edge b on row q - 1 (b keeps ker N,
+since N b = b' N).  The cut depends on e alone, so walks for e >= 1 keep
+their own levels, keyed by e; for e <= 0 the walk meets no edge cell (row
+0 has none: its orbits are free of size 1) and is the plane's.
 """
 
 from __future__ import annotations
@@ -65,7 +80,8 @@ _BATCH = 1 << 18
 
 
 def _sum_by(p: int, vals: np.ndarray, *keys: np.ndarray):
-    """Sum vals mod p over equal key tuples and drop zero sums; keys come back sorted."""
+    """Sum vals mod p (exactly if p = 0) over equal key tuples and drop zero sums;
+    keys come back sorted."""
     if not len(vals):
         return keys, vals
     order = np.lexsort(keys[::-1])
@@ -75,7 +91,9 @@ def _sum_by(p: int, vals: np.ndarray, *keys: np.ndarray):
     for k in keys:
         edge[1:] |= k[1:] != k[:-1]
     starts = np.flatnonzero(edge)
-    sums = np.add.reduceat(vals[order], starts) % p
+    sums = np.add.reduceat(vals[order], starts)
+    if p:
+        sums %= p
     keep = sums != 0
     return [k[starts][keep] for k in keys], sums[keep]
 
@@ -167,10 +185,12 @@ class OrbitPlane:
             for l, (k, e) in enumerate(terms):
                 self._K[i, l], self._E[i, l] = k, e
         self._survivors: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
-        self._levels: dict[tuple[int, int], _Level] = {}
-        self._boundary: dict[tuple[int, int], dict[int, dict]] = {}
-        self._cells: list[tuple[int, int]] = []  # survivor cells (q, x) met in zig-zags
-        self._cell_ids: dict[tuple[int, int], int] = {}
+        # keyed (row, parity, edge row of the cut or None)
+        self._levels: dict[tuple, _Level] = {}
+        self._boundary: dict[tuple, dict[int, dict]] = {}
+        self._edges: dict[int, tuple] = {}
+        self._cells: list[tuple] = []  # cells (q, x) and (q, x, k) met in zig-zags
+        self._cell_ids: dict[tuple, int] = {}
 
     # -- codes and orbits -----------------------------------------------------
 
@@ -189,7 +209,7 @@ class OrbitPlane:
         """(twisted, survivor) masks of row-q orbits of sizes m; the rest are free."""
         p = self.p
         twisted = (m * q) % 2 == 1 if p != 2 else np.zeros(len(m), dtype=bool)
-        survivor = ~twisted & (((q + 1) // m) % p == 0)
+        survivor = ~twisted & (((q + 1) // m) % p == 0) if p else np.zeros(len(m), dtype=bool)
         return twisted, survivor
 
     def _least(self, q: int, codes: np.ndarray):
@@ -283,8 +303,12 @@ class OrbitPlane:
 
     # -- zig-zags -------------------------------------------------------------
 
-    def _level(self, q: int, parity: int) -> _Level:
-        return self._levels.setdefault((q, parity), _Level())
+    def _level(self, q: int, parity: int, cut: int | None) -> _Level:
+        return self._levels.setdefault((q, parity, cut), _Level())
+
+    def _floor(self, cut: int | None) -> int:
+        """The lowest row a walk visits: p - 1 on the plane, the edge row when cut."""
+        return self.p - 1 if cut is None else cut
 
     def _needed(self, q: int, parity: int, m: np.ndarray) -> np.ndarray:
         """How many rotations f_0, f_1, ... of each orbit Z needs v of.
@@ -298,7 +322,7 @@ class OrbitPlane:
             return np.where(twisted, m, m - 1)
         return (~twisted & ~survivor).astype(np.int64)
 
-    def _new_orbits(self, q: int, parity: int, x: np.ndarray):
+    def _new_orbits(self, q: int, parity: int, x: np.ndarray, cut: int | None):
         """Orbits one level down that the faces of row-q orbits x at (q, parity)
         reach and that are not evaluated yet, with their sizes.
 
@@ -313,10 +337,12 @@ class OrbitPlane:
             xs.append(y)
             ms.append(m)
         y, m = _distinct(np.concatenate(xs), np.concatenate(ms))
-        new = ~_in_sorted(y, self._level(q - 1, 1 - parity).done)
+        new = ~_in_sorted(y, self._level(q - 1, 1 - parity, cut).done)
         return y[new], m[new]
 
-    def _below(self, q: int, parity: int, x: np.ndarray, counts: np.ndarray):
+    def _below(
+        self, q: int, parity: int, x: np.ndarray, counts: np.ndarray, cut: int | None
+    ):
         """Z(v f_k) one level down for k < counts of each row-q orbit x at (q, parity).
 
         h has moved these chains one column right, to parity 1 - parity,
@@ -324,7 +350,7 @@ class OrbitPlane:
         (orbit index, k, cell id, coefficient), one entry per term reached;
         entries with equal (orbit, k, cell) are not yet summed.
         """
-        lower = self._level(q - 1, 1 - parity)
+        lower = self._level(q - 1, 1 - parity, cut)
         out = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
         if len(lower.codes):
             for part in self._batches(q, len(x)):
@@ -369,26 +395,47 @@ class OrbitPlane:
         g, term = g[keep], term[keep]
         return src[h][g], k[g], lower.cell[term], c[g] * lower.value[term] % p
 
-    def _cell(self, q: int, x: int) -> int:
-        key = (q, x)
+    def _cell(self, key: tuple) -> int:
         i = self._cell_ids.get(key)
         if i is None:
             i = self._cell_ids[key] = len(self._cells)
             self._cells.append(key)
         return i
 
-    def _evaluate(self, q: int, parity: int, x: np.ndarray, m: np.ndarray) -> None:
+    def _edge_terms(self, q: int, x: np.ndarray, m: np.ndarray, free: np.ndarray):
+        """Z at the cut, in column 0, where h = 0 and the zig-zag ends.
+
+        Z(f_k) = pi_edge(f_k) is the edge cell (q, x, k), or 0 for k = 0 on
+        a free orbit.  Terms count towards Z(f_j) for j >= start, so cell k
+        enters at start k and leaves again at start k + 1.
+        """
+        o, k = _ranges(m)
+        keep = ~free[o] | (k > 0)
+        o, k = o[keep], k[keep]
+        cell = np.array(
+            [self._cell((q, y, j)) for y, j in zip(x[o].tolist(), k.tolist())], dtype=np.int64
+        )
+        more = k < m[o] - 1
+        one = np.ones(len(o), dtype=np.int64)
+        return [o, o[more]], [k, k[more] + 1], [cell, cell[more]], [one, (self.p - 1) * one[more]]
+
+    def _evaluate(
+        self, q: int, parity: int, x: np.ndarray, m: np.ndarray, cut: int | None
+    ) -> None:
         """Z(f_0), ..., Z(f_{m-1}) of new orbits at (q, parity); keep the nonzero ones."""
         p = self.p
         twisted, survivor = self._kinds(q, m)
-        sv = np.flatnonzero(survivor)
-        # pi: a survivor's class, on f_0 in even columns and on f_{m-1} in odd ones
-        orbit = [sv]
-        start = [np.zeros(len(sv), dtype=np.int64) if parity == 0 else m[sv] - 1]
-        cell = [np.array([self._cell(q, y) for y in x[sv].tolist()], dtype=np.int64)]
-        value = [np.ones(len(sv), dtype=np.int64)]
-        if q - 1 >= p - 1:
-            o, k, c, v = self._below(q, parity, x, self._needed(q, parity, m))
+        if q == cut:
+            orbit, start, cell, value = self._edge_terms(q, x, m, ~twisted & ~survivor)
+        else:
+            # pi: a survivor's class, on f_0 in even columns and on f_{m-1} in odd ones
+            sv = np.flatnonzero(survivor)
+            orbit = [sv]
+            start = [np.zeros(len(sv), dtype=np.int64) if parity == 0 else m[sv] - 1]
+            cell = [np.array([self._cell((q, y)) for y in x[sv].tolist()], dtype=np.int64)]
+            value = [np.ones(len(sv), dtype=np.int64)]
+        if q - 1 >= self._floor(cut):  # never at the cut itself
+            o, k, c, v = self._below(q, parity, x, self._needed(q, parity, m), cut)
             if parity == 0:
                 # Z(v f_k) counts towards Z(f_{k+1}), ...; k = m - 1 only
                 # enters the twisted base
@@ -415,7 +462,7 @@ class OrbitPlane:
         (orbit, start, cell), value = _sum_by(
             p, np.concatenate(value), *map(np.concatenate, (orbit, start, cell))
         )
-        level = self._level(q, parity)
+        level = self._level(q, parity, cut)
         level.done = np.sort(np.concatenate([level.done, x]))
         if not len(orbit):
             return
@@ -437,12 +484,12 @@ class OrbitPlane:
 
     # -- the reduced complex --------------------------------------------------
 
-    def _row_boundaries(self, q: int, parity: int) -> dict[int, dict]:
+    def _row_boundaries(self, q: int, parity: int, cut: int | None) -> dict[int, dict]:
         """Reduced boundaries of every row-q survivor in columns of this parity."""
-        p = self.p
+        p, floor = self.p, self._floor(cut)
         xs, x, m = self._survivor_row(q)
         out: dict[int, dict] = {y: {} for y in xs}
-        if not xs or q - 1 < p - 1:
+        if not xs or q - 1 < floor:
             return out
         # i(x) = x in even columns and f_0 + ... + f_{m-1} in odd ones; its
         # vertical faces lie one row down in the same column, where the
@@ -450,28 +497,86 @@ class OrbitPlane:
         counts = np.ones_like(m) if parity == 0 else m
         levels = []
         r, par, y = q, 1 - parity, x
-        while len(y) and r - 1 >= p - 1:
-            y, ym = self._new_orbits(r, par, y)
+        while len(y) and r - 1 >= floor:
+            y, ym = self._new_orbits(r, par, y, cut)
             r, par = r - 1, 1 - par
             levels.append((r, par, y, ym))
             y = y[self._needed(r, par, ym) > 0]
         for level in reversed(levels):
-            self._evaluate(*level)
-        o, _, cell, val = self._below(q, 1 - parity, x, counts)
+            self._evaluate(*level, cut)
+        o, _, cell, val = self._below(q, 1 - parity, x, counts, cut)
         (o, cell), val = _sum_by(p, val, o, cell)
         for i, c, v in zip(o.tolist(), cell.tolist(), val.tolist()):
             out[xs[i]][self._cells[c]] = v
         return out
 
-    def boundary(self, column: int, q: int, x: int) -> dict:
-        """Reduced boundary of survivor (q, x) in the given column: {(r, y): coeff}.
+    def boundary(self, column: int, q: int, x: int, left: bool = False) -> dict:
+        """Reduced boundary of survivor (q, x) in the given column: {cell: coeff}.
 
-        The first call for a row and column parity computes the boundaries
+        Cells are survivors (r, y) and, with left, edge cells (r, y, k).
+        With left the boundary is the left region's, for a column <= -1: the
+        zig-zags are cut at column 0, on the edge row column + q - 1.  The
+        first call for a row, column parity and cut computes the boundaries
         of all the row's survivors; x must be one of them.
         """
         self._check_row(q)
+        if left and column >= 0:
+            raise ValueError("survivors of the left region sit in columns <= -1")
         parity = column % 2
-        row = self._boundary.get((parity, q))
+        # an edge row <= 0 meets no edge cell: the plane walk is the cut one
+        cut = column + q - 1 if left and column + q > 1 else None
+        key = (parity, q, cut)
+        row = self._boundary.get(key)
         if row is None:
-            row = self._boundary[(parity, q)] = self._row_boundaries(q, parity)
+            row = self._boundary[key] = self._row_boundaries(q, parity, cut)
         return row[x]
+
+    def edge_row(self, q: int):
+        """The edge cells of row q and pi_edge on its codes, memoized.
+
+        Returns (cells, owner, sign, base).  cells lists the keys (q, x, k),
+        sorted.  Code z of the row is sign[z] f_j of its orbit; pi_edge
+        sends it to sign[z] times the cell cells[owner[z]], or to 0 where
+        owner[z] = -1.  base[z] is the orbit's f_0 = x where the orbit is
+        free and -1 elsewhere, so the cell owner[z] is the chain
+        sign[z] z - x on a free orbit and sign[z] z on the others.
+        """
+        hit = self._edges.get(q)
+        if hit is None:
+            self._check_row(q)
+            z = np.arange(self.dim ** (q + 1), dtype=np.int64)
+            x, j, m = self._least(q, z)
+            twisted, survivor = self._kinds(q, m)
+            free = ~twisted & ~survivor
+            idx = np.flatnonzero(~free | (j > 0))
+            idx = idx[np.lexsort((j[idx], x[idx]))]
+            owner = np.full(len(z), -1, dtype=np.int64)
+            owner[idx] = np.arange(len(idx))
+            cells = [(q, y, k) for y, k in zip(x[idx].tolist(), j[idx].tolist())]
+            sign = 1 - 2 * ((q * j) % 2)
+            hit = self._edges[q] = (cells, owner, sign, np.where(free, x, -1))
+        return hit
+
+    def edge_boundary(self, q: int, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """pi_edge b on the edge cells of row q, given b: X_q -> X_{q-1} as a Coo.
+
+        Returns (rows, cols, vals): an edge cell of row q - 1, one of row q
+        and the sum of b's values that lands there, mod p (exact over Q,
+        where b's values are numerators over its den).
+        """
+        _, owner, sign, base = self.edge_row(q)
+        _, owner_below, sign_below, _ = self.edge_row(q - 1)
+        z = np.flatnonzero(owner >= 0)
+        f0 = z[base[z] >= 0]
+        col = np.concatenate([owner[z], owner[f0]])
+        code = np.concatenate([z, base[f0]])
+        coef = np.concatenate([sign[z], np.full(len(f0), -1, dtype=np.int64)])
+        # b's entries in the columns of those codes; b is sorted by column
+        indptr = np.searchsorted(b.cols, np.arange(b.ncols + 1))
+        at, offset = _ranges(indptr[code + 1] - indptr[code])
+        entry = indptr[code][at] + offset
+        r = b.rows[entry]
+        keep = owner_below[r] >= 0
+        vals = coef[at] * sign_below[r] * b.vals[entry]
+        (cols, rows), vals = _sum_by(self.p, vals[keep], col[at][keep], owner_below[r][keep])
+        return rows, cols, vals

@@ -23,13 +23,13 @@ from cychom.bicomplex import (
     hp_via_S_tower,
     row_truncated_total,
     sbi_S_map,
-    truncation_inclusion,
 )
 from cychom.complexes import homology_map, validate_complex
 from cychom.cyclic import cyclic_bar_module, normalized
 from cychom.linalg import rank
 from cychom.matrix import ExactMatrix
 from cychom.rings import GF, QQ
+from materialized_plane import truncation_inclusion
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 

@@ -138,6 +138,20 @@ def test_default_schedule_echoed_in_report(capsys):
     assert set(verdicts) == {"0", "1", "2"}
 
 
+def test_hc_minus_poly_default_schedule_finishes(capsys):
+    # rows 4..24 of the left region: materialized, row 24 alone has 2^25
+    # basis tuples; reduced per orbit, the whole tower takes well under a second
+    code, doc = run_json(
+        capsys,
+        ["hc-minus-poly", "--algebra", "dual-numbers", "--base", "Fp", "--p", "3",
+         "--degrees", "-2..0"],
+    )
+    assert code == 0
+    assert doc["config"]["q_schedule"] == [4, 8, 12, 16, 20, 24]
+    verdicts = doc["tables"]["HC-poly"]["verdicts"]
+    assert [len(verdicts[d]["stages"]) for d in ("-2", "-1", "0")] == [6, 6, 6]
+
+
 def test_csv_leaves_unstabilized_dimensions_blank(capsys):
     code, out = run_cli(
         capsys,

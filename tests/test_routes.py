@@ -1,11 +1,12 @@
 """Differential tests: the reduced routes against the materialized ones.
 
-hp_poly runs on the orbit-reduced plane and hc / the S-tower on the
-normalized (b, B) complex.  The materialized plane and the cyclic
-bicomplex they replaced stay as references; on every catalog algebra
-over F2, F3, F5 and Q the tables must be byte-identical, verdicts, stage
-groups and dying classes included.  Sizes are capped so the references
-stay cheap: rows of at most about a thousand basis tuples.
+hp_poly runs on the orbit-reduced plane, hc_minus_poly on its left
+region and hc / the S-tower on the normalized (b, B) complex.  The
+materialized plane, left region and cyclic bicomplex they replaced stay
+as references (`materialized_plane`); on every catalog algebra over F2,
+F3, F5 and Q the tables must be byte-identical, verdicts, stage groups
+and dying classes included.  Sizes are capped so the references stay
+cheap: rows of at most about a thousand basis tuples.
 """
 
 import functools
@@ -13,6 +14,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cychom import bicomplex
 from cychom.algebra import CATALOG_NAMES, AlgebraError, catalog
@@ -21,6 +23,7 @@ from cychom.linalg import rank
 from cychom.orbits import OrbitPlane
 from cychom.rings import GF, QQ
 from dict_reduction import MorseReduction as DictReduction
+from materialized_plane import cyclic_first_quadrant, materialized_stages
 from scalar_orbits import ScalarOrbitPlane
 
 BASES = (GF(2), GF(3), GF(5), QQ)
@@ -50,9 +53,12 @@ def _module(name, base):
 
 
 def _reference(monkeypatch, fn, *args, **kwargs):
+    def stages(X, lo, hi, left=False):
+        return materialized_stages("left" if left else "plane")(X, lo, hi)
+
     with monkeypatch.context() as m:
-        m.setattr(bicomplex, "_plane_stages", bicomplex._materialized_stages("plane"))
-        m.setattr(bicomplex, "_first_quadrant", bicomplex._cyclic_first_quadrant)
+        m.setattr(bicomplex, "_plane_stages", stages)
+        m.setattr(bicomplex, "_first_quadrant", cyclic_first_quadrant)
         return fn(*args, **kwargs)
 
 
@@ -82,6 +88,49 @@ def test_hp_poly_orbit_route_matches_materialized_plane(monkeypatch, name, base)
         if base.characteristic:
             # truncation edges carry classes over F_p: the comparison sees them
             assert _stage_ranks(fast) > 0
+
+
+@pytest.mark.parametrize("name,base", CONFIGS, ids=IDS)
+def test_hc_minus_poly_orbit_route_matches_materialized_left(monkeypatch, name, base):
+    # up to degree 0 the left region's stages run the plane's walks; up to
+    # degree 2 they also hold the edge cells of rows 1..3, and walks cut at
+    # edge rows 1 and 2
+    X = _module(name, base)
+    top = TOP_ROW[X.rank(0)]
+    for degrees, schedule, persistence in (
+        ((-2, 0), list(range(top - 3, top + 1)), 3),
+        ((-1, 2), list(range(0, top + 1, 2)), 2),
+    ):
+        fast = bicomplex.hc_minus_poly(X, degrees, schedule, persistence)
+        slow = _reference(
+            monkeypatch, bicomplex.hc_minus_poly, X, degrees, schedule, persistence
+        )
+        assert _dumps(fast) == _dumps(slow), (degrees, schedule)
+        if base.characteristic or degrees[1] > 0:
+            assert _stage_ranks(fast) > 0
+
+
+# rows the metamorphic test below may reach, by algebra dimension: it needs
+# no materialized reference, so it goes deeper than TOP_ROW
+DEEP_ROW = {1: 40, 2: 16, 3: 9, 4: 8}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CONFIGS), st.data())
+def test_hc_minus_poly_matches_hp_poly_in_degrees_up_to_zero(config, data):
+    # HC^-_n = HP_n for n <= 0: the left region is the plane in every degree
+    # <= 0 and differs in degree 1 only by cells with zero boundary, so the
+    # two towers give the same verdict blocks there, edge or no edge
+    X = _module(*config)
+    lo = data.draw(st.integers(-4, 0), label="lo")
+    hi = data.draw(st.integers(lo, 2), label="hi")
+    rows = st.integers(0, DEEP_ROW[X.rank(0)])
+    schedule = sorted(data.draw(st.sets(rows, min_size=2, max_size=6), label="schedule"))
+    persistence = data.draw(st.integers(2, 3), label="persistence")
+    minus = bicomplex.hc_minus_poly(X, (lo, hi), schedule, persistence).to_json()
+    plane = bicomplex.hp_poly(X, (lo, hi), schedule, persistence).to_json()
+    for d in range(lo, min(hi, 0) + 1):
+        assert minus["verdicts"][str(d)] == plane["verdicts"][str(d)], d
 
 
 # HC and S-tower depth by algebra dimension: (d_max, degrees, K, persistence)
@@ -157,10 +206,12 @@ def _contract(plane, r, parity, chain):
     return {y: c for y, c in out.items() if c}
 
 
-def _included(plane, column, q, x):
+def _included(plane, column, q, x, left=False):
     """The perturbed inclusion sum_k (-h v)^k i of a survivor, by (row, code).
 
-    plane is a ScalarOrbitPlane: only its code helpers are used.
+    plane is a ScalarOrbitPlane: only its code helpers are used.  With
+    left the survivor is one of the left region's, where h = 0 out of
+    column 0, so the zig-zag ends there.
     """
     p = plane.p
     if column % 2 == 0:
@@ -172,7 +223,7 @@ def _included(plane, column, q, x):
         }
     out = {(q, y): c for y, c in v.items()}
     r = q
-    while r > 0 and v:
+    while r > 0 and v and not (left and column == 0):
         down: dict = {}
         for y, c in v.items():
             plane._vertical(r, y, c, column % 2 == 0, down)
@@ -234,6 +285,71 @@ def test_orbit_plane_inclusion_is_a_chain_map(name, base, top):
                 assert lhs == {k: v for k, v in rhs.items() if v}, (d, q, x)
                 checked += 1
     assert checked
+
+
+def _edge_included(plane, q, x, k):
+    """i of the edge cell (q, x, k): f_k, less f_0 on a free orbit, by (row, code)."""
+    p = plane.p
+    rotations = plane._rotations(q, x)
+    out = {(q, rotations[k]): -1 % p if (q * k) % 2 else 1}
+    if plane._kind(q, len(rotations)) == "free":
+        out[(q, x)] = -1 % p  # k >= 1, so f_k is another tuple
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,base,top",
+    [
+        ("ground-field", GF(3), 20),
+        ("dual-numbers", GF(3), 11),
+        ("dual-numbers", GF(2), 12),
+        ("group-algebra(2)", GF(3), 8),
+        ("field-extension(1,1)", GF(3), 8),
+        ("truncated-poly(3)", GF(2), 7),
+        ("matrix-algebra(2)", GF(3), 5),
+    ],
+)
+def test_left_region_inclusion_is_a_chain_map(name, base, top):
+    # the same on the left region p <= 0, column 0 included: survivors'
+    # zig-zags are cut there and projected by pi_edge onto edge cells, whose
+    # own boundary is pi_edge b; D i' = i' D' pins pi_edge and the cut
+    A = catalog(name, base)
+    plane, scalar = OrbitPlane(A), ScalarOrbitPlane(A)
+    ops = bicomplex._PlaneOperators(cyclic_bar_module(A))
+
+    def included(cell, d):
+        if len(cell) == 3:
+            return _edge_included(scalar, *cell)
+        q, x = cell
+        return _included(scalar, d - q, q, x, left=True)
+
+    checked = {"edge": 0, "cut": 0}
+    for d in range(5):
+        images = []
+        if 0 < d <= top:
+            cells, targets = plane.edge_row(d)[0], plane.edge_row(d - 1)[0]
+            image = {cell: {} for cell in cells}
+            for i, j, c in zip(*(a.tolist() for a in plane.edge_boundary(d, ops.coo("b", d)))):
+                image[cells[j]][targets[i]] = c
+            images += image.items()
+        for q in range(d + 1, top + 1):
+            for x in plane.survivors(q):
+                images.append(((q, x), plane.boundary(d - q, q, x, left=True)))
+        for cell, image in images:
+            lhs = _total_boundary(ops, d, included(cell, d))
+            rhs: dict = {}
+            for target, c in image.items():
+                for key, e in included(target, d - 1).items():
+                    rhs[key] = (rhs.get(key, 0) + c * e) % base.p
+            assert lhs == {k: v for k, v in rhs.items() if v}, (d, cell)
+            if len(cell) == 3:
+                checked["edge"] += 1
+            elif d >= 2 and any(len(t) == 3 for t in image):
+                checked["cut"] += 1
+    assert checked["edge"] and checked["cut"], checked
+    q, x = next((q, x) for q in range(top + 1) for x in plane.survivors(q))
+    with pytest.raises(ValueError, match="columns <= -1"):
+        plane.boundary(0, q, x, left=True)  # column 0 holds edge cells instead
 
 
 @pytest.mark.parametrize(
@@ -305,13 +421,13 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
     d_max = FIRST_QUADRANT[X.rank(0)][0]
 
     def build():
-        ops = bicomplex._PlaneOperators(X)
         plane = bicomplex._plane_stages(X, -1, 2)
+        left = bicomplex._plane_stages(X, -2, 1, left=True)
         return {
             "plane": [plane(Q) for Q in (top - 2, top)],
-            "left": [bicomplex._TotalStage(ops, "left", Q, -2, 0) for Q in (top - 2, top)],
+            "left": [left(Q) for Q in (top - 2, top)],
             "mixed": [bicomplex._first_quadrant(X, 0, d_max)],
-            "first": [bicomplex._cyclic_first_quadrant(X, 0, d_max)],
+            "first": [cyclic_first_quadrant(X, 0, d_max)],
         }
 
     new = build()
