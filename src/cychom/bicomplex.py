@@ -42,20 +42,25 @@ and their boundary takes b's Coo.  The materialized regions
 references the reduced routes are tested against.
 
 Every stage is a finite complex handed to the left-looking engine of
-`reduction` as per-degree CSC arrays, assembled in numpy from operator
-Coo placed at the offsets of a degree's summands.  Over a field the
-engine cancels everything cancellable, so surviving cells count homology
-and tower maps are composites
-  reduced(Q) --lift--> stage(Q) --include--> stage(Q') --project--> reduced(Q'),
-realized by the reduction's transport_up and transport_down.  Given the
-degree of a homogeneous chain they replay only the log entries whose
-cancelled pair touches that degree, which is what makes long towers
-affordable.
+`reduction` as per-degree CSC arrays: on the orbit routes from the
+zig-zag boundaries, on the others assembled in numpy from operator Coo
+placed at the offsets of a degree's summands.  Over a field the engine
+cancels everything cancellable, so surviving cells count homology.
+
+A truncation tower is one filtered complex, so its stages are views of
+one reduction.  Each schedule step hands the engine only the cells of
+the new rows, as a block, and the sweep reduces only them; since a
+row-q cell's boundary lands on rows <= q, the engine logs what a
+reduction of the whole truncation would.  A stage keeps its q_max and a
+per-degree snapshot of the surviving cells.  The tower map of a step is
+the projection (transport_down) of the earlier stage's survivors into
+the later one: the lift a separate reduction would need adds only upper
+cells, which the projection drops.  The S-map still lifts (transport_up),
+because S moves upper cells onto cells that survive.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -324,40 +329,38 @@ def row_truncated_total(
 class _ReducedStage:
     """A finite complex over a field, Morse-reduced, read in degrees [lo, hi].
 
-    ranks[d] counts the cells of degree d for d in [lo-1, hi+1];
-    boundaries[d] is the CSC of the differential out of degree d, for d
-    in [lo, hi+1], with rows indexing the cells of degree d - 1.  The
-    hard truncation at the window edges only corrupts homology in the
-    edge degrees themselves, so groups and maps are read off for degrees
-    in [lo, hi] only.  Over a field the reduction is exact and surviving
-    cells are a homology basis.  In every stage of one tower the cells of
-    a degree come in the same order, and a stage's cells are a prefix of
-    the next stage's, which is what lets `_stage_map` relabel a chain by
-    shifting its cell ids.
+    red holds the cells of degrees lo-1..hi+1, with boundaries out of
+    degrees lo..hi+1.  The hard truncation at the window edges only
+    corrupts homology in the edge degrees themselves, so groups and maps
+    are read off for degrees in [lo, hi] only.  Over a field the
+    reduction is exact and surviving cells are a homology basis.  A stage
+    is a view: q_max, the number of cancellations so far and a
+    per-degree snapshot of the surviving cells, so later blocks may grow
+    red under it.  In every stage of one tower the cells of a degree come
+    in the same order, and a stage's cells are a prefix of the next
+    stage's.
     """
 
-    def __init__(self, ring: BaseRing, q_max: int, lo: int, hi: int, ranks, boundaries):
-        if not ring.is_field:
+    def __init__(self, red: MorseReduction, q_max: int, lo: int, hi: int):
+        if not red.ring.is_field:
             raise ValueError("tower stages require field coefficients")
-        self.ring = ring
+        red.reduce()
+        self.ring = red.ring
+        self.red = red
         self.q_max = q_max
         self.lo = lo
         self.hi = hi
-        self.ranks = ranks
-        red = MorseReduction(ring, ranks, boundaries)
-        red.reduce()
-        if not red.is_exactly_reduced():  # pragma: no cover - field guarantee
-            raise RuntimeError("field reduction left residual boundary entries")
-        self.red = red
         self.start = red.start  # cell id of the first cell of each degree
+        self.steps = len(red.log)
+        self._alive = {d: red.alive(d) for d in range(lo - 1, hi + 2)}
 
     def alive(self, d: int) -> list[int]:
-        return self.red.alive(d)
+        return self._alive[d]
 
     def group(self, d: int) -> HomologyGroup:
         if not (self.lo <= d <= self.hi):
             raise ValueError(f"degree {d} is outside the trusted window")
-        return HomologyGroup(self.ring, len(self.red.alive(d)))
+        return HomologyGroup(self.ring, len(self._alive[d]))
 
     def s_shift(self, d: int) -> int:
         """s: S sends the i-th cell of degree d to the (i - s)-th of d - 2, or to 0."""
@@ -369,9 +372,9 @@ class _TotalStage(_ReducedStage):
 
     The cells of a degree are its row layout's basis tuples, rows in
     increasing q, and each degree's CSC places the row operators' Coo at
-    the layout offsets.  This is the engine of the "left" region and the
-    reference route that the orbit-reduced plane and the normalized first
-    quadrant are tested against.
+    the layout offsets.  Each stage has a reduction of its own.  This is
+    the reference route that the orbit-reduced regions and the normalized
+    first quadrant are tested against.
     """
 
     def __init__(
@@ -387,7 +390,7 @@ class _TotalStage(_ReducedStage):
             for d in degs
             if d > lo - 1
         }
-        super().__init__(ops.ring, q_max, lo, hi, ranks, boundaries)
+        super().__init__(MorseReduction(ops.ring, ranks, boundaries), q_max, lo, hi)
 
     def s_shift(self, d: int) -> int:
         # the quotient of the first quadrant by columns p in {0, 1} is the
@@ -399,12 +402,18 @@ class _TotalStage(_ReducedStage):
 def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
     """Matrix of H_d(inclusion) between two reduced truncations.
 
-    The degree-d cells of src are a prefix of those of dst, so the
-    chain-level inclusion shifts cell ids by the difference of the two
-    degree offsets.
+    The degree-d cells of src are a prefix of those of dst, and dst's
+    reduction logged every pair of src's again, so column y is the
+    projection of the survivor y into dst: lifting y first would add only
+    upper cells, which the projection drops.  Stages of one reduction
+    share cell ids; stages with reductions of their own shift them by the
+    difference of the two degree offsets.  The projection reads dst's
+    reduction as it stands, so dst must be its latest stage.
     """
     if src.q_max > dst.q_max:
         raise ValueError("src truncation must sit inside dst")
+    if dst.steps != len(dst.red.log):
+        raise ValueError("dst must be the latest stage of its reduction")
     ring = src.ring
     rows_alive = dst.alive(d)
     cols_alive = src.alive(d)
@@ -412,9 +421,7 @@ def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
     shift = dst.start[d] - src.start[d]
     entries = {}
     for j, y in enumerate(cols_alive):
-        lifted = src.red.transport_up({y: ring.one}, d)
-        down = dst.red.transport_down({cell + shift: c for cell, c in lifted.items()}, d)
-        for cell, c in down.items():
+        for cell, c in dst.red.transport_down({y + shift: ring.one}).items():
             entries[(row_pos[cell], j)] = c
     return ExactMatrix(
         ring, len(rows_alive), len(cols_alive), entries, _normalized=True
@@ -427,17 +434,27 @@ def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
 def _plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
     """Row truncations Q -> stage of the orbit-reduced plane, or of its left region.
 
-    A degree lists its cells in row order.  On the plane it has one per
-    surviving orbit (q, x) of rows 0..Q.  On the left region p <= 0,
-    degree d has the edge cells (d, x, k) of row d at column 0 when
-    0 < d <= Q (row 0 has none), then the survivors of rows q > d.
+    The stages are views of one reduction: each call, with Q no smaller
+    than the last, adds the cells of the rows above the last Q as a block
+    and sweeps only them.  A degree lists its cells in row order.  On the
+    plane it has one per surviving orbit (q, x) of rows 0..Q.  On the
+    left region p <= 0, degree d has the edge cells (d, x, k) of row d at
+    column 0 when 0 < d <= Q (row 0 has none), then the survivors of rows
+    q > d.
     """
     plane = OrbitPlane(X.algebra)
     ops = _PlaneOperators(X)
+    red = MorseReduction(X.base)
+    degrees = range(lo - 1, hi + 2)
+    index: dict[int, dict] = {d: {} for d in degrees}  # cell key -> index in its degree
+    top = -1  # the last row added
 
-    @functools.cache
     def edge_columns(d: int) -> list[dict]:
-        """pi_edge b on the edge cells of row d: {edge cell of row d - 1: coeff}."""
+        """pi_edge b on the edge cells of row d, as columns on those of row d - 1.
+
+        Row d - 1's edge cells lead their degree, so their indices there
+        are their places in the edge row.
+        """
         b = ops.coo("b", d)
         rows, cols, vals = plane.edge_boundary(d, b)
         columns: list[dict] = [{} for _ in plane.edge_row(d)[0]]
@@ -446,32 +463,29 @@ def _plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
         return columns
 
     def stage(Q: int) -> _ReducedStage:
-        survivors = [(q, x) for q in range(Q + 1) for x in plane.survivors(q)]
-        index = {key: i for i, key in enumerate(survivors)}
-        degrees = range(lo - 1, hi + 2)
-        edged = range(1, Q + 1) if left else range(0)
-        edges = {d: plane.edge_row(d)[0] if d in edged else [] for d in degrees}
-        # the survivors of rows q <= d that the left region leaves out of degree d
-        skip = {d: bisect.bisect_left(survivors, (d + 1,)) if left else 0 for d in degrees}
-
-        def place(key: tuple, d: int) -> int:
-            """Cell id of key in degree d; edge cells come first, sorted."""
-            if len(key) == 3:
-                return bisect.bisect_left(edges[d], key)
-            return len(edges[d]) + index[key] - skip[d]
-
-        ranks = {d: len(edges[d]) + len(survivors) - skip[d] for d in degrees}
-        boundaries = {
-            d: csc_from_columns([
-                *(edge_columns(d) if d in edged else []),
-                *(
-                    {place(key, d - 1): c for key, c in plane.boundary(d - q, q, x, left).items()}
-                    for q, x in survivors[skip[d]:]
-                ),
-            ])
-            for d in range(lo, hi + 2)
-        }
-        return _ReducedStage(X.base, Q, lo, hi, ranks, boundaries)
+        nonlocal top
+        if Q < top:
+            raise ValueError("the stages of one tower come in increasing Q")
+        new = [(q, x) for q in range(top + 1, Q + 1) for x in plane.survivors(q)]
+        ranks, boundaries = {}, {}
+        for d in degrees:
+            edges = plane.edge_row(d)[0] if left and max(top, 0) < d <= Q else []
+            survivors = [key for key in new if key[0] > d] if left else new
+            for key in edges + survivors:
+                index[d][key] = len(index[d])
+            ranks[d] = len(edges) + len(survivors)
+            if d >= lo:
+                below = index[d - 1]
+                boundaries[d] = csc_from_columns([
+                    *(edge_columns(d) if edges else []),
+                    *(
+                        {below[key]: c for key, c in plane.boundary(d - q, q, x, left).items()}
+                        for q, x in survivors
+                    ),
+                ])
+        top = Q
+        red.add_cells(ranks, boundaries)
+        return _ReducedStage(red, Q, lo, hi)
 
     return stage
 
@@ -509,7 +523,7 @@ class _MixedStage(_ReducedStage):
                     pieces.append((offsets[n - 1][k - 1], at, B[m]))
             boundaries[n] = _csc(ranks[n], pieces)
         # q_max only orders the stages of a tower; this is a single stage
-        super().__init__(nb.base, hi + 1, lo, hi, ranks, boundaries)
+        super().__init__(MorseReduction(nb.base, ranks, boundaries), hi + 1, lo, hi)
 
     def s_shift(self, d: int) -> int:
         return self.nb.rank(d)
@@ -788,13 +802,13 @@ def _s_map_on_stage(stage: _ReducedStage, n: int) -> ExactMatrix:
     cols_alive = stage.alive(n)
     row_pos = {cell: r for r, cell in enumerate(rows_alive)}
     first = stage.start[n] + stage.s_shift(n)  # the first cell S keeps
-    last = first + stage.ranks[n - 2]
+    last = first + stage.red.ranks[n - 2]
     shift = stage.start[n - 2] - first
     entries = {}
     for j, y in enumerate(cols_alive):
         lifted = stage.red.transport_up({y: ring.one}, n)
         shifted = {cell + shift: c for cell, c in lifted.items() if first <= cell < last}
-        down = stage.red.transport_down(shifted, n - 2)
+        down = stage.red.transport_down(shifted)
         for cell, c in down.items():
             entries[(row_pos[cell], j)] = c
     return ExactMatrix(

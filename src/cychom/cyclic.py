@@ -325,14 +325,25 @@ def cyclic_bar_module(A: Algebra, n_max: int | None = None) -> CyclicModule:
     return CyclicModule(A)
 
 
+# The module memos keep the modules of the last _MEMO_ALGEBRAS algebras
+# used, so a long-lived process does not hold every algebra it has seen.
+# `verify --suite all` revisits an algebra at most 16 algebras later.
+_MEMO_ALGEBRAS = 16
 _bar_memo: dict[Algebra, CyclicModule] = {}
+
+
+def _recall(memo: dict, A: Algebra, build):
+    """memo[A], built if missing, kept as the most recent of a bounded memo."""
+    hit = memo.pop(A, None)
+    memo[A] = build(A) if hit is None else hit
+    while len(memo) > _MEMO_ALGEBRAS:
+        del memo[next(iter(memo))]
+    return memo[A]
 
 
 def bar_module(A: Algebra) -> CyclicModule:
     """Memoized cyclic_bar_module; overlapping windows share matrices."""
-    if A not in _bar_memo:
-        _bar_memo[A] = cyclic_bar_module(A)
-    return _bar_memo[A]
+    return _recall(_bar_memo, A, cyclic_bar_module)
 
 
 def hochschild_complex(X: CyclicModule, n_max: int) -> ChainComplex:
@@ -435,9 +446,7 @@ _normalized_memo: dict[Algebra, NormalizedBarModule] = {}
 
 
 def normalized(A: Algebra) -> NormalizedBarModule:
-    if A not in _normalized_memo:
-        _normalized_memo[A] = NormalizedBarModule(A)
-    return _normalized_memo[A]
+    return _recall(_normalized_memo, A, NormalizedBarModule)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +580,13 @@ def _join(slots: int, parts: list[_Summands]) -> _Summands:
     return _Summands(slots, *(np.concatenate(c) for c in columns))
 
 
+def _shifted(digit: np.ndarray, p: int, head: np.ndarray) -> np.ndarray:
+    """digit * p + head, computed in digit's own array."""
+    digit *= p
+    digit += head
+    return digit
+
+
 class SummandOps:
     """Faces, degeneracies, t, N and 1 - t acting on int64 summands.
 
@@ -606,27 +622,40 @@ class SummandOps:
             raise ValueError("faces start at degree 1")
         if not (0 <= i <= n):
             raise ValueError(f"face index {i} outside 0..{n}")
+        # pair and head in place: numpy temporaries, not arithmetic, bound this
         if i < n:
             p = d ** (n - 1 - i)  # weight of slot i+1; the product lands in slot i
             q = code // p
             high = q // (d * d)
-            pair = q - high * (d * d)
-            head = high * (p * d) + (code - q * p)
+            pair = high * (d * d)
+            np.subtract(q, pair, out=pair)
+            q *= p
+            head = np.subtract(code, q, out=q)
+            high *= p * d
+            head += high  # high (p d) + code - q p
         else:
             p = d ** (n - 1)  # the product of the last and first slots lands in front
             q = code // d
             first = q // p
-            pair = (code - q * d) * d + first
-            head = q - first * p
+            pair = q * d
+            np.subtract(code, pair, out=pair)
+            pair *= d
+            pair += first  # (code - q d) d + first
+            first *= p
+            head = q
+            head -= first
         K, C = self.terms[0]
         c = C[pair]
         hit = c != 0
         parts = []
         if hit.all():
-            parts.append(_Summands(n, s.src, head + K[pair] * p, s.coeff * c))
+            c *= s.coeff
+            parts.append(_Summands(n, s.src, _shifted(K[pair], p, head), c))
         elif hit.any():
             k = pair[hit]
-            parts.append(_Summands(n, s.src[hit], head[hit] + K[k] * p, s.coeff[hit] * c[hit]))
+            c = c[hit]
+            c *= s.coeff[hit]
+            parts.append(_Summands(n, s.src[hit], _shifted(K[k], p, head[hit]), c))
         if len(self.terms) > 1:
             more = np.flatnonzero(self.later[pair])  # only these meet a later term
             for K, C in self.terms[1:]:
@@ -634,8 +663,10 @@ class SummandOps:
                 hit = c != 0
                 rows = more[hit]
                 if len(rows):
-                    k = pair[rows]
-                    parts.append(_Summands(n, s.src[rows], head[rows] + K[k] * p, s.coeff[rows] * c[hit]))
+                    c = c[hit]
+                    c *= s.coeff[rows]
+                    out = _shifted(K[pair[rows]], p, head[rows])
+                    parts.append(_Summands(n, s.src[rows], out, c))
         if not parts:  # every product met here is 0
             return _Summands(n, s.src[:0], s.code[:0], s.coeff[:0])
         return _join(n, parts)

@@ -11,6 +11,7 @@ from cychom.bicomplex import (
     _hochschild_dims,
     _persistent_rank,
     _PlaneOperators,
+    _plane_stages,
     _stage_map,
     _TotalStage,
     build_window,
@@ -183,6 +184,25 @@ def test_stage_map_refuses_shrinking_truncations():
     small = _TotalStage(ops, "plane", 2, 0, 1)
     with pytest.raises(ValueError):
         _stage_map(big, small, 0)
+
+
+def test_tower_stages_are_views_of_one_reduction():
+    # a stage keeps its survivors while later rows grow the reduction under
+    # it; maps project into the latest stage only, and Q never goes back
+    X = module("dual-numbers", F2)
+    stage = _plane_stages(X, -1, 2)
+    first, second = stage(4), stage(6)
+    assert first.red is second.red
+    groups = {d: first.group(d) for d in range(-1, 3)}
+    assert len(first.red.degree) > first.steps and second.steps > first.steps
+    _stage_map(first, second, 0)
+    third = stage(8)
+    assert {d: first.group(d) for d in range(-1, 3)} == groups
+    assert third.group(0) == hp_poly(X, (-1, 2), [4, 6, 8], 2).reports[0].stages[-1][1]
+    with pytest.raises(ValueError):
+        _stage_map(first, second, 0)
+    with pytest.raises(ValueError):
+        stage(7)
 
 
 # -- cyclic homology -------------------------------------------------------------

@@ -577,3 +577,30 @@ def test_identity_sweep_refuses_what_64_bits_cannot_hold(monkeypatch):
     # 2^20 fits; its unit is 1 while e0 e0 = 2^20 e0, so d_0 s_0 = id fails
     assert "d_0 s_0 = id @ n=0 fails" in cyclic_identity_report(
         Algebra(ZZ, 1, ((((0, 2**20),),),), (1,)), 3)
+
+
+def test_module_memos_keep_only_the_last_algebras():
+    # a long-lived process meets ever new algebras; the memos keep the
+    # modules of the most recently used ones and drop the rest
+    from cychom import cyclic
+
+    bound = cyclic._MEMO_ALGEBRAS
+    A = catalog("truncated-poly(3)", QQ)
+    algebras = [
+        A.rebased(ExactMatrix.from_rows(QQ, [[1, 0, 0], [0, k, 0], [0, 0, 1]]))
+        for k in range(1, 3 * bound)
+    ]
+    assert len(set(algebras)) == len(algebras)
+    cyclic._bar_memo.clear()
+    cyclic._normalized_memo.clear()
+    for B in algebras:
+        assert normalized(B) is normalized(B)
+        assert bar_module(B) is bar_module(B) is normalized(B).raw
+        assert len(cyclic._bar_memo) <= bound and len(cyclic._normalized_memo) <= bound
+    kept = algebras[-bound:]
+    assert list(cyclic._normalized_memo) == list(cyclic._bar_memo) == kept
+    # a use makes an algebra the most recent, so the next new one evicts another
+    oldest = normalized(kept[0])
+    normalized(algebras[0])
+    assert normalized(kept[0]) is oldest
+    assert kept[1] not in cyclic._normalized_memo

@@ -304,6 +304,21 @@ def test_later_integer_sweeps_drop_cells_cancelled_as_upper_since():
     assert homology_via_reduction(red, 1).label() == "Z/2"
 
 
+def test_projection_drops_upper_cells_that_fill_brings_back():
+    # y is still a residual when the first sweep cancels (w, v) with the
+    # snapshot dv - w = y; the second sweep cancels (x, y).  Projecting w
+    # brings y back through that snapshot, and y is an upper cell by then
+    x, a, y, w, b, z, v = range(7)
+    boundaries = {
+        1: csc_from_columns([{a: 2, x: 3}, {a: 2, x: 3}, {a: 1, x: 1}]),
+        2: csc_from_columns([{y - 2: 2, w - 2: -2}, {y - 2: 1, w - 2: -1}]),  # rows index degree 1
+    }
+    red = MorseReduction(ZZ, {0: 2, 1: 3, 2: 2}, boundaries)
+    red.reduce()
+    assert [entry[:2] for entry in red.log] == [(a, b), (w, v), (x, y)]
+    assert red.transport_down({w: 1}) == _replayed_down(red, {w: 1}) == {}
+
+
 @settings(max_examples=30, deadline=None)
 @given(_RINGS, st.data())
 def test_reduction_is_deterministic(ring, data):
@@ -313,11 +328,23 @@ def test_reduction_is_deterministic(ring, data):
     assert first.alive_flags == second.alive_flags
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([GF(2), GF(3), GF(5), QQ]), st.data())
+def _replayed_down(red, chain: dict, degree: int | None = None) -> dict:
+    """transport_down by a forward replay of the log, or of a degree's slice of it.
+
+    This is the dict engine's transport, run on another engine's log.
+    """
+    replay = DictReduction(red.ring)
+    replay.degree, replay.log = red.degree, red.log
+    return replay.transport_down(chain, degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RINGS, st.data())
 def test_degree_filtered_transport_matches_full_replay(ring, data):
     # a homogeneous chain is touched only by the log entries its degree
-    # selects, so replaying that slice must give the full replay's result
+    # selects, so replaying that slice must give the full replay's result,
+    # and so must the heap projection, which touches only the pivots it
+    # hits; over Z too, where later sweeps drop upper cells cancelled since
     C = _scrambled_complex(ring, data)
     red = _reduced(C, MorseReduction)
     d = data.draw(st.sampled_from(sorted(C.ranks)))
@@ -328,7 +355,7 @@ def test_degree_filtered_transport_matches_full_replay(ring, data):
             continue
         picked = data.draw(st.lists(st.sampled_from(pool), max_size=4))
         chain = {i: ring.coerce(data.draw(st.integers(-3, 3))) for i in picked}
-        assert red.transport_down(chain, d) == red.transport_down(chain)
+        assert red.transport_down(chain) == _replayed_down(red, chain, d) == _replayed_down(red, chain)
         assert red.transport_up(chain, d) == red.transport_up(chain)
 
 
@@ -348,7 +375,7 @@ def _cross_map(src, dst, d: int, ring) -> ExactMatrix:
     pos = {cell: r for r, cell in enumerate(rows)}
     entries = {}
     for j, y in enumerate(cols):
-        for cell, c in dst.transport_down(src.transport_up({y: ring.one}, d), d).items():
+        for cell, c in dst.transport_down(src.transport_up({y: ring.one}, d)).items():
             entries[(pos[cell], j)] = c
     return ExactMatrix(ring, len(rows), len(cols), entries)
 
@@ -371,9 +398,9 @@ def test_left_looking_sweep_matches_dict_oracle(ring, data):
         # and boundary o up = up o residual
         for j in range(C.ranks[d]):
             x = new.start[d] + j
-            lhs = new.transport_down(_boundary_chain(C, new, d, j), d - 1)
+            lhs = new.transport_down(_boundary_chain(C, new, d, j))
             image = {}
-            for y, c in new.transport_down({x: ring.one}, d).items():
+            for y, c in new.transport_down({x: ring.one}).items():
                 for z, e in residual[y].items():
                     image[z] = ring.add(image.get(z, ring.zero), ring.mul(c, e))
             assert lhs == {z: c for z, c in image.items() if c != 0}
@@ -408,10 +435,109 @@ def test_non_unit_pivots_over_q_make_fractions():
     assert red.log and all(lam not in (1, -1) for _, _, lam, _, _ in red.log)
     (y,) = red.alive(1)
     up = red.transport_up({y: Fraction(1)}, 1)
-    down = red.transport_down({red.start[1] + 3: 1, red.start[1]: -2}, 1)
-    for chain in (up, down, red.transport_down(up, 1)):
+    down = red.transport_down({red.start[1] + 3: 1, red.start[1]: -2})
+    for chain in (up, down, red.transport_down(up)):
         assert chain and all(type(c) is Fraction for c in chain.values())
-    assert red.transport_down(up, 1) == {y: 1}
+    assert red.transport_down(up) == {y: 1}
     cycle = ExactMatrix(QQ, 4, 1, {(x - red.start[1], 0): c for x, c in up.items()})
     assert (d1 * cycle).is_zero()
     assert len(down) == 1 and down[y] != 0
+
+
+# -- growing one reduction in row blocks ------------------------------------------
+
+
+def _filtered_complex(ring, data):
+    """A random complex with a row filtration, in a scrambled filtered basis.
+
+    Returns (C, rows), where rows[d] gives the row of each cell of degree
+    d in increasing order: the boundary of a row-r cell lands on rows
+    <= r, as in a row truncation tower.  Pieces are a cell alone or a
+    pair of cells in degrees d, d - 1 joined by a scalar, the lower one
+    in a row no higher than the upper one; then changes of basis
+    e_i += c e_j within a degree, with row(j) <= row(i), keep the
+    filtration while they mix the pieces.
+    """
+    top = data.draw(st.integers(1, 3))
+    height = data.draw(st.integers(1, 4))
+    scalars = [0, 1, 2, -1]
+    cells = {d: [] for d in range(top + 1)}  # row of each cell, in creation order
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        d = data.draw(st.integers(0, top))
+        r = data.draw(st.integers(0, height - 1))
+        k = data.draw(st.sampled_from(scalars))
+        if d == 0 or k == 0:
+            cells[d].append(r)
+            continue
+        pairs.append((d, len(cells[d - 1]), len(cells[d]), k))
+        cells[d - 1].append(data.draw(st.integers(0, r)))
+        cells[d].append(r)
+    order = {d: sorted(range(len(rs)), key=lambda i: rs[i]) for d, rs in cells.items()}
+    pos = {d: {i: n for n, i in enumerate(idx)} for d, idx in order.items()}
+    rows = {d: [cells[d][i] for i in order[d]] for d in cells}
+    ranks = {d: len(rs) for d, rs in rows.items()}
+    entries = {d: {} for d in range(1, top + 1)}
+    for d, i, j, k in pairs:
+        entries[d][(pos[d - 1][i], pos[d][j])] = k
+    diffs = {d: ExactMatrix(ring, ranks[d - 1], ranks[d], entries[d]) for d in entries}
+    for _ in range(data.draw(st.integers(0, 12))):
+        d = data.draw(st.integers(0, top))
+        if ranks[d] < 2:
+            continue
+        i, j = data.draw(st.lists(st.integers(0, ranks[d] - 1), min_size=2, max_size=2, unique=True))
+        if rows[d][j] > rows[d][i]:
+            i, j = j, i
+        c = ring.coerce(data.draw(st.sampled_from([1, -1, 2])))
+        E = ExactMatrix.identity(ring, ranks[d]) + ExactMatrix(ring, ranks[d], ranks[d], {(j, i): c})
+        E_inv = ExactMatrix.identity(ring, ranks[d]) - ExactMatrix(ring, ranks[d], ranks[d], {(j, i): c})
+        if d in diffs:
+            diffs[d] = diffs[d] * E
+        if d + 1 in diffs:
+            diffs[d + 1] = E_inv * diffs[d + 1]
+    C = ChainComplex(ring, ranks, diffs)
+    assert C.validate().ok
+    return C, rows
+
+
+def _keyed_state(red, key):
+    """Pairs, snapshots, row entries and survivors, with cells renamed by key."""
+    log = {
+        (key[a], key[b]): (lam, {key[x]: c for x, c in rest}, [(key[y], c) for y, c in row_a])
+        for a, b, lam, rest, row_a in red.log
+    }
+    return log, sorted(key[i] for i in red.alive())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GF(2), GF(3), GF(5), QQ]), st.data())
+def test_row_blocks_match_one_shot_reductions(ring, data):
+    # after a sweep of one or more blocks of rows, the grown reduction holds
+    # the pairs, snapshots, row entries and survivors of a one-shot
+    # reduction of the truncation to those rows
+    C, rows = _filtered_complex(ring, data)
+    grown = MorseReduction(ring)
+    key = []  # (degree, index) of each cell of the grown reduction, by id
+    top = max(max(rs, default=0) for rs in rows.values())
+    for r in range(top + 1):
+        below = {d: sum(1 for x in rs if x < r) for d, rs in rows.items()}
+        upto = {d: sum(1 for x in rs if x <= r) for d, rs in rows.items()}
+        ranks = {d: upto[d] - below[d] for d in rows}
+        boundaries = {
+            d: csc_from_columns(M.col(j) for j in range(below[d], upto[d])) for d, M in C.diffs.items()
+        }
+        grown.add_cells(ranks, boundaries)
+        key += [(d, j) for d in sorted(ranks) for j in range(below[d], upto[d])]
+        if r < top and data.draw(st.booleans(), label="sweep later"):
+            continue
+        grown.reduce()
+        whole = MorseReduction(
+            ring,
+            upto,
+            {d: csc_from_columns(M.col(j) for j in range(upto[d])) for d, M in C.diffs.items()},
+        )
+        whole.reduce()
+        whole_key = [(d, j) for d in sorted(upto) for j in range(upto[d])]
+        assert _keyed_state(grown, key) == _keyed_state(whole, whole_key), r
+        for d in rows:
+            assert [key[i] for i in grown.alive(d)] == [whole_key[i] for i in whole.alive(d)]

@@ -24,6 +24,8 @@ from cychom.orbits import OrbitPlane
 from cychom.rings import GF, QQ
 from dict_reduction import MorseReduction as DictReduction
 from materialized_plane import cyclic_first_quadrant, materialized_stages
+import per_stage_towers
+from per_stage_towers import lifted_stage_map
 from scalar_orbits import ScalarOrbitPlane
 
 BASES = (GF(2), GF(3), GF(5), QQ)
@@ -400,7 +402,7 @@ def test_orbit_plane_refuses_rows_beyond_64_bit_codes(name, q):
 def _dict_engine(ring, ranks, boundaries):
     """The dict engine of `dict_reduction` on a stage's CSC input, same cell ids."""
     red = DictReduction(ring)
-    red.start = {}
+    red.start, red.ranks = {}, dict(ranks)
     for d in sorted(ranks):
         red.start[d] = len(red.degree)
         for _ in range(ranks[d]):
@@ -420,9 +422,9 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
     top = TOP_ROW[X.rank(0)]
     d_max = FIRST_QUADRANT[X.rank(0)][0]
 
-    def build():
-        plane = bicomplex._plane_stages(X, -1, 2)
-        left = bicomplex._plane_stages(X, -2, 1, left=True)
+    def build(stages):
+        plane = stages(X, -1, 2)
+        left = stages(X, -2, 1, left=True)
         return {
             "plane": [plane(Q) for Q in (top - 2, top)],
             "left": [left(Q) for Q in (top - 2, top)],
@@ -430,10 +432,12 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
             "first": [cyclic_first_quadrant(X, 0, d_max)],
         }
 
-    new = build()
+    # the dict engine runs the per-stage towers, which reduce each stage whole
+    new = build(bicomplex._plane_stages)
     with monkeypatch.context() as m:
         m.setattr(bicomplex, "MorseReduction", _dict_engine)
-        old = build()
+        m.setattr(per_stage_towers, "MorseReduction", _dict_engine)
+        old = build(per_stage_towers.plane_stages)
     for route, stages in new.items():
         for stage, ref in zip(stages, old[route]):
             assert isinstance(ref.red, DictReduction)
@@ -442,7 +446,7 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
         if len(stages) == 2:
             for d in range(stages[0].lo, stages[0].hi + 1):
                 fast = bicomplex._stage_map(*stages, d)
-                slow = bicomplex._stage_map(*old[route], d)
+                slow = lifted_stage_map(*old[route], d)
                 assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
                 assert rank(fast) == rank(slow), (route, d)
         else:
@@ -451,3 +455,74 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
                 slow = bicomplex._s_map_on_stage(old[route][0], n)
                 assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
                 assert rank(fast) == rank(slow), (route, n)
+
+
+# -- one reduction per tower against the per-stage engine it replaced -------------
+
+
+def _per_stage(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(bicomplex, "_plane_stages", per_stage_towers.plane_stages)
+        m.setattr(bicomplex, "_stage_map", lifted_stage_map)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("name,base", CONFIGS, ids=IDS)
+def test_shared_tower_reduction_matches_per_stage_towers(monkeypatch, name, base):
+    # every window and schedule the route tests above use, on both theories
+    X = _module(name, base)
+    top = TOP_ROW[X.rank(0)]
+    for theory in (bicomplex.hp_poly, bicomplex.hc_minus_poly):
+        for degrees, schedule, persistence in (
+            ((-1, 2), list(range(top - 3, top + 1)), 3),
+            ((0, 1), list(range(0, top + 1, 2)), 2),
+            ((-2, 0), list(range(top - 3, top + 1)), 3),
+            ((-1, 2), list(range(0, top + 1, 2)), 2),
+        ):
+            shared = theory(X, degrees, schedule, persistence)
+            fresh = _per_stage(monkeypatch, theory, X, degrees, schedule, persistence)
+            assert _dumps(shared) == _dumps(fresh), (theory.__name__, degrees, schedule)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CONFIGS), st.booleans(), st.data())
+def test_shared_tower_reduction_matches_per_stage_towers_on_random_schedules(config, left, data):
+    X = _module(*config)
+    lo = data.draw(st.integers(-4, 2), label="lo")
+    hi = data.draw(st.integers(lo, 3), label="hi")
+    rows = st.integers(0, DEEP_ROW[X.rank(0)])
+    schedule = sorted(data.draw(st.sets(rows, min_size=2, max_size=6), label="schedule"))
+    persistence = data.draw(st.integers(2, 3), label="persistence")
+    theory = bicomplex.hc_minus_poly if left else bicomplex.hp_poly
+    shared = theory(X, (lo, hi), schedule, persistence)
+    with pytest.MonkeyPatch.context() as m:
+        fresh = _per_stage(m, theory, X, (lo, hi), schedule, persistence)
+    assert _dumps(shared) == _dumps(fresh)
+
+
+@pytest.mark.parametrize("name,base", CONFIGS, ids=IDS)
+def test_projected_tower_maps_equal_lifted_ones(name, base):
+    # orbit stages: the shared reduction's projections against lift, shift
+    # and project on stages reduced whole; materialized stages, each with
+    # its own reduction: projection against lift and project
+    X = _module(name, base)
+    top = TOP_ROW[X.rank(0)]
+    schedule = list(range(max(0, top - 4), top + 1))
+    for left, (lo, hi) in ((False, (-1, 2)), (True, (-2, 1))):
+        shared = bicomplex._plane_stages(X, lo, hi, left)
+        fresh = per_stage_towers.plane_stages(X, lo, hi, left)
+        prev = None
+        for Q in schedule:
+            now, ref = shared(Q), fresh(Q)
+            for d in range(lo, hi + 1):
+                assert len(now.alive(d)) == len(ref.alive(d)), (left, Q, d)
+                if prev is not None:
+                    projected = bicomplex._stage_map(prev[0], now, d)
+                    assert projected == lifted_stage_map(prev[1], ref, d), (left, Q, d)
+            prev = now, ref
+    ops = bicomplex._PlaneOperators(X)
+    for region in ("plane", "left"):
+        stages = [bicomplex._TotalStage(ops, region, Q, -1, 1) for Q in schedule[-3:]]
+        for src, dst in zip(stages, stages[1:]):
+            for d in range(-1, 2):
+                assert bicomplex._stage_map(src, dst, d) == lifted_stage_map(src, dst, d), (region, d)
