@@ -64,7 +64,7 @@ def _degrees(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     defaults = GapConfig()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--degrees", default="-4..6", type=_degrees)
@@ -79,7 +79,7 @@ def main() -> None:
         type=lambda s: [int(t) for t in s.split(",")],
     )
     ap.add_argument("--persistence", type=int, default=defaults.persistence)
-    ns = ap.parse_args()
+    ns = ap.parse_args(argv)
     run(
         GapConfig(
             degrees=ns.degrees,

@@ -60,7 +60,7 @@ def run(cfg: ProfileConfig) -> None:
             )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     defaults = ProfileConfig()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--algebra", default=defaults.algebra)
@@ -73,7 +73,7 @@ def main() -> None:
     )
     ap.add_argument("--persistence", type=int, default=defaults.persistence)
     ap.add_argument("--min-stages", type=int, default=defaults.min_stages)
-    ns = ap.parse_args()
+    ns = ap.parse_args(argv)
     run(
         ProfileConfig(
             algebra=ns.algebra,

@@ -4,9 +4,12 @@ Layout conventions, fixed here and relied on everywhere below:
   entry(p, q) = X_q sits in total degree p + q; columns are indexed by p.
   The horizontal differential lowers p: out of even columns it is the norm
   N_q, out of odd columns 1 - t_q.  The vertical differential lowers q:
-  b on even columns, -b' on odd ones.  The three square-zero and
-  anticommutation identities tie these choices together; build_window
-  checks them and a deliberately wrong sign is caught as a failing square.
+  b on even columns, -b' on odd ones.  `_plane_operator` names these
+  once, the windows and the materialized stages both read it, and the
+  signs inside each operator are fixed once, in `cyclic`.  The three
+  square-zero and anticommutation identities tie these choices together;
+  build_window checks them and a deliberately wrong sign is caught as a
+  failing square.
 
 Three column regions of the plane carry the theories:
   "plane" (all p)  - direct-sum totalization, the 2-periodic theory;
@@ -34,7 +37,9 @@ Each theory is read off the smallest complex known to carry it:
                   which has the first quadrant's HC and S (Loday 2.1.8).
                   Its direct-sum totalization is not the plane's: over Q
                   the ground field gets k in every even degree from it and
-                  0 from the plane, so it never stands in for hp_poly.
+                  0 from the plane, so it never stands in for hp_poly;
+  hh            - the raw or normalized Hochschild complex (b alone), one
+                  Morse reduction, read over Z from its residual complex.
 Only the edge rows, the rows d <= top degree + 1 that meet column 0, are
 still enumerated tuple by tuple: their edge cells are a basis of ker N,
 and their boundary takes b's Coo.  The materialized regions
@@ -89,41 +94,17 @@ def _check_region(region: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# operators, cached per cyclic module, and block operators in CSC form
+# the plane's operators, and block operators in CSC form
 
-class _PlaneOperators:
-    """The four plane operators of every row as Coo, memoized per row.
+def _plane_operator(p: int, vertical: bool) -> str:
+    """The CyclicModule.coo kind of the differential out of column p.
 
-    Every stage of one materialized tower shares these, so each operator
-    is assembled once per q.  Kinds: "b", "-b'" (b' with the sign it has
-    on odd columns), "N" and "1-t".
+    Horizontally N out of even columns and 1 - t out of odd ones;
+    vertically b on even columns and -b' on odd ones.
     """
-
-    def __init__(self, X: CyclicModule):
-        self.X = X
-        self.ring = X.base
-        self._memo: dict[tuple[str, int], Coo] = {}
-
-    def rank(self, q: int) -> int:
-        return self.X.rank(q)
-
-    def coo(self, kind: str, q: int) -> Coo:
-        key = (kind, q)
-        hit = self._memo.get(key)
-        if hit is None:
-            ops = self.X._ops
-            if kind == "b":
-                hit = ops.faces(ops.raw, q, {i: (-1) ** i for i in range(q + 1)})
-            elif kind == "-b'":
-                hit = ops.faces(ops.raw, q, {i: -((-1) ** i) for i in range(q)})
-            elif kind == "N":
-                hit = ops.rotations(ops.raw, q, {i: (-1) ** (q * i) for i in range(q + 1)}, False)
-            elif kind == "1-t":
-                hit = ops.rotations(ops.raw, q, {0: 1, 1: -((-1) ** q)}, False)
-            else:  # pragma: no cover - internal kinds only
-                raise ValueError(kind)
-            self._memo[key] = hit
-        return hit
+    if vertical:
+        return "b" if p % 2 == 0 else "-b'"
+    return "N" if p % 2 == 0 else "1-t"
 
 
 def _csc(ncols: int, pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,18 +171,16 @@ class PeriodicBicomplexWindow:
 
     def d_h(self, p: int, q: int) -> ExactMatrix:
         self._check_inside(p, q)
-        if p % 2 == 0:
-            return self.X.norm(q)
-        return ExactMatrix.identity(self.ring, self.X.rank(q)).sub(self.X.cyclic(q))
+        return self.X.coo(_plane_operator(p, False), q).matrix()
 
     def d_v(self, p: int, q: int) -> ExactMatrix:
         self._check_inside(p, q)
         if q < 1:
             raise ValueError("vertical differentials start at q = 1")
-        if p % 2 == 0:
-            return self.X.hochschild_boundary(q)
-        M = self.X.bar_boundary(q)
-        return M if self.flip_bprime_sign else M.scale(self.ring.coerce(-1))
+        kind = _plane_operator(p, True)
+        if self.flip_bprime_sign and kind == "-b'":
+            kind = "b'"
+        return self.X.coo(kind, q).matrix()
 
     def validate(self) -> ComplexReport:
         """Check d_h^2 = 0, d_v^2 = 0 and d_h d_v + d_v d_h = 0 squarewise.
@@ -267,18 +246,18 @@ def _row_range(region: str, d: int, q_max: int) -> range:
 class _Layout:
     """Summand bookkeeping for one total degree: rows q and their offsets."""
 
-    def __init__(self, ops: _PlaneOperators, region: str, d: int, q_max: int):
+    def __init__(self, X: CyclicModule, region: str, d: int, q_max: int):
         self.qs = list(_row_range(region, d, q_max))
         self.offsets: dict[int, int] = {}
         start = 0
         for q in self.qs:
             self.offsets[q] = start
-            start += ops.rank(q)
+            start += X.rank(q)
         self.total = start
 
 
 def _degree_boundary(
-    ops: _PlaneOperators,
+    X: CyclicModule,
     region: str,
     d: int,
     layout: "_Layout",
@@ -287,12 +266,11 @@ def _degree_boundary(
     """CSC of the total differential from degree d to d - 1."""
     pieces = []
     for q in layout.qs:
-        even = (d - q) % 2 == 0
         if region != "first" or d - q > 0:
-            op = ops.coo("N" if even else "1-t", q)
+            op = X.coo(_plane_operator(d - q, False), q)
             pieces.append((layout_below.offsets[q], layout.offsets[q], op))
         if q >= 1:
-            op = ops.coo("b" if even else "-b'", q)
+            op = X.coo(_plane_operator(d - q, True), q)
             pieces.append((layout_below.offsets[q - 1], layout.offsets[q], op))
     return _csc(layout.total, pieces)
 
@@ -312,12 +290,11 @@ def row_truncated_total(
     lo, hi = degrees
     if lo > hi:
         raise ValueError("empty degree interval")
-    ops = _PlaneOperators(X)
-    layouts = {d: _Layout(ops, region, d, q_max) for d in range(lo, hi + 1)}
+    layouts = {d: _Layout(X, region, d, q_max) for d in range(lo, hi + 1)}
     ranks = {d: layouts[d].total for d in layouts}
     diffs: dict[int, ExactMatrix] = {}
     for d in range(lo + 1, hi + 1):
-        indptr, rows, vals = _degree_boundary(ops, region, d, layouts[d], layouts[d - 1])
+        indptr, rows, vals = _degree_boundary(X, region, d, layouts[d], layouts[d - 1])
         cols = np.repeat(np.arange(ranks[d], dtype=np.int64), np.diff(indptr))
         diffs[d] = Coo(X.base, ranks[d - 1], ranks[d], rows, cols, vals).matrix()
     return ChainComplex(X.base, ranks, diffs)
@@ -377,20 +354,18 @@ class _TotalStage(_ReducedStage):
     first quadrant are tested against.
     """
 
-    def __init__(
-        self, ops: _PlaneOperators, region: str, q_max: int, lo: int, hi: int
-    ):
-        self.ops = ops
+    def __init__(self, X: CyclicModule, region: str, q_max: int, lo: int, hi: int):
+        self.X = X
         self.region = region
         degs = range(lo - 1, hi + 2)
-        self.layouts = {d: _Layout(ops, region, d, q_max) for d in degs}
+        self.layouts = {d: _Layout(X, region, d, q_max) for d in degs}
         ranks = {d: self.layouts[d].total for d in degs}
         boundaries = {
-            d: _degree_boundary(ops, region, d, self.layouts[d], self.layouts[d - 1])
+            d: _degree_boundary(X, region, d, self.layouts[d], self.layouts[d - 1])
             for d in degs
             if d > lo - 1
         }
-        super().__init__(MorseReduction(ops.ring, ranks, boundaries), q_max, lo, hi)
+        super().__init__(MorseReduction(X.base, ranks, boundaries), q_max, lo, hi)
 
     def s_shift(self, d: int) -> int:
         # the quotient of the first quadrant by columns p in {0, 1} is the
@@ -443,7 +418,6 @@ def _plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
     q > d.
     """
     plane = OrbitPlane(X.algebra)
-    ops = _PlaneOperators(X)
     red = MorseReduction(X.base)
     degrees = range(lo - 1, hi + 2)
     index: dict[int, dict] = {d: {} for d in degrees}  # cell key -> index in its degree
@@ -455,7 +429,7 @@ def _plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
         Row d - 1's edge cells lead their degree, so their indices there
         are their places in the edge row.
         """
-        b = ops.coo("b", d)
+        b = X.coo("b", d)
         rows, cols, vals = plane.edge_boundary(d, b)
         columns: list[dict] = [{} for _ in plane.edge_row(d)[0]]
         for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
@@ -504,8 +478,8 @@ class _MixedStage(_ReducedStage):
 
     def __init__(self, nb: NormalizedBarModule, lo: int, hi: int):
         self.nb = nb
-        b = {m: nb.boundary_coo(m) for m in range(1, hi + 2)}
-        B = {m: nb.connes_coo(m) for m in range(hi)}
+        b = {m: nb.coo("b", m) for m in range(1, hi + 2)}
+        B = {m: nb.coo("B", m) for m in range(hi)}
         offsets = {}  # degree -> start of each summand k
         ranks = {}
         for n in range(lo - 1, hi + 2):
@@ -719,15 +693,11 @@ def _run_truncation_tower(
                         rep.value_kind = "stabilized"
                         pending.discard(d)
         prev = stage
-    for d, rep in reports.items():
-        if rep.value_kind == "unresolved":
-            injective = all(
-                (rank(M) if M.ncols and M.nrows else 0) == M.ncols or M.ncols == 0
-                for M in rep.maps
-            )
-            if injective and rep.stages:
-                rep.value = rep.stages[-1][1]
-                rep.value_kind = "lower-bound"
+    for rep in reports.values():
+        # the walk ranked every map; one was not injective iff a class died
+        if rep.value_kind == "unresolved" and not rep.dying:
+            rep.value = rep.stages[-1][1]
+            rep.value_kind = "lower-bound"
     return reports
 
 
@@ -786,6 +756,28 @@ def hc(X: CyclicModule, d_max: int) -> HomologyTable:
     stage = _first_quadrant(X, 0, d_max)
     groups = {d: stage.group(d) for d in range(d_max + 1)}
     return HomologyTable(theory="HC", base=X.base, groups=groups)
+
+
+def hh(
+    module: CyclicModule | NormalizedBarModule, degrees: tuple[int, int]
+) -> HomologyTable:
+    """Hochschild homology in degrees lo..hi, raw or normalized by the module given.
+
+    One Morse reduction of the module's b in degrees lo - 1..hi + 1; over
+    Z the groups are read off its residual complex.  Exact, so the table
+    carries no stabilization reports.
+    """
+    lo, hi = degrees
+    if lo < 0 or lo > hi:
+        raise ValueError("Hochschild degrees form an interval starting at 0 or above")
+    ranks = {n: module.rank(n) for n in range(max(lo - 1, 0), hi + 2)}
+    boundaries = {
+        n: _csc(ranks[n], [(0, 0, module.coo("b", n))]) for n in range(max(lo, 1), hi + 2)
+    }
+    red = MorseReduction(module.base, ranks, boundaries)
+    red.reduce()
+    groups = homology_via_reduction(red, range(lo, hi + 1))
+    return HomologyTable(theory="HH", base=module.base, groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -966,15 +958,6 @@ class ConjugateReport:
         return not self.refused and all(s == "equal" for _, _, _, s in self.rows)
 
 
-def _hochschild_dims(nb: NormalizedBarModule, top: int) -> dict[int, int]:
-    """dim HH_q for q <= top, from a sparse reduction of the normalized complex."""
-    ranks = {q: nb.rank(q) for q in range(top + 2)}
-    boundaries = {q: _csc(ranks[q], [(0, 0, nb.boundary_coo(q))]) for q in range(1, top + 2)}
-    red = MorseReduction(nb.base, ranks, boundaries)
-    red.reduce()
-    return {q: homology_via_reduction(red, q).dimension for q in range(top + 1)}
-
-
 def conjugate_dimension_check(
     A,
     degrees: tuple[int, int],
@@ -995,13 +978,11 @@ def conjugate_dimension_check(
     A caller who already ran the tower for this algebra can pass its table
     as hp_table; it must cover `degrees` and is trusted to belong to A.
     """
-    from .cyclic import cyclic_bar_module
-
     if not A.base.is_field or A.base.characteristic == 0:
         raise ValueError("the comparison is a positive-characteristic statement")
     lo, hi = degrees
     q_check = max(hi, 0) + hh_margin + 2
-    hh_dims = _hochschild_dims(normalized(A), q_check)
+    hh_dims = {q: g.dimension for q, g in hh(normalized(A), (0, q_check)).groups.items()}
     nonzero = [q for q, v in hh_dims.items() if v]
     bound = max(nonzero) if nonzero else -1
     if bound > q_check - hh_margin:
@@ -1017,7 +998,7 @@ def conjugate_dimension_check(
         )
     table = hp_table
     if table is None:
-        table = hp_poly(cyclic_bar_module(A), degrees, q_schedule, persistence)
+        table = hp_poly(CyclicModule(A), degrees, q_schedule, persistence)
     elif any(d not in table.groups for d in range(lo, hi + 1)):
         raise ValueError("provided hp_table does not cover the requested degrees")
     rows = []

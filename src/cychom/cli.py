@@ -21,10 +21,11 @@ from .bicomplex import (
     conjugate_dimension_check,
     hc,
     hc_minus_poly,
+    hh,
     hp_poly,
     hp_s_tower_table,
 )
-from .cyclic import cyclic_bar_module, hochschild_complex, normalized
+from .cyclic import cyclic_bar_module, normalized
 from .rings import BaseRing, ring_from_name
 from .tate import (
     TateError,
@@ -210,16 +211,9 @@ def _cmd_hh(cfg: RunConfig) -> ReportDocument:
     if lo < 0:
         raise SpecError("Hochschild degrees start at 0")
     A = _load_algebra(cfg)
-    if cfg.normalized == "on":
-        cx = normalized(A).hochschild_complex(hi + 1)
-    else:
-        cx = hochschild_complex(cyclic_bar_module(A), hi + 1)
+    module = normalized(A) if cfg.normalized == "on" else cyclic_bar_module(A)
     doc = ReportDocument(config=cfg.to_json())
-    doc.tables["HH"] = {
-        "theory": "HH",
-        "base": A.base.label(),
-        "degrees": {str(d): cx.homology(d).to_json() for d in range(lo, hi + 1)},
-    }
+    doc.tables["HH"] = hh(module, (lo, hi)).to_json()
     return doc
 
 

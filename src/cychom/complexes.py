@@ -11,6 +11,7 @@ stabilization towers rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .linalg import integer_kernel_basis, integer_solve, rank, rank_kernel, rref, solve_field
 from .matrix import ExactMatrix
@@ -188,17 +189,19 @@ class _FieldPresentation:
 class _IntegerPresentation:
     def __init__(self, C: ChainComplex, d: int):
         self.ring = ZZ
-        if C.rank(d - 1):
-            K = integer_kernel_basis(C.diff(d))
-        else:
+        # X: the boundaries coming in, in the coordinates of the kernel basis K
+        if not C.rank(d - 1):  # every chain is a cycle
             K = ExactMatrix.identity(ZZ, C.rank(d))
+            X = C.diff(d + 1)
+        else:
+            K = integer_kernel_basis(C.diff(d))
+            if C.rank(d + 1) and K.ncols:
+                X = integer_solve(K, C.diff(d + 1))
+            else:
+                X = ExactMatrix.zero(ZZ, K.ncols, C.rank(d + 1))
         self.kernel = K
         k = K.ncols
-        if C.rank(d + 1) and k:
-            X = integer_solve(K, C.diff(d + 1))
-        else:
-            X = ExactMatrix.zero(ZZ, k, C.rank(d + 1))
-        U, D, _ = smith_normal_form(X)
+        U, D, _ = smith_normal_form(X, right=False)
         self.U = U
         diag = [D.entry(i, i) for i in range(min(D.nrows, D.ncols))]
         diag = [int(v) for v in diag if v != 0]
@@ -228,12 +231,14 @@ class _IntegerPresentation:
         n = len(self.torsion_coords) + len(self.free_coords)
         return ExactMatrix(ZZ, n, 1, entries, _normalized=True)
 
+    @cached_property
+    def _U_inverse(self) -> ExactMatrix:
+        return integer_solve(self.U, ExactMatrix.identity(ZZ, self.U.nrows))
+
     def representative(self, j: int) -> ExactMatrix:
         coords = [i for i, _ in self.torsion_coords] + self.free_coords
-        if not hasattr(self, "_Uinv"):
-            self._Uinv = integer_solve(self.U, ExactMatrix.identity(ZZ, self.U.nrows))
         e = ExactMatrix(ZZ, self.U.nrows, 1, {(coords[j], 0): 1})
-        return self.kernel * (self._Uinv * e)
+        return self.kernel * (self._U_inverse * e)
 
 
 def homology_presentation(C: ChainComplex, d: int):

@@ -10,14 +10,16 @@ Conventions, fixed once for the whole package:
   N_n = sum of t_n^i over i = 0..n.
   b = sum (-1)^i d_i (all faces); b' drops the last face.
 
-The homology pipelines read the operators as ExactMatrix objects, which
+The homology pipelines read the operators as Coo arrays, which
 `_BarOperators` assembles in numpy: every basis tuple of a degree at once,
-as int64 codes, with duplicate entries summed by a sort.  The identity
-sweep never builds the matrices.  `SummandOps` applies the same operators,
-from the same integer structure table, to flat arrays of nonzero summands
-(source row, output code, coefficient), a bounded block of source rows
-at a time; one sweep judges the integer residuals exactly and mod several
-primes.  Tests pin it against the matrices on small modules.
+as int64 codes, with duplicate entries summed by a sort.  `CyclicModule`
+memoizes each operator once, as a Coo, and builds an ExactMatrix from it
+on request.  The identity sweep never builds the matrices.  `SummandOps`
+applies the same operators, from the same integer structure table, to
+flat arrays of nonzero summands (source row, output code, coefficient), a
+bounded block of source rows at a time; one sweep judges the integer
+residuals exactly and mod several primes.  Tests pin it against the
+matrices on small modules.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import Algebra
-from .complexes import ChainComplex
+from .linalg import lands_in_span
 from .matrix import ExactMatrix
 from .rings import BaseRing, ZZ
 
@@ -184,7 +186,10 @@ class _BarOperators:
             yield hit, digits, sign * c[hit]
 
     def faces(self, codes: _Codes, n: int, signs: dict[int, int]) -> "Coo":
-        """sum_i signs[i] d_i : X_n -> X_{n-1}."""
+        """sum_i signs[i] d_i : X_n -> X_{n-1}, which is 0 on X_0."""
+        if n == 0:
+            empty = np.zeros(0, dtype=np.int64)
+            return Coo(self.base, 0, codes.rank(1), empty, empty, empty)
 
         def pieces(D):
             for i, sign in signs.items():
@@ -233,25 +238,37 @@ class _BarOperators:
 # ---------------------------------------------------------------------------
 # cyclic bar modules
 
+# The signs of the operators that are sums of faces or of rotations, out of
+# X_n: b = sum (-1)^i d_i, b' without the last face, -b' as it sits on the
+# odd columns of the plane; t = (-1)^n tau, 1 - t, and N = sum t^k, whose
+# t^k = (-1)^{nk} tau^k also gives B-bar on the normalized module.
+_FACE_SIGNS = {
+    "b": lambda n: {i: (-1) ** i for i in range(n + 1)},
+    "b'": lambda n: {i: (-1) ** i for i in range(n)},
+    "-b'": lambda n: {i: -((-1) ** i) for i in range(n)},
+}
+_ROTATION_SIGNS = {
+    "t": lambda n: {1: (-1) ** n},
+    "1-t": lambda n: {0: 1, 1: -((-1) ** n)},
+    "N": lambda n: {k: (-1) ** (n * k) for k in range(n + 1)},
+}
+
 
 class CyclicModule:
-    """The cyclic bar construction of an algebra, one matrix per operator.
+    """The cyclic bar construction of an algebra.
 
     Basis of X_n: tuples of basis indices, coded big-endian base dim(A)
-    (slot 0 is the most significant digit).  Operator matrices are
-    produced lazily and memoized; everything handed out is an immutable
-    ExactMatrix, so concurrent readers are safe and duplicate inserts of
-    the same key are harmless.  The homology routes that never
-    materialize the operators start from `algebra`.
+    (slot 0 is the most significant digit).  `coo` assembles each
+    operator once and memoizes it; the matrix methods build an
+    ExactMatrix from that Coo on every call.  Callers must not write to
+    a Coo's arrays.  The homology routes that never materialize the
+    operators start from `algebra`.
     """
 
     def __init__(self, A: Algebra):
         self.base = A.base
         self.algebra = A
-        self._faces: dict[tuple[int, int], ExactMatrix] = {}
-        self._degens: dict[tuple[int, int], ExactMatrix] = {}
-        self._cyclics: dict[int, ExactMatrix] = {}
-        self._norms: dict[int, ExactMatrix] = {}
+        self._coos: dict[tuple, Coo] = {}
 
     @cached_property
     def _ops(self) -> _BarOperators:
@@ -262,46 +279,54 @@ class CyclicModule:
             return 0
         return self.algebra.dim ** (n + 1)
 
+    def coo(self, kind: str, n: int, i: int | None = None) -> Coo:
+        """The operator `kind` out of X_n, memoized.
+
+        kind is "d" (the face d_i), "s" (the degeneracy s_i), or one of
+        the sums b, b', -b', t, 1-t and N.
+        """
+        key = (kind, n, i)
+        hit = self._coos.get(key)
+        if hit is None:
+            ops = self._ops
+            if kind == "d":
+                hit = ops.faces(ops.raw, n, {i: 1})
+            elif kind == "s":
+                hit = ops.degeneracy(n, i)
+            elif kind in _FACE_SIGNS:
+                hit = ops.faces(ops.raw, n, _FACE_SIGNS[kind](n))
+            else:
+                hit = ops.rotations(ops.raw, n, _ROTATION_SIGNS[kind](n), False)
+            self._coos[key] = hit
+        return hit
+
     def face(self, n: int, i: int) -> ExactMatrix:
         if n < 1:
             raise ValueError("faces start at degree 1")
         if not (0 <= i <= n):
             raise ValueError(f"face index {i} outside 0..{n}")
-        if (n, i) not in self._faces:
-            self._faces[(n, i)] = self._ops.faces(self._ops.raw, n, {i: 1}).matrix()
-        return self._faces[(n, i)]
+        return self.coo("d", n, i).matrix()
 
     def degeneracy(self, n: int, j: int) -> ExactMatrix:
         if not (0 <= j <= n):
             raise ValueError(f"degeneracy index {j} outside 0..{n}")
-        if (n, j) not in self._degens:
-            self._degens[(n, j)] = self._ops.degeneracy(n, j).matrix()
-        return self._degens[(n, j)]
+        return self.coo("s", n, j).matrix()
 
     def cyclic(self, n: int) -> ExactMatrix:
         """The signed operator t_n = (-1)^n tau_n."""
-        if n not in self._cyclics:
-            self._cyclics[n] = self._ops.rotations(self._ops.raw, n, {1: (-1) ** n}, False).matrix()
-        return self._cyclics[n]
+        return self.coo("t", n).matrix()
 
     def norm(self, n: int) -> ExactMatrix:
         """N_n = sum_{i=0}^{n} t_n^i, where t_n^i = (-1)^{ni} tau_n^i."""
-        if n not in self._norms:
-            signs = {i: (-1) ** (n * i) for i in range(n + 1)}
-            self._norms[n] = self._ops.rotations(self._ops.raw, n, signs, False).matrix()
-        return self._norms[n]
+        return self.coo("N", n).matrix()
 
     def hochschild_boundary(self, n: int) -> ExactMatrix:
         """b = sum (-1)^i d_i : X_n -> X_{n-1}."""
-        if n == 0:
-            return ExactMatrix.zero(self.base, 0, self.rank(0))
-        return self._ops.faces(self._ops.raw, n, {i: (-1) ** i for i in range(n + 1)}).matrix()
+        return self.coo("b", n).matrix()
 
     def bar_boundary(self, n: int) -> ExactMatrix:
         """b' = sum_{i<n} (-1)^i d_i : X_n -> X_{n-1}."""
-        if n == 0:
-            return ExactMatrix.zero(self.base, 0, self.rank(0))
-        return self._ops.faces(self._ops.raw, n, {i: (-1) ** i for i in range(n)}).matrix()
+        return self.coo("b'", n).matrix()
 
     def extra_degeneracy(self, n: int) -> ExactMatrix:
         """s_{-1} = tau_{n+1} s_n : X_n -> X_{n+1}, inserts the unit in front.
@@ -320,42 +345,9 @@ class CyclicModule:
         return sN.sub(t1.mul(sN))
 
 
-def cyclic_bar_module(A: Algebra, n_max: int | None = None) -> CyclicModule:
-    """The cyclic bar construction of A; n_max is advisory only."""
+def cyclic_bar_module(A: Algebra) -> CyclicModule:
+    """The cyclic bar construction of A."""
     return CyclicModule(A)
-
-
-# The module memos keep the modules of the last _MEMO_ALGEBRAS algebras
-# used, so a long-lived process does not hold every algebra it has seen.
-# `verify --suite all` revisits an algebra at most 16 algebras later.
-_MEMO_ALGEBRAS = 16
-_bar_memo: dict[Algebra, CyclicModule] = {}
-
-
-def _recall(memo: dict, A: Algebra, build):
-    """memo[A], built if missing, kept as the most recent of a bounded memo."""
-    hit = memo.pop(A, None)
-    memo[A] = build(A) if hit is None else hit
-    while len(memo) > _MEMO_ALGEBRAS:
-        del memo[next(iter(memo))]
-    return memo[A]
-
-
-def bar_module(A: Algebra) -> CyclicModule:
-    """Memoized cyclic_bar_module; overlapping windows share matrices."""
-    return _recall(_bar_memo, A, cyclic_bar_module)
-
-
-def hochschild_complex(X: CyclicModule, n_max: int) -> ChainComplex:
-    ranks = {n: X.rank(n) for n in range(n_max + 1)}
-    diffs = {n: X.hochschild_boundary(n) for n in range(1, n_max + 1)}
-    return ChainComplex(X.base, ranks, diffs)
-
-
-def bar_complex(X: CyclicModule, n_max: int) -> ChainComplex:
-    ranks = {n: X.rank(n) for n in range(n_max + 1)}
-    diffs = {n: X.bar_boundary(n) for n in range(1, n_max + 1)}
-    return ChainComplex(X.base, ranks, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +364,9 @@ class NormalizedBarModule:
     Needs the algebra's unit to be basis vector 0; then the degenerate
     subspace in degree n is spanned by the basis tuples carrying index 0
     in some slot >= 1, and the quotient has the complementary tuples as a
-    basis: rank dim(A) * (dim(A)-1)^n.
+    basis: rank dim(A) * (dim(A)-1)^n.  Operators are assembled on every
+    call, tuple-wise: the intermediate raw rank d^(n+1) of a product
+    through the bar module would dwarf the quotient ranks.
     """
 
     def __init__(self, A: Algebra):
@@ -382,9 +376,6 @@ class NormalizedBarModule:
             raise ValueError("algebra must have positive dimension")
         self.algebra = A
         self.base = A.base
-        self.raw = bar_module(A)
-        self._bnd: dict[int, ExactMatrix] = {}
-        self._connes: dict[int, ExactMatrix] = {}
 
     @cached_property
     def _ops(self) -> _BarOperators:
@@ -394,6 +385,19 @@ class NormalizedBarModule:
         if n < 0:
             return 0
         return self.algebra.dim * (self.algebra.dim - 1) ** n
+
+    def coo(self, kind: str, n: int) -> Coo:
+        """b-bar ("b") : X-bar_n -> X-bar_{n-1}, or B-bar ("B") : X-bar_n -> X-bar_{n+1}.
+
+        On the quotient the t-part of B's (1 - t) factor dies (it lands on
+        degenerate tuples), leaving B-bar = s_{-1} N: the signed rotations
+        t^k = (-1)^{nk} tau^k of a with the unit stuck in front, less those
+        that land on degenerate tuples.
+        """
+        ops = self._ops
+        if kind == "b":
+            return ops.faces(ops.normalized, n, _FACE_SIGNS["b"](n))
+        return ops.rotations(ops.normalized, n, _ROTATION_SIGNS["N"](n), True)
 
     def inclusion(self, n: int) -> ExactMatrix:
         """Section X-bar_n -> X_n picking the non-degenerate basis tuples."""
@@ -405,48 +409,15 @@ class NormalizedBarModule:
 
     def boundary(self, n: int) -> ExactMatrix:
         """Induced Hochschild differential b-bar : X-bar_n -> X-bar_{n-1}."""
-        if n not in self._bnd:
-            if n <= 0:
-                self._bnd[n] = ExactMatrix.zero(self.base, 0, self.rank(max(n, 0)))
-            else:
-                self._bnd[n] = self.boundary_coo(n).matrix()
-        return self._bnd[n]
-
-    def boundary_coo(self, n: int) -> Coo:
-        """b-bar for n >= 1, assembled tuple-wise rather than by three matrix products.
-
-        The intermediate raw rank d^(n+1) would dwarf the quotient ranks.
-        """
-        return self._ops.faces(self._ops.normalized, n, {i: (-1) ** i for i in range(n + 1)})
+        return self.coo("b", n).matrix()
 
     def connes(self, n: int) -> ExactMatrix:
         """Induced Connes operator B-bar : X-bar_n -> X-bar_{n+1}."""
-        if n not in self._connes:
-            self._connes[n] = self.connes_coo(n).matrix()
-        return self._connes[n]
-
-    def connes_coo(self, n: int) -> Coo:
-        """B-bar as a Coo.
-
-        On the quotient the (1 - t) factor's t-part dies (it lands on
-        degenerate tuples), leaving B-bar = s_{-1} N: the signed rotations
-        t^k = (-1)^{nk} tau^k of a with the unit stuck in front, less those
-        that land on degenerate tuples.
-        """
-        signs = {k: (-1) ** (n * k) for k in range(n + 1)}
-        return self._ops.rotations(self._ops.normalized, n, signs, True)
-
-    def hochschild_complex(self, n_max: int) -> ChainComplex:
-        ranks = {n: self.rank(n) for n in range(n_max + 1)}
-        diffs = {n: self.boundary(n) for n in range(1, n_max + 1)}
-        return ChainComplex(self.base, ranks, diffs)
-
-
-_normalized_memo: dict[Algebra, NormalizedBarModule] = {}
+        return self.coo("B", n).matrix()
 
 
 def normalized(A: Algebra) -> NormalizedBarModule:
-    return _recall(_normalized_memo, A, NormalizedBarModule)
+    return NormalizedBarModule(A)
 
 
 # ---------------------------------------------------------------------------
@@ -482,31 +453,14 @@ class MixedComplex:
     def validate(self) -> list[str]:
         problems = []
         for n in range(self.lo, self.hi + 1):
-            if not self._lands_in_relations(self.d_at(n).mul(self.d_at(n + 1)), n - 1):
+            if not lands_in_span(self.d_at(n).mul(self.d_at(n + 1)), self.relations.get(n - 1)):
                 problems.append(f"d o d != 0 into degree {n - 1}")
-            if not self._lands_in_relations(self.B_at(n + 1).mul(self.B_at(n)), n + 2):
+            if not lands_in_span(self.B_at(n + 1).mul(self.B_at(n)), self.relations.get(n + 2)):
                 problems.append(f"B o B != 0 out of degree {n}")
             anti = self.d_at(n + 1).mul(self.B_at(n)).add(self.B_at(n - 1).mul(self.d_at(n)))
-            if not self._lands_in_relations(anti, n):
+            if not lands_in_span(anti, self.relations.get(n)):
                 problems.append(f"dB + Bd != 0 at degree {n}")
         return problems
-
-    def _lands_in_relations(self, M: ExactMatrix, n: int) -> bool:
-        if M.is_zero():
-            return True
-        rel = self.relations.get(n)
-        if rel is None or rel.ncols == 0:
-            return False
-        from .linalg import integer_solve, solve_field
-
-        try:
-            if self.base.is_field:
-                solve_field(rel, M)
-            else:
-                integer_solve(rel, M)
-            return True
-        except ValueError:
-            return False
 
 
 @dataclass

@@ -49,7 +49,7 @@ def rref(A: ExactMatrix) -> tuple[list[list[Scalar]], list[int]]:
 def rank(A: ExactMatrix) -> int:
     if A.ring.is_field:
         return len(rref(A)[1])
-    _, D, _ = smith_normal_form(A)
+    _, D, _ = smith_normal_form(A, left=False, right=False)
     return len([i for i in range(min(D.nrows, D.ncols)) if D.entry(i, i) != 0])
 
 
@@ -96,6 +96,22 @@ def solve_field(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(ring, n, B.ncols, entries, _normalized=True)
 
 
+def lands_in_span(M: ExactMatrix, rel: ExactMatrix | None) -> bool:
+    """True when every column of M is a combination of rel's columns."""
+    if M.is_zero():
+        return True
+    if rel is None or rel.ncols == 0:
+        return False
+    try:
+        if M.ring.is_field:
+            solve_field(rel, M)
+        else:
+            integer_solve(rel, M)
+        return True
+    except ValueError:
+        return False
+
+
 def is_invertible(A: ExactMatrix) -> bool:
     """Invertibility over the base: full-rank square (fields) or |det| = 1 (Z)."""
     if A.nrows != A.ncols:
@@ -119,7 +135,7 @@ def integer_kernel_basis(A: ExactMatrix) -> ExactMatrix:
     """
     if A.ring != ZZ:
         raise ValueError("integer kernel requires base Z")
-    _, D, V = smith_normal_form(A)
+    _, D, V = smith_normal_form(A, left=False)
     r = len([i for i in range(min(D.nrows, D.ncols)) if D.entry(i, i) != 0])
     cols = list(range(r, A.ncols))
     return V.submatrix(list(range(A.ncols)), cols)

@@ -386,11 +386,15 @@ def residual_complex(red: MorseReduction):
     return ChainComplex(red.ring, ranks, diffs), by_degree, index
 
 
-def homology_via_reduction(red: MorseReduction, d: int):
-    """H_d of the reduced (hence of the original) complex."""
+def homology_via_reduction(red: MorseReduction, degrees) -> dict:
+    """H_d of the reduced (hence of the original) complex, for each d in degrees.
+
+    Over a field the survivors of a full reduction count homology; else
+    every degree is read off one residual complex.
+    """
     from .complexes import HomologyGroup, complex_homology
 
     if red.ring.is_field and red.is_exactly_reduced():
-        return HomologyGroup(red.ring, len(red.alive(d)))
+        return {d: HomologyGroup(red.ring, len(red.alive(d))) for d in degrees}
     C, _, _ = residual_complex(red)
-    return complex_homology(C, d)
+    return {d: complex_homology(C, d) for d in degrees}

@@ -4,7 +4,9 @@ smith_normal_form(A) returns (U, D, V) with U*A*V = D, U and V
 unimodular, D diagonal with nonnegative entries satisfying the
 divisibility chain d_1 | d_2 | ... .  The elimination is gcd-driven
 with partial pivoting on the smallest nonzero entry (ties broken by
-position), which makes the result deterministic.
+position), which makes the result deterministic.  A caller that reads
+no U, or no V, asks for it not to be tracked and gets None in its place:
+the transforms are dense, m x m and n x n.
 """
 
 from __future__ import annotations
@@ -39,13 +41,17 @@ def _scale_row(M: list[list[int]], i: int, c: int) -> None:
     M[i] = [c * x for x in M[i]]
 
 
-def smith_normal_form(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+def smith_normal_form(
+    A: ExactMatrix, *, left: bool = True, right: bool = True
+) -> tuple[ExactMatrix | None, ExactMatrix, ExactMatrix | None]:
     if A.ring != ZZ:
         raise ValueError("Smith normal form is defined over Z")
     m, n = A.nrows, A.ncols
     M = [[int(v) for v in row] for row in A.to_rows()]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # an untracked U is m empty rows and an untracked V has no rows, so the
+    # row and column operations on them do nothing
+    U = [[int(i == j) for j in range(m)] if left else [] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)] if right else []
 
     t = 0
     while t < min(m, n):
@@ -130,7 +136,7 @@ def smith_normal_form(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMa
             _scale_row(U, i, -1)
 
     to_mat = lambda rows, r, c: ExactMatrix(ZZ, r, c, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}, _normalized=True)
-    return to_mat(U, m, m), to_mat(M, m, n), to_mat(V, n, n)
+    return (to_mat(U, m, m) if left else None), to_mat(M, m, n), (to_mat(V, n, n) if right else None)
 
 
 def diagonal_of(D: ExactMatrix) -> list[int]:
@@ -146,7 +152,7 @@ def diagonal_of(D: ExactMatrix) -> list[int]:
 
 def invariant_factors(A: ExactMatrix) -> list[int]:
     """Invariant factors of coker(A), including 1s, excluding 0s."""
-    _, D, _ = smith_normal_form(A)
+    _, D, _ = smith_normal_form(A, left=False, right=False)
     return diagonal_of(D)
 
 

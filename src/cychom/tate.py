@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .complexes import ChainComplex, HomologyGroup, PresentedChainComplex
 from .cyclic import mixed_complex_from_display
-from .linalg import integer_kernel_basis, integer_solve, solve_field
+from .linalg import integer_kernel_basis, integer_solve, lands_in_span
 from .matrix import ExactMatrix
 from .rings import ZZ, BaseRing
 from .snf import invariant_factors
@@ -48,22 +48,6 @@ def _matrix_power(M: ExactMatrix, k: int) -> ExactMatrix:
     for _ in range(k):
         out = M * out
     return out
-
-
-def _lands_in_span(M: ExactMatrix, rel: ExactMatrix | None) -> bool:
-    """True when every column of M is a combination of rel's columns."""
-    if M.is_zero():
-        return True
-    if rel is None or rel.ncols == 0:
-        return False
-    try:
-        if M.ring.is_field:
-            solve_field(rel, M)
-        else:
-            integer_solve(rel, M)
-        return True
-    except ValueError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +194,11 @@ class GModuleComplex:
         for i in self.degrees:
             r = self.rank(i)
             sig, rel = self.sigma(i), self.relation(i)
-            if not _lands_in_span(
+            if not lands_in_span(
                 _matrix_power(sig, self.order) - ExactMatrix.identity(self.base, r), rel
             ):
                 problems.append(f"sigma^order != id in degree {i}")
-            if not _lands_in_span(sig * rel, rel):
+            if not lands_in_span(sig * rel, rel):
                 problems.append(f"sigma does not preserve relations in degree {i}")
         for i in self.degrees:
             dmat = self.diff(i)
@@ -223,13 +207,13 @@ class GModuleComplex:
                     problems.append(f"differential at {i} targets a zero module")
                 continue
             rel_lo = self.relation(i - 1)
-            if not _lands_in_span(dmat * self.relation(i), rel_lo):
+            if not lands_in_span(dmat * self.relation(i), rel_lo):
                 problems.append(f"differential at {i} does not preserve relations")
-            if not _lands_in_span(
+            if not lands_in_span(
                 self.sigma(i - 1) * dmat - dmat * self.sigma(i), rel_lo
             ):
                 problems.append(f"differential at {i} is not equivariant")
-            if self.rank(i - 2) and not _lands_in_span(
+            if self.rank(i - 2) and not lands_in_span(
                 self.diff(i - 1) * dmat, self.relation(i - 2)
             ):
                 problems.append(f"d . d != 0 out of degree {i}")
@@ -497,11 +481,11 @@ def construction_5_1_check(n: int) -> CheckReport:
     for deg in (0, -1):
         lhs = target.d_at(deg) * the_map.component(deg)
         rhs = the_map.component(deg - 1) * source.d_at(deg)
-        if not _lands_in_span(lhs - rhs, target.relations.get(deg - 1)):
+        if not lands_in_span(lhs - rhs, target.relations.get(deg - 1)):
             problems.append(f"does not intertwine d at degree {deg}")
         lhs = target.B_at(deg) * the_map.component(deg)
         rhs = the_map.component(deg + 1) * source.B_at(deg)
-        if not _lands_in_span(lhs - rhs, target.relations.get(deg + 1)):
+        if not lands_in_span(lhs - rhs, target.relations.get(deg + 1)):
             problems.append(f"does not intertwine B at degree {deg}")
 
     # kernel lattice in degree 0: solutions of comp . x = rel . y

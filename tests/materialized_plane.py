@@ -10,7 +10,7 @@ the reduced routes against these.
 
 from __future__ import annotations
 
-from cychom.bicomplex import _Layout, _PlaneOperators, _TotalStage, row_truncated_total
+from cychom.bicomplex import _Layout, _TotalStage, row_truncated_total
 from cychom.complexes import ChainMap
 from cychom.cyclic import CyclicModule
 from cychom.matrix import ExactMatrix
@@ -20,15 +20,14 @@ def materialized_stages(region: str):
     """Stage builder on a materialized region of the plane: X, lo, hi -> (Q -> stage)."""
 
     def stages(X: CyclicModule, lo: int, hi: int):
-        ops = _PlaneOperators(X)
-        return lambda Q: _TotalStage(ops, region, Q, lo, hi)
+        return lambda Q: _TotalStage(X, region, Q, lo, hi)
 
     return stages
 
 
 def cyclic_first_quadrant(X: CyclicModule, lo: int, hi: int) -> _TotalStage:
     """The reduced HC complex from the materialized cyclic bicomplex."""
-    return _TotalStage(_PlaneOperators(X), "first", hi + 1, lo, hi)
+    return _TotalStage(X, "first", hi + 1, lo, hi)
 
 
 def truncation_inclusion(
@@ -47,17 +46,16 @@ def truncation_inclusion(
         raise ValueError("q_from must be <= q_to")
     src = row_truncated_total(X, q_from, degrees, region)
     tgt = row_truncated_total(X, q_to, degrees, region)
-    ops = _PlaneOperators(X)
     lo, hi = degrees
     components = {}
     one = X.base.one
     for d in range(lo, hi + 1):
-        sl = _Layout(ops, region, d, q_from)
-        tl = _Layout(ops, region, d, q_to)
+        sl = _Layout(X, region, d, q_from)
+        tl = _Layout(X, region, d, q_to)
         entries = {}
         for q in sl.qs:
             so, to = sl.offsets[q], tl.offsets[q]
-            for j in range(ops.rank(q)):
+            for j in range(X.rank(q)):
                 entries[(to + j, so + j)] = one
         components[d] = ExactMatrix(
             X.base, tl.total, sl.total, entries, _normalized=True

@@ -16,7 +16,7 @@ import bisect
 import functools
 from fractions import Fraction
 
-from cychom.bicomplex import _PlaneOperators, _ReducedStage
+from cychom.bicomplex import _ReducedStage
 from cychom.cyclic import CyclicModule
 from cychom.matrix import ExactMatrix
 from cychom.orbits import OrbitPlane
@@ -32,12 +32,11 @@ def plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
     0 < d <= Q (row 0 has none), then the survivors of rows q > d.
     """
     plane = OrbitPlane(X.algebra)
-    ops = _PlaneOperators(X)
 
     @functools.cache
     def edge_columns(d: int) -> list[dict]:
         """pi_edge b on the edge cells of row d: {edge cell of row d - 1: coeff}."""
-        b = ops.coo("b", d)
+        b = X.coo("b", d)
         rows, cols, vals = plane.edge_boundary(d, b)
         columns: list[dict] = [{} for _ in plane.edge_row(d)[0]]
         for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):

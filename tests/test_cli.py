@@ -91,6 +91,20 @@ def test_hh_normalized_routes_agree(capsys):
     assert dims["on"] == dims["off"]
 
 
+def test_hh_over_z_has_two_torsion_in_odd_degrees(capsys):
+    # HH of Z[x]/x^2: Z^2 in degree 0, then Z + Z/2 in odd and Z in even degrees
+    code, doc = run_json(
+        capsys, ["hh", "--algebra", "dual-numbers", "--base", "Z", "--degrees", "0..4"]
+    )
+    assert code == 0
+    table = doc["tables"]["HH"]
+    assert (table["theory"], table["base"]) == ("HH", "Z")
+    assert table["degrees"] == {
+        "0": {"free_rank": 2, "torsion": []},
+        **{str(d): {"free_rank": 1, "torsion": [2] if d % 2 else []} for d in range(1, 5)},
+    }
+
+
 def test_algebra_json_file_matches_catalog(capsys, tmp_path):
     path = tmp_path / "dual3.json"
     path.write_text(json.dumps(algebra_to_json(catalog("dual-numbers", GF(3)))))

@@ -237,13 +237,13 @@ def _included(plane, column, q, x, left=False):
 
 
 @functools.lru_cache(maxsize=None)
-def _operator(ops, kind, q):
-    return ops.coo(kind, q).matrix()
+def _operator(X, kind, q):
+    return X.coo(kind, q).matrix()
 
 
-def _total_boundary(ops, d, chain):
+def _total_boundary(X, d, chain):
     """The materialized plane's total differential on {(row, code): coeff}."""
-    ring = ops.ring
+    ring = X.base
     out: dict = {}
     for (q, j), c in chain.items():
         even = (d - q) % 2 == 0
@@ -251,7 +251,7 @@ def _total_boundary(ops, d, chain):
         if q > 0:
             pieces.append((q - 1, "b" if even else "-b'"))
         for row, kind in pieces:
-            for i, e in _operator(ops, kind, q).col(j).items():
+            for i, e in _operator(X, kind, q).col(j).items():
                 key = (row, i)
                 out[key] = ring.add(out.get(key, ring.zero), ring.mul(c, e))
     return {k: v for k, v in out.items() if v}
@@ -274,12 +274,12 @@ def test_orbit_plane_inclusion_is_a_chain_map(name, base, top):
     # the materialized plane: this pins signs that ranks alone cannot see
     A = catalog(name, base)
     plane, scalar = OrbitPlane(A), ScalarOrbitPlane(A)
-    ops = bicomplex._PlaneOperators(cyclic_bar_module(A))
+    X = cyclic_bar_module(A)
     checked = 0
     for d in (0, 1):
         for q in range(top + 1):
             for x in plane.survivors(q):
-                lhs = _total_boundary(ops, d, _included(scalar, d - q, q, x))
+                lhs = _total_boundary(X, d, _included(scalar, d - q, q, x))
                 rhs: dict = {}
                 for (r, y), c in plane.boundary(d - q, q, x).items():
                     for key, e in _included(scalar, d - 1 - r, r, y).items():
@@ -317,7 +317,7 @@ def test_left_region_inclusion_is_a_chain_map(name, base, top):
     # own boundary is pi_edge b; D i' = i' D' pins pi_edge and the cut
     A = catalog(name, base)
     plane, scalar = OrbitPlane(A), ScalarOrbitPlane(A)
-    ops = bicomplex._PlaneOperators(cyclic_bar_module(A))
+    X = cyclic_bar_module(A)
 
     def included(cell, d):
         if len(cell) == 3:
@@ -331,14 +331,14 @@ def test_left_region_inclusion_is_a_chain_map(name, base, top):
         if 0 < d <= top:
             cells, targets = plane.edge_row(d)[0], plane.edge_row(d - 1)[0]
             image = {cell: {} for cell in cells}
-            for i, j, c in zip(*(a.tolist() for a in plane.edge_boundary(d, ops.coo("b", d)))):
+            for i, j, c in zip(*(a.tolist() for a in plane.edge_boundary(d, X.coo("b", d)))):
                 image[cells[j]][targets[i]] = c
             images += image.items()
         for q in range(d + 1, top + 1):
             for x in plane.survivors(q):
                 images.append(((q, x), plane.boundary(d - q, q, x, left=True)))
         for cell, image in images:
-            lhs = _total_boundary(ops, d, included(cell, d))
+            lhs = _total_boundary(X, d, included(cell, d))
             rhs: dict = {}
             for target, c in image.items():
                 for key, e in included(target, d - 1).items():
@@ -520,9 +520,8 @@ def test_projected_tower_maps_equal_lifted_ones(name, base):
                     projected = bicomplex._stage_map(prev[0], now, d)
                     assert projected == lifted_stage_map(prev[1], ref, d), (left, Q, d)
             prev = now, ref
-    ops = bicomplex._PlaneOperators(X)
     for region in ("plane", "left"):
-        stages = [bicomplex._TotalStage(ops, region, Q, -1, 1) for Q in schedule[-3:]]
+        stages = [bicomplex._TotalStage(X, region, Q, -1, 1) for Q in schedule[-3:]]
         for src, dst in zip(stages, stages[1:]):
             for d in range(-1, 2):
                 assert bicomplex._stage_map(src, dst, d) == lifted_stage_map(src, dst, d), (region, d)

@@ -1,0 +1,40 @@
+"""The scripts under scripts/ still run against the package, on tiny configurations."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up while it runs
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name,argv,expect",
+    [
+        (
+            "stabilization_profile",
+            ["--algebra", "ground-field", "--base", "F3", "--degrees", "0..1",
+             "--schedule", "4,6,8,10", "--min-stages", "3"],
+            "schedule [4, 6, 8, 10]",
+        ),
+        (
+            "completed_vs_decompleted",
+            ["--degrees", "0..1", "--primes", "2", "--q-schedule", "4,6,8,10"],
+            "HP (S-tower)",
+        ),
+    ],
+)
+def test_script_main_runs(capsys, name, argv, expect):
+    load(name).main(argv)
+    out = capsys.readouterr().out
+    assert expect in out
+    assert out.count("\n") >= 3

@@ -5,13 +5,25 @@ Each function decodes one basis tuple at a time, multiplies through
 modules used to.  The norm is the sum of the powers of t, formed by
 sparse matrix products.  The tests compare the numpy assembly of
 `CyclicModule` and `NormalizedBarModule` against these entry dict for
-entry dict.  Not collected by pytest; the tests import it.
+entry dict.  `dense_complex` builds the dense Hochschild complexes that
+`hh` is checked against.  Not collected by pytest; the tests import it.
 """
 
 from __future__ import annotations
 
 from cychom.algebra import Algebra
+from cychom.complexes import ChainComplex
 from cychom.matrix import ExactMatrix
+
+
+def dense_complex(module, n_max: int, boundary) -> ChainComplex:
+    """The complex of boundary(n) : module_n -> module_{n-1}, n <= n_max, as dense matrices.
+
+    module is a CyclicModule or a NormalizedBarModule, and boundary one of
+    its matrix methods, e.g. hochschild_boundary: the oracle of `hh`.
+    """
+    ranks = {n: module.rank(n) for n in range(n_max + 1)}
+    return ChainComplex(module.base, ranks, {n: boundary(n) for n in range(1, n_max + 1)})
 
 
 # -- the bar module: tuples coded big-endian base dim(A)
