@@ -2,10 +2,11 @@
 
 A ChainComplex stores finitely many degrees with a differential that
 lowers degree by one.  Homology over a field is computed by ranks; over
-Z a presentation ker/im is reduced to Smith form.  Both paths fix
-canonical bases (reduced echelon kernels, deterministic Smith pivoting)
-so induced maps on homology are reproducible across runs, which the
-stabilization towers rely on.
+Z a presentation ker/im is reduced to Smith form.  `homology_map` reads
+induced maps in canonical presentation bases (reduced echelon kernels,
+deterministic Smith pivoting), so they are reproducible across runs.
+The stabilization towers do not use these bases: they read their maps
+off `MorseReduction` transports.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def complex_homology(C: ChainComplex, d: int) -> HomologyGroup:
         rank_out = rank(C.diff(d)) if C.rank(d - 1) and n else 0
         rank_in = rank(C.diff(d + 1)) if C.rank(d + 1) and n else 0
         return HomologyGroup(ring, n - rank_out - rank_in)
-    return _integer_presentation(C, d).group
+    return _IntegerPresentation(C, d).group
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +245,6 @@ class _IntegerPresentation:
 def homology_presentation(C: ChainComplex, d: int):
     if C.ring.is_field:
         return _FieldPresentation(C, d)
-    return _IntegerPresentation(C, d)
-
-
-def _integer_presentation(C: ChainComplex, d: int) -> _IntegerPresentation:
     return _IntegerPresentation(C, d)
 
 

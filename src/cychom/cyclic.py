@@ -10,16 +10,16 @@ Conventions, fixed once for the whole package:
   N_n = sum of t_n^i over i = 0..n.
   b = sum (-1)^i d_i (all faces); b' drops the last face.
 
-The homology pipelines read the operators as Coo arrays, which
-`_BarOperators` assembles in numpy: every basis tuple of a degree at once,
-as int64 codes, with duplicate entries summed by a sort.  `CyclicModule`
-memoizes each operator once, as a Coo, and builds an ExactMatrix from it
-on request.  The identity sweep never builds the matrices.  `SummandOps`
-applies the same operators, from the same integer structure table, to
-flat arrays of nonzero summands (source row, output code, coefficient), a
-bounded block of source rows at a time; one sweep judges the integer
-residuals exactly and mod several primes.  Tests pin it against the
-matrices on small modules.
+One numpy engine, `SummandOps`, applies every operator: from A's integer
+structure table, to flat int64 arrays of nonzero summands (source tuple,
+output code, coefficient).  The homology pipelines read the operators as
+Coo arrays, which `CyclicModule` and `NormalizedBarModule` assemble by
+running it on every basis tuple of a degree at once and summing the
+duplicate entries by a sort; `CyclicModule` memoizes each operator once,
+as a Coo, and builds an ExactMatrix from it on request.  The identity
+sweep never builds the matrices: it runs the same engine on a bounded
+block of source rows at a time and judges the integer residuals exactly
+and mod several primes.
 """
 
 from __future__ import annotations
@@ -40,42 +40,6 @@ from .rings import BaseRing, ZZ
 # operator assembly on int64 codes
 
 _INT64 = 2**63
-
-
-class _Codes:
-    """Basis tuples of the bar modules as int64 codes in a mixed radix.
-
-    A tuple of m slots is coded most significant slot first, with slot 0
-    in 0..d-1 and slots 1..m-1 in offset..d-1.  Offset 0 gives the bar
-    module's basis A^(m); offset 1 the normalized one's, whose tuples
-    carry no unit (basis vector 0) in slots >= 1.
-    """
-
-    def __init__(self, d: int, offset: int):
-        self.d = d
-        self.offset = offset
-        self.radix = d - offset
-
-    def rank(self, m: int) -> int:
-        return self.d * self.radix ** (m - 1)
-
-    def digits(self, m: int) -> np.ndarray:
-        """The (rank, m) digit array of every code, in code order."""
-        codes = np.arange(self.rank(m), dtype=np.int64)
-        D = np.empty((len(codes), m), dtype=np.int64)
-        for k in range(m - 1, 0, -1):
-            D[:, k] = codes % self.radix + self.offset
-            codes //= self.radix
-        D[:, 0] = codes
-        return D
-
-    def encode(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Codes of digit rows, and the mask of rows that are tuples here (None: all)."""
-        codes = D[:, 0].copy()
-        for k in range(1, D.shape[1]):
-            codes = codes * self.radix + (D[:, k] - self.offset)
-        valid = (D[:, 1:] >= self.offset).all(axis=1) if self.offset else None
-        return codes, valid
 
 
 @dataclass(frozen=True)
@@ -104,154 +68,60 @@ class Coo:
         )
 
 
-class _BarOperators:
-    """Faces, degeneracies and signed rotations of A's bar modules, assembled in numpy.
+def _sum_into_coo(base: BaseRing, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
+                  vals: np.ndarray, den: int) -> Coo:
+    """The Coo of the summands vals at (rows, cols), summed per entry."""
+    if len(vals):
+        order = np.lexsort((rows, cols))
+        cols, rows, vals = cols[order], rows[order], vals[order]
+        edge = np.ones(len(vals), dtype=bool)
+        edge[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+        starts = np.flatnonzero(edge)
+        cols, rows = cols[starts], rows[starts]
+        vals = np.add.reduceat(vals, starts)
+    if base.kind == "Fp":
+        vals %= base.p
+    keep = vals != 0
+    return Coo(base, nrows, ncols, rows[keep], cols[keep], vals[keep], den)
 
-    Each operator is a list of pieces per degree: for every source code
-    r = cols[k], the target tuple digits[k] with coefficient coeffs[k].
-    `_coo` sums the pieces into a Coo.  Over Q the structure
-    constants and the unit are scaled by the lcm of their denominators,
-    so that everything runs on integers, and divided back at the end.
-    """
 
-    def __init__(self, A: Algebra):
-        base = A.base
-        d = A.dim
-        self.base = base
-        self.raw = _Codes(d, 0)
-        self.normalized = _Codes(d, 1)
-        consts = [c for row in A.structure for terms in row for _, c in terms]
-        consts += list(A.unit)
-        scale = 1  # the lcm of the denominators; ints have denominator 1
-        for c in consts:
-            scale *= (c * scale).denominator
-        self.scale = scale
-        self.bound = max([1, base.characteristic] + [abs(int(c * scale)) for c in consts])
-        if self.bound >= _INT64:
-            raise ValueError("structure constants or p do not fit in 64-bit integers")
-        terms = max(1, max(len(t) for row in A.structure for t in row))
-        self.K = np.zeros((d, d, terms), dtype=np.int64)
-        self.C = np.zeros((d, d, terms), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                for t, (k, c) in enumerate(A.structure[i][j]):
-                    self.K[i, j, t], self.C[i, j, t] = k, int(c * scale)
-        self.unit = [(u, int(c * scale)) for u, c in enumerate(A.unit) if c != 0]
-
-    def _coo(self, src: _Codes, m: int, dst: _Codes, m_out: int, width: int,
-             pieces, scaled: bool) -> "Coo":
-        """Operator from m-slot tuples (coded by src) to m_out-slot tuples (by dst).
-
-        pieces(D) yields (cols, digits, coeffs) given the digit array D of
-        every source code; at most `width` of them meet in one entry.
-        """
-        ncols, nrows = src.rank(m), dst.rank(m_out)
-        if max(ncols, nrows) >= _INT64 or width * self.bound >= _INT64:
-            raise ValueError(
-                f"an operator on {ncols} x {nrows} basis tuples does not fit in 64-bit codes"
-            )
-        parts = []
-        for cols, digits, coeffs in pieces(src.digits(m)):
-            rows, valid = dst.encode(digits)
-            if valid is not None:
-                cols, rows, coeffs = cols[valid], rows[valid], coeffs[valid]
-            parts.append((cols, rows, coeffs))
-        cols, rows, vals = (np.concatenate(x) for x in zip(*parts))
-        if len(vals):
-            order = np.lexsort((rows, cols))
-            cols, rows, vals = cols[order], rows[order], vals[order]
-            edge = np.ones(len(vals), dtype=bool)
-            edge[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
-            starts = np.flatnonzero(edge)
-            cols, rows = cols[starts], rows[starts]
-            vals = np.add.reduceat(vals, starts)
-        if self.base.kind == "Fp":
-            vals %= self.base.p
-        keep = vals != 0
-        den = self.scale if scaled and self.base.kind == "Q" else 1
-        return Coo(self.base, nrows, ncols, rows[keep], cols[keep], vals[keep], den)
-
-    def _face_pieces(self, D: np.ndarray, i: int, sign: int):
-        """Pieces of sign * d_i on the tuples D."""
-        n = D.shape[1] - 1
-        if i < n:
-            x, y, rest, slot = D[:, i], D[:, i + 1], np.delete(D, i + 1, axis=1), i
-        else:
-            x, y, rest, slot = D[:, n], D[:, 0], D[:, :n], 0
-        for t in range(self.K.shape[2]):
-            c = self.C[x, y, t]
-            (hit,) = np.nonzero(c)
-            digits = rest[hit]
-            digits[:, slot] = self.K[x[hit], y[hit], t]
-            yield hit, digits, sign * c[hit]
-
-    def faces(self, codes: _Codes, n: int, signs: dict[int, int]) -> "Coo":
-        """sum_i signs[i] d_i : X_n -> X_{n-1}, which is 0 on X_0."""
-        if n == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return Coo(self.base, 0, codes.rank(1), empty, empty, empty)
-
-        def pieces(D):
-            for i, sign in signs.items():
-                yield from self._face_pieces(D, i, sign)
-
-        width = len(signs) * self.K.shape[2]
-        return self._coo(codes, n + 1, codes, n, width, pieces, scaled=True)
-
-    def degeneracy(self, n: int, j: int) -> "Coo":
-        """s_j : X_n -> X_{n+1}, inserting the unit after slot j."""
-
-        def pieces(D):
-            src = np.arange(len(D))
-            for u, c in self.unit:
-                yield src, np.insert(D, j + 1, u, axis=1), np.full(len(D), c)
-
-        return self._coo(self.raw, n + 1, self.raw, n + 2, 1, pieces, scaled=True)
-
-    def rotations(self, codes: _Codes, n: int, signs: dict[int, int], unit_first: bool
-                  ) -> "Coo":
-        """sum_k signs[k] tau^k on X_n, with the unit put in front if unit_first.
-
-        tau^k moves the last k slots to the front.
-        """
-
-        def pieces(D):
-            src = np.arange(len(D))
-            for k, sign in signs.items():
-                digits = np.roll(D, k, axis=1)
-                if unit_first:
-                    digits = np.insert(digits, 0, 0, axis=1)
-                yield src, digits, np.full(len(D), sign)
-
-        m_out = n + 2 if unit_first else n + 1
-        return self._coo(codes, n + 1, codes, m_out, len(signs), pieces, scaled=False)
-
-    def recode(self, src: _Codes, dst: _Codes, n: int) -> "Coo":
-        """The basis tuples of X_n coded by src that dst also codes, as a 0/1 matrix."""
-
-        def pieces(D):
-            yield np.arange(len(D)), D, np.ones(len(D), dtype=np.int64)
-
-        return self._coo(src, n + 1, dst, n + 1, 1, pieces, scaled=False)
+def _empty(base: BaseRing, ncols: int) -> Coo:
+    """The operator from a module of rank ncols to 0."""
+    empty = np.zeros(0, dtype=np.int64)
+    return Coo(base, 0, ncols, empty, empty, empty)
 
 
 # ---------------------------------------------------------------------------
 # cyclic bar modules
 
-# The signs of the operators that are sums of faces or of rotations, out of
-# X_n: b = sum (-1)^i d_i, b' without the last face, -b' as it sits on the
-# odd columns of the plane; t = (-1)^n tau, 1 - t, and N = sum t^k, whose
-# t^k = (-1)^{nk} tau^k also gives B-bar on the normalized module.
+# The operators that are sums of faces, out of X_n: b = sum (-1)^i d_i, b'
+# without the last face, -b' as it sits on the odd columns of the plane.
+# The rotations t = (-1)^n tau, 1 - t and N = sum t^k, whose t^k =
+# (-1)^{nk} tau^k also gives B-bar on the normalized module, by the
+# SummandOps method that applies each.
 _FACE_SIGNS = {
     "b": lambda n: {i: (-1) ** i for i in range(n + 1)},
     "b'": lambda n: {i: (-1) ** i for i in range(n)},
     "-b'": lambda n: {i: -((-1) ** i) for i in range(n)},
 }
-_ROTATION_SIGNS = {
-    "t": lambda n: {1: (-1) ** n},
-    "1-t": lambda n: {0: 1, 1: -((-1) ** n)},
-    "N": lambda n: {k: (-1) ** (n * k) for k in range(n + 1)},
-}
+_ROTATIONS = {"t": "cyclic", "1-t": "one_minus_cyclic", "N": "norm"}
+_KINDS = ("d", "s", *_FACE_SIGNS, *_ROTATIONS)
+
+
+def _check_operator(kinds, kind: str, n: int, i: int | None) -> None:
+    """Raise ValueError unless kind is one of kinds, n >= 0, and i indexes a face or degeneracy.
+
+    Only the face d_i and the degeneracy s_i take an index, in 0..n.
+    """
+    if kind not in kinds:
+        raise ValueError(f"unknown operator {kind!r}; expected one of {', '.join(kinds)}")
+    if n < 0:
+        raise ValueError(f"no operator out of degree {n} < 0")
+    if kind in ("d", "s"):
+        if not (isinstance(i, int) and 0 <= i <= n):
+            raise ValueError(f"{'face' if kind == 'd' else 'degeneracy'} index {i} outside 0..{n}")
+    elif i is not None:
+        raise ValueError(f"{kind} takes no index")
 
 
 class CyclicModule:
@@ -271,8 +141,8 @@ class CyclicModule:
         self._coos: dict[tuple, Coo] = {}
 
     @cached_property
-    def _ops(self) -> _BarOperators:
-        return _BarOperators(self.algebra)
+    def _ops(self) -> SummandOps:
+        return SummandOps(self.algebra)
 
     def rank(self, n: int) -> int:
         if n < 0:
@@ -288,28 +158,26 @@ class CyclicModule:
         key = (kind, n, i)
         hit = self._coos.get(key)
         if hit is None:
+            _check_operator(_KINDS, kind, n, i)
             ops = self._ops
-            if kind == "d":
-                hit = ops.faces(ops.raw, n, {i: 1})
-            elif kind == "s":
-                hit = ops.degeneracy(n, i)
-            elif kind in _FACE_SIGNS:
-                hit = ops.faces(ops.raw, n, _FACE_SIGNS[kind](n))
+            ops.refuse_beyond_64_bits(kind, n, n + 2 if kind == "s" else n + 1)
+            out = n + 1 if kind == "s" else n if kind in _ROTATIONS else n - 1
+            if out < 0:  # the faces are 0 on X_0
+                hit = _empty(self.base, self.rank(n))
             else:
-                hit = ops.rotations(ops.raw, n, _ROTATION_SIGNS[kind](n), False)
+                s = ops.apply(kind, ops.identity_state(n), i)
+                den = 1 if kind in _ROTATIONS else ops.scale
+                hit = _sum_into_coo(self.base, self.rank(out), self.rank(n), s.code, s.src,
+                                    s.coeff, den)
             self._coos[key] = hit
         return hit
 
     def face(self, n: int, i: int) -> ExactMatrix:
         if n < 1:
             raise ValueError("faces start at degree 1")
-        if not (0 <= i <= n):
-            raise ValueError(f"face index {i} outside 0..{n}")
         return self.coo("d", n, i).matrix()
 
     def degeneracy(self, n: int, j: int) -> ExactMatrix:
-        if not (0 <= j <= n):
-            raise ValueError(f"degeneracy index {j} outside 0..{n}")
         return self.coo("s", n, j).matrix()
 
     def cyclic(self, n: int) -> ExactMatrix:
@@ -358,15 +226,41 @@ def cyclic_bar_module(A: Algebra) -> CyclicModule:
 # the normalized object is a mixed complex, not a cyclic module.
 
 
+def _raw_codes(d: int, n: int, index: np.ndarray) -> np.ndarray:
+    """The codes in X_n of the normalized basis tuples numbered index."""
+    code = np.zeros(len(index), dtype=np.int64)
+    weight = 1
+    for _ in range(n):
+        index, digit = np.divmod(index, d - 1)
+        code += (digit + 1) * weight
+        weight *= d
+    return code + index * weight
+
+
+def _normalized_index(d: int, slots: int, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized numbers of codes of `slots` slots, and the mask of non-degenerate ones."""
+    index = np.zeros(len(code), dtype=np.int64)
+    keep = np.ones(len(code), dtype=bool)
+    weight = 1
+    for _ in range(slots - 1):
+        code, digit = np.divmod(code, d)
+        keep &= digit != 0
+        index += (digit - 1) * weight
+        weight *= d - 1
+    return index + code * weight, keep
+
+
 class NormalizedBarModule:
     """Quotient of the bar module by degeneracy images.
 
     Needs the algebra's unit to be basis vector 0; then the degenerate
     subspace in degree n is spanned by the basis tuples carrying index 0
     in some slot >= 1, and the quotient has the complementary tuples as a
-    basis: rank dim(A) * (dim(A)-1)^n.  Operators are assembled on every
-    call, tuple-wise: the intermediate raw rank d^(n+1) of a product
-    through the bar module would dwarf the quotient ranks.
+    basis: rank dim(A) * (dim(A)-1)^n, numbered in the mixed radix with
+    slot 0 in 0..d-1 and slots >= 1 in 1..d-1.  Operators are assembled
+    on every call, on the codes in X_n of the non-degenerate tuples only:
+    the intermediate raw rank d^(n+1) of a product through the bar module
+    would dwarf the quotient ranks.
     """
 
     def __init__(self, A: Algebra):
@@ -378,8 +272,8 @@ class NormalizedBarModule:
         self.base = A.base
 
     @cached_property
-    def _ops(self) -> _BarOperators:
-        return _BarOperators(self.algebra)
+    def _ops(self) -> SummandOps:
+        return SummandOps(self.algebra)
 
     def rank(self, n: int) -> int:
         if n < 0:
@@ -392,20 +286,39 @@ class NormalizedBarModule:
         On the quotient the t-part of B's (1 - t) factor dies (it lands on
         degenerate tuples), leaving B-bar = s_{-1} N: the signed rotations
         t^k = (-1)^{nk} tau^k of a with the unit stuck in front, less those
-        that land on degenerate tuples.
+        that land on degenerate tuples.  The unit in front is a leading 0
+        digit, so it keeps the code and adds a slot.
         """
-        ops = self._ops
-        if kind == "b":
-            return ops.faces(ops.normalized, n, _FACE_SIGNS["b"](n))
-        return ops.rotations(ops.normalized, n, _ROTATION_SIGNS["N"](n), True)
+        _check_operator(("b", "B"), kind, n, None)
+        ops, d = self._ops, self.algebra.dim
+        op, out = ("b", n - 1) if kind == "b" else ("N", n + 1)
+        ops.refuse_beyond_64_bits(op, n, max(n, out) + 1)
+        if out < 0:  # b-bar is 0 on X-bar_0
+            return _empty(self.base, self.rank(n))
+        src = np.arange(self.rank(n), dtype=np.int64)
+        x = _Summands(n + 1, src, _raw_codes(d, n, src), np.ones(len(src), dtype=np.int64))
+        s = ops.apply(op, x)
+        rows, keep = _normalized_index(d, out + 1, s.code)
+        den = ops.scale if kind == "b" else 1
+        return _sum_into_coo(self.base, self.rank(out), self.rank(n), rows[keep], s.src[keep],
+                             s.coeff[keep], den)
 
     def inclusion(self, n: int) -> ExactMatrix:
         """Section X-bar_n -> X_n picking the non-degenerate basis tuples."""
-        return self._ops.recode(self._ops.normalized, self._ops.raw, n).matrix()
+        d = self.algebra.dim
+        self._ops.refuse_beyond_64_bits("t", n, n + 1)  # one summand per tuple, like t
+        cols = np.arange(self.rank(n), dtype=np.int64)
+        rows = _raw_codes(d, n, cols)
+        return Coo(self.base, d ** (n + 1), len(cols), rows, cols, np.ones_like(cols)).matrix()
 
     def projection(self, n: int) -> ExactMatrix:
         """Quotient map X_n -> X-bar_n killing degenerate basis tuples."""
-        return self._ops.recode(self._ops.raw, self._ops.normalized, n).matrix()
+        d = self.algebra.dim
+        self._ops.refuse_beyond_64_bits("t", n, n + 1)
+        rows, keep = _normalized_index(d, n + 1, np.arange(d ** (n + 1), dtype=np.int64))
+        cols = np.flatnonzero(keep)
+        return Coo(self.base, self.rank(n), d ** (n + 1), rows[keep], cols,
+                   np.ones_like(cols)).matrix()
 
     def boundary(self, n: int) -> ExactMatrix:
         """Induced Hochschild differential b-bar : X-bar_n -> X-bar_{n-1}."""
@@ -504,18 +417,15 @@ def mixed_complex_from_display(n: int):
 
 
 # ---------------------------------------------------------------------------
-# identity sweep on int64 summands
-
-# summands per block of the sweep: a block takes as many source rows as the
-# widest identity of its degree can expand into this many summands
-_SWEEP_BLOCK = 1 << 18
+# the operator engine on int64 summands
 
 
 class _Summands:
     """Images of a block of basis tuples, as flat arrays of nonzero summands.
 
     Summand k is coeff[k] times the basis tuple coded code[k] (big-endian
-    base d, `slots` slots), in the image of the basis tuple coded src[k].
+    base d, `slots` slots), in the image of the source basis tuple
+    numbered src[k].
     """
 
     __slots__ = ("slots", "src", "code", "coeff")
@@ -542,28 +452,70 @@ def _shifted(digit: np.ndarray, p: int, head: np.ndarray) -> np.ndarray:
 
 
 class SummandOps:
-    """Faces, degeneracies, t, N and 1 - t acting on int64 summands.
+    """Faces, degeneracies, t, N and 1 - t of A's bar modules, on int64 summands.
 
-    Takes the integer structure table of `_BarOperators`, so coefficients
-    are exact integers: over F_p they are reduced only when a residual is
-    judged, which gives the same verdict because reduction mod p is a ring
-    map.  A face expands each summand into every nonzero term of its
-    product; the other operators are arithmetic on the codes.
+    Over Q the structure constants and the unit are scaled by the lcm of
+    their denominators, so that everything runs on integers; a Coo of
+    faces or degeneracies divides the scale back out.  Coefficients are
+    exact integers: over F_p they are reduced only when an entry or a
+    residual is summed, which gives the same result because reduction mod
+    p is a ring map.  A face expands each summand into every nonzero term
+    of its product; the other operators are arithmetic on the codes.
     """
 
     def __init__(self, A: Algebra):
-        ops = _BarOperators(A)
-        if ops.scale != 1:
-            raise ValueError("the identity sweep needs integer structure constants")
         d = self.d = A.dim
-        T = ops.K.shape[2]
-        K, C = ops.K.reshape(d * d, T), ops.C.reshape(d * d, T)
+        consts = [c for row in A.structure for terms in row for _, c in terms]
+        consts += list(A.unit)
+        scale = 1  # the lcm of the denominators; ints have denominator 1
+        for c in consts:
+            scale *= (c * scale).denominator
+        self.scale = scale
+        self.bound = max([1, A.base.characteristic] + [abs(int(c * scale)) for c in consts])
+        if self.bound >= _INT64:
+            raise ValueError("structure constants or p do not fit in 64-bit integers")
+        T = max(1, max(len(t) for row in A.structure for t in row))
+        K = np.zeros((d * d, T), dtype=np.int64)
+        C = np.zeros((d * d, T), dtype=np.int64)
+        for x in range(d):
+            for y in range(d):
+                for t, (k, c) in enumerate(A.structure[x][y]):
+                    K[x * d + y, t], C[x * d + y, t] = k, int(c * scale)
         # the t-th term of every basis product, indexed by the pair code x*d + y
         self.terms = [(K[:, t].copy(), C[:, t].copy()) for t in range(T)]
         # the pairs whose product has a term after the first
         self.later = (C[:, 1:] != 0).any(axis=1)
-        self.unit = ops.unit
-        self.bound = ops.bound
+        self.unit = [(u, int(c * scale)) for u, c in enumerate(A.unit) if c != 0]
+
+    def refuse_beyond_64_bits(self, kind: str, n: int, slots: int) -> None:
+        """Raise ValueError, before anything is allocated, if operator `kind`
+        out of X_n would overflow int64.
+
+        Its summands carry codes of `slots` slots, and at most `width` of
+        them, each coefficient up to `bound`, meet in one entry: a face
+        sends a tuple to one summand per term of a product, a degeneracy
+        or a rotation to one.
+        """
+        if kind == "s":
+            width = 1
+        elif kind in _ROTATIONS:
+            width = {"t": 1, "1-t": 2, "N": n + 1}[kind]
+        else:
+            width = len(self.terms) * (1 if kind == "d" else len(_FACE_SIGNS[kind](n)))
+        if self.d**slots >= _INT64 or width * self.bound >= _INT64:
+            raise ValueError(
+                f"the operator {kind} out of degree {n} needs codes or coefficients"
+                " beyond 64-bit integers"
+            )
+
+    def apply(self, kind: str, s: _Summands, i: int | None = None) -> _Summands:
+        """The operator `kind` of `CyclicModule.coo` applied to s."""
+        if kind == "s":
+            return self.degeneracy(s, i)
+        if kind in _ROTATIONS:
+            return getattr(self, _ROTATIONS[kind])(s)
+        signs = {i: 1} if kind == "d" else _FACE_SIGNS[kind](s.slots - 1)
+        return _join(s.slots - 1, [self.scaled(self.face(s, k), c) for k, c in signs.items()])
 
     def identity_state(self, n: int, start: int = 0, stop: int | None = None) -> _Summands:
         """The basis tuples of X_n coded start..stop-1, each its own image."""
@@ -650,6 +602,14 @@ class SummandOps:
 
     def scaled(self, s: _Summands, c: int) -> _Summands:
         return _Summands(s.slots, s.src, s.code, s.coeff * c)
+
+
+# ---------------------------------------------------------------------------
+# identity sweep on int64 summands
+
+# summands per block of the sweep: a block takes as many source rows as the
+# widest identity of its degree can expand into this many summands
+_SWEEP_BLOCK = 1 << 18
 
 
 def _residual(lhs: _Summands, rhs: _Summands | None, d: int, start: int, bits: int
@@ -828,6 +788,8 @@ def cyclic_identity_multibase_report(
     starts with it.
     """
     ops = SummandOps(A)
+    if ops.scale != 1:
+        raise ValueError("the identity sweep needs integer structure constants")
     plans = [_sweep_plan(ops, n) for n in range(n_max + 1)]
     bad: dict[int | None, list[str]] = {m: [] for m in moduli}
     for n, (programs, bits, step) in enumerate(plans):

@@ -225,12 +225,12 @@ def test_hc_over_q_does_not_depend_on_a_fractional_basis():
     # get denominators, so the stages carry Fraction entries
     from fractions import Fraction
 
-    from cychom.cyclic import _BarOperators
+    from cychom.cyclic import SummandOps
 
     A = catalog("truncated-poly(3)", QQ)
     P = ExactMatrix(QQ, 3, 3, {(0, 0): 1, (1, 1): 1, (0, 2): Fraction(1, 2), (2, 2): Fraction(3, 2)})
     B = A.rebased(P)
-    assert _BarOperators(B).scale > 1
+    assert SummandOps(B).scale > 1
     X, Y = cyclic_bar_module(A), cyclic_bar_module(B)
     assert hc(Y, 5).to_json() == hc(X, 5).to_json()
     assert hp_s_tower_table(Y, (0, 1), None, 2).to_json() == hp_s_tower_table(X, (0, 1), None, 2).to_json()

@@ -4,8 +4,8 @@ Each function decodes one basis tuple at a time, multiplies through
 `Algebra.basis_product` and encodes the targets, exactly as the bar
 modules used to.  The norm is the sum of the powers of t, formed by
 sparse matrix products.  The tests compare the numpy assembly of
-`CyclicModule` and `NormalizedBarModule` against these entry dict for
-entry dict.  `dense_complex` builds the dense Hochschild complexes that
+`CyclicModule` and `NormalizedBarModule`, and the `SummandOps` engine
+behind it, against these entry dict for entry dict.  `dense_complex` builds the dense Hochschild complexes that
 `hh` is checked against.  Not collected by pytest; the tests import it.
 """
 
