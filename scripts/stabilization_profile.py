@@ -1,11 +1,15 @@
 """Profile how tower verdicts sharpen as the truncation schedule deepens.
 
 This is the instrument used to pick the schedules wired into the
-verification suite.  For each prefix of the schedule it reruns the tower
-and prints, per degree, the stage dimensions, the verdict, and the value
-if one was certified.  Watching the prefix sweep makes schedule misfires
-visible: a verdict that flips value between prefixes means the schedule
-was sampling transient classes, not the limit.
+verification suite.  It first prints, for each schedule step, the
+survivor rows the step adds: over F_p only rows q = -1 (mod p) keep
+orbit cells, so a step that adds none leaves the reduced tower unchanged
+and its map is the identity; over Q there are no survivor rows.  Then,
+for each prefix of the schedule, it reruns the tower and prints, per
+degree, the stage dimensions, the verdict, and the value if one was
+certified.  Watching the prefix sweep makes schedule misfires visible: a
+verdict that flips value between prefixes means the schedule was
+sampling transient classes, not the limit.
 
 Example:
     python3 scripts/stabilization_profile.py --algebra dual-numbers \
@@ -44,9 +48,17 @@ def _degrees(text: str) -> tuple[int, int]:
 
 
 def run(cfg: ProfileConfig) -> None:
-    X = cyclic_bar_module(catalog(cfg.algebra, _ring(cfg.base)))
+    base = _ring(cfg.base)
+    X = cyclic_bar_module(catalog(cfg.algebra, base))
     lo, hi = cfg.degrees
     print(f"# {cfg.algebra} over {cfg.base}, degrees {lo}..{hi}, h={cfg.persistence}")
+    p = base.characteristic
+    if not p:
+        print("no survivor rows: over Q no orbit survives")
+    else:
+        for a, b in zip(cfg.schedule, cfg.schedule[1:]):
+            rows = ", ".join(str(q) for q in range(a + 1, b + 1) if (q + 1) % p == 0)
+            print(f"step {a} -> {b} " + (f"adds survivor rows {rows}" if rows else "adds no survivor row"))
     for k in range(cfg.min_stages, len(cfg.schedule) + 1):
         prefix = cfg.schedule[:k]
         table = hp_poly(X, cfg.degrees, prefix, cfg.persistence)

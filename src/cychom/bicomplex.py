@@ -32,7 +32,7 @@ Each theory is read off the smallest complex known to carry it:
   hc_minus_poly - the orbit-reduced "left" region: the same cells in
                   columns <= -1, and at column 0 the edge cells, a basis
                   of ker N per orbit, where the zig-zags are cut;
-  hc, sbi_S_map, hp_via_S_tower, hp_s_tower_table
+  hc, sbi_S_map, hp_s_tower_table
                 - Tot(b-bar + B-bar) of the normalized mixed complex,
                   which has the first quadrant's HC and S (Loday 2.1.8).
                   Its direct-sum totalization is not the plane's: over Q
@@ -530,9 +530,9 @@ class StabilizationReport:
     exactly those degrees, which is why the composite-rank certificate
     exists).  The reported value is the persistent rank.
 
-    "not-stabilized" means the schedule ran out first; the last group is
-    then still reported as a lower bound when every observed map was
-    injective, and as unresolved otherwise.
+    "not-stabilized" means the schedule ran out first; the report is then
+    unresolved and carries no value, since a stage group bounds the
+    colimit neither from below nor from above.
     """
 
     degree: int
@@ -693,11 +693,6 @@ def _run_truncation_tower(
                         rep.value_kind = "stabilized"
                         pending.discard(d)
         prev = stage
-    for rep in reports.values():
-        # the walk ranked every map; one was not injective iff a class died
-        if rep.value_kind == "unresolved" and not rep.dying:
-            rep.value = rep.stages[-1][1]
-            rep.value_kind = "lower-bound"
     return reports
 
 
@@ -830,11 +825,10 @@ def _check_tower_depth(d: int, K: int, persistence: int) -> None:
 
 def _s_tower_run(
     stage: _ReducedStage,
-    window_lo: int,
     d: int,
     K: int,
     persistence: int,
-    s_maps: dict[int, ExactMatrix] | None = None,
+    s_maps: dict[int, ExactMatrix],
 ) -> StabilizationReport:
     """Walk HC_{d+2K} -> ... -> HC_d on a prepared stage, deepest map first.
 
@@ -846,7 +840,7 @@ def _s_tower_run(
     rep = StabilizationReport(degree=d, persistence=persistence)
 
     def group_at(m: int) -> HomologyGroup:
-        return stage.group(m) if m >= window_lo else HomologyGroup(stage.ring, 0)
+        return stage.group(m) if m >= 0 else HomologyGroup(stage.ring, 0)
 
     for j in range(K, -1, -1):
         rep.stages.append((d + 2 * j, group_at(d + 2 * j)))
@@ -854,17 +848,15 @@ def _s_tower_run(
     run_alive = True
     for j in range(K, 0, -1):
         n = d + 2 * j
-        if s_maps is not None and n in s_maps:
-            M = s_maps[n]
-        else:
+        M = s_maps.get(n)
+        if M is None:
             if n >= 2:
                 M = _s_map_on_stage(stage, n)
             else:
                 M = ExactMatrix.zero(
                     stage.ring, group_at(n - 2).dimension, group_at(n).dimension
                 )
-            if s_maps is not None:
-                s_maps[n] = M
+            s_maps[n] = M
         rep.maps.append(M)
         src_dim, tgt_dim = M.ncols, M.nrows
         r = rank(M) if src_dim and tgt_dim else 0
@@ -885,24 +877,6 @@ def _s_tower_run(
     return rep
 
 
-def hp_via_S_tower(
-    X: CyclicModule, d: int, K: int, persistence: int = 3
-) -> tuple[HomologyGroup | None, StabilizationReport]:
-    """2-periodic homology of degree d as the limit of the periodicity tower.
-
-    Computes HC_{d+2K} -> ... -> HC_d inside one reduced (b, B) complex.
-    The limit is pro-constant exactly when the deepest maps are
-    isomorphisms; the verdict demands this for the first `persistence`
-    maps, and the stable deep value is then reported.
-    """
-    _check_tower_depth(d, K, persistence)
-    n_top = d + 2 * K
-    lo = max(0, d)
-    stage = _first_quadrant(X, lo, n_top)
-    rep = _s_tower_run(stage, lo, d, K, persistence)
-    return (rep.value if rep.verdict == "stabilized" else None), rep
-
-
 def hp_s_tower_table(
     X: CyclicModule,
     degrees: tuple[int, int],
@@ -913,8 +887,8 @@ def hp_s_tower_table(
 
     With K=None each degree gets the shallowest depth whose persistence
     run stays inside the first quadrant.  All towers read groups and maps
-    off a single Morse-reduced first-quadrant complex, so this is much
-    cheaper than one hp_via_S_tower call per degree.
+    off a single Morse-reduced first-quadrant complex, and degrees that
+    share an S-map compute it once.
     """
     lo_d, hi_d = degrees
     if lo_d > hi_d:
@@ -928,7 +902,7 @@ def hp_s_tower_table(
     stage = _first_quadrant(X, 0, n_max)
     cache: dict[int, ExactMatrix] = {}
     reports = {
-        d: _s_tower_run(stage, 0, d, depths[d], persistence, s_maps=cache)
+        d: _s_tower_run(stage, d, depths[d], persistence, cache)
         for d in range(lo_d, hi_d + 1)
     }
     return _table_from_reports("HP", X.base, reports)

@@ -1,23 +1,23 @@
-"""Chain complexes over exact rings, homology, and induced maps.
+"""Chain complexes over exact rings and their homology groups.
 
 A ChainComplex stores finitely many degrees with a differential that
-lowers degree by one.  Homology over a field is computed by ranks; over
-Z a presentation ker/im is reduced to Smith form.  `homology_map` reads
-induced maps in canonical presentation bases (reduced echelon kernels,
-deterministic Smith pivoting), so they are reproducible across runs.
-The stabilization towers do not use these bases: they read their maps
-off `MorseReduction` transports.
+lowers degree by one.  Homology is read from ranks alone: over a field
+H_d has dimension n_d - rank d_d - rank d_{d+1}; over Z its torsion is
+the invariant factors > 1 of the incoming differential d_{d+1}, since
+ker d_d is a direct summand of Z^{n_d}, and its free rank is what the
+two ranks leave.  Both are transform-free Smith forms; no kernel basis
+is built.  Induced maps along towers are read off `MorseReduction`
+transports, not off homology presentations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .linalg import integer_kernel_basis, integer_solve, rank, rank_kernel, rref, solve_field
+from .linalg import integer_solve, rank
 from .matrix import ExactMatrix
-from .rings import BaseRing, Scalar, ZZ
-from .snf import smith_normal_form
+from .rings import BaseRing, ZZ
+from .snf import invariant_factors
 
 
 # ---------------------------------------------------------------------------
@@ -122,197 +122,15 @@ class ComplexReport:
     problems: list[str] = field(default_factory=list)
 
 
-def validate_complex(C: ChainComplex) -> ComplexReport:
-    return C.validate()
-
-
 def complex_homology(C: ChainComplex, d: int) -> HomologyGroup:
     """H_d(C) as a HomologyGroup (dimension over fields, invariant factors over Z)."""
-    ring = C.ring
-    if ring.is_field:
-        n = C.rank(d)
-        rank_out = rank(C.diff(d)) if C.rank(d - 1) and n else 0
-        rank_in = rank(C.diff(d + 1)) if C.rank(d + 1) and n else 0
-        return HomologyGroup(ring, n - rank_out - rank_in)
-    return _IntegerPresentation(C, d).group
-
-
-# ---------------------------------------------------------------------------
-# canonical presentations of H_d, used for induced maps
-
-
-class _FieldPresentation:
-    def __init__(self, C: ChainComplex, d: int):
-        self.ring = C.ring
-        self.ambient = C.rank(d)
-        _, K = rank_kernel(C.diff(d)) if C.rank(d - 1) else (0, ExactMatrix.identity(C.ring, self.ambient))
-        self.kernel = K  # ambient x k
-        k = K.ncols
-        if C.rank(d + 1):
-            X = solve_field(K, C.diff(d + 1))  # image of the incoming differential in kernel coords
-        else:
-            X = ExactMatrix.zero(C.ring, k, 0)
-        E, pivots = rref(X.transpose())
-        self.reducers = [E[r] for r in range(len(pivots))]  # reduced spanning vectors of im, length-k rows
-        self.pivots = pivots
-        pivset = set(pivots)
-        self.coords = [i for i in range(k) if i not in pivset]
-        self.group = HomologyGroup(self.ring, len(self.coords))
-
-    def class_of(self, cycle: ExactMatrix) -> ExactMatrix:
-        """Coordinates of a cycle's class in the canonical quotient basis (column vector)."""
-        ring = self.ring
-        x = solve_field(self.kernel, cycle)  # raises if not a cycle
-        col = {i: x.entry(i, 0) for i in range(x.nrows)}
-        for row, p in zip(self.reducers, self.pivots):
-            c = col.get(p, ring.zero)
-            if c != 0:
-                for k, v in enumerate(row):
-                    if v != 0:
-                        s = ring.sub(col.get(k, ring.zero), ring.mul(c, v))
-                        if s == 0:
-                            col.pop(k, None)
-                        else:
-                            col[k] = s
-        entries = {}
-        for j, i in enumerate(self.coords):
-            v = col.get(i, ring.zero)
-            if v != 0:
-                entries[(j, 0)] = v
-        return ExactMatrix(ring, len(self.coords), 1, entries, _normalized=True)
-
-    def representative(self, j: int) -> ExactMatrix:
-        """A cycle representing the j-th canonical basis class (column vector)."""
-        e = ExactMatrix(self.ring, self.kernel.ncols, 1, {(self.coords[j], 0): self.ring.one})
-        return self.kernel * e
-
-
-class _IntegerPresentation:
-    def __init__(self, C: ChainComplex, d: int):
-        self.ring = ZZ
-        # X: the boundaries coming in, in the coordinates of the kernel basis K
-        if not C.rank(d - 1):  # every chain is a cycle
-            K = ExactMatrix.identity(ZZ, C.rank(d))
-            X = C.diff(d + 1)
-        else:
-            K = integer_kernel_basis(C.diff(d))
-            if C.rank(d + 1) and K.ncols:
-                X = integer_solve(K, C.diff(d + 1))
-            else:
-                X = ExactMatrix.zero(ZZ, K.ncols, C.rank(d + 1))
-        self.kernel = K
-        k = K.ncols
-        U, D, _ = smith_normal_form(X, right=False)
-        self.U = U
-        diag = [D.entry(i, i) for i in range(min(D.nrows, D.ncols))]
-        diag = [int(v) for v in diag if v != 0]
-        self.diag = diag
-        # presentation coordinates: torsion coords (d_i > 1) then free coords
-        self.torsion_coords = [(i, di) for i, di in enumerate(diag) if di > 1]
-        self.free_coords = list(range(len(diag), k))
-        self.group = HomologyGroup(
-            ZZ, len(self.free_coords), tuple(di for _, di in self.torsion_coords)
-        )
-
-    def class_of(self, cycle: ExactMatrix) -> ExactMatrix:
-        x = integer_solve(self.kernel, cycle)
-        y = self.U * x
-        entries = {}
-        row = 0
-        for i, di in self.torsion_coords:
-            v = int(y.entry(i, 0)) % di
-            if v:
-                entries[(row, 0)] = v
-            row += 1
-        for i in self.free_coords:
-            v = int(y.entry(i, 0))
-            if v:
-                entries[(row, 0)] = v
-            row += 1
-        n = len(self.torsion_coords) + len(self.free_coords)
-        return ExactMatrix(ZZ, n, 1, entries, _normalized=True)
-
-    @cached_property
-    def _U_inverse(self) -> ExactMatrix:
-        return integer_solve(self.U, ExactMatrix.identity(ZZ, self.U.nrows))
-
-    def representative(self, j: int) -> ExactMatrix:
-        coords = [i for i, _ in self.torsion_coords] + self.free_coords
-        e = ExactMatrix(ZZ, self.U.nrows, 1, {(coords[j], 0): 1})
-        return self.kernel * (self._U_inverse * e)
-
-
-def homology_presentation(C: ChainComplex, d: int):
+    n = C.rank(d)
+    rank_out = rank(C.diff(d)) if C.rank(d - 1) and n else 0
     if C.ring.is_field:
-        return _FieldPresentation(C, d)
-    return _IntegerPresentation(C, d)
-
-
-# ---------------------------------------------------------------------------
-# chain maps and induced maps on homology
-
-
-@dataclass
-class ChainMap:
-    """Degreewise matrices f_d : C_d -> D_d commuting with the differentials."""
-
-    source: ChainComplex
-    target: ChainComplex
-    components: dict[int, ExactMatrix]
-
-    def component(self, d: int) -> ExactMatrix:
-        M = self.components.get(d)
-        if M is None:
-            return ExactMatrix.zero(self.source.ring, self.target.rank(d), self.source.rank(d))
-        return M
-
-    def validate(self) -> ComplexReport:
-        problems = []
-        degrees = set(self.source.ranks) | set(self.components)
-        for d in sorted(degrees):
-            f_d = self.component(d)
-            if (f_d.nrows, f_d.ncols) != (self.target.rank(d), self.source.rank(d)):
-                problems.append(f"component at degree {d} has the wrong shape")
-                continue
-            lhs = self.component(d - 1) * self.source.diff(d)
-            rhs = self.target.diff(d) * f_d
-            if lhs != rhs:
-                problems.append(f"square at degree {d} does not commute")
-        return ComplexReport(ok=not problems, problems=problems)
-
-
-def homology_map(f: ChainMap, d: int) -> tuple[ExactMatrix, HomologyGroup, HomologyGroup]:
-    """Matrix of H_d(f) in the canonical presentation bases.
-
-    Over Z the column entries are presentation coordinates of the image
-    classes (torsion coordinates are reduced mod their invariant
-    factor).  Returns (matrix, H_d(source), H_d(target)).
-    """
-    src = homology_presentation(f.source, d)
-    tgt = homology_presentation(f.target, d)
-    n_src = src.group.free_rank + len(src.group.torsion)
-    n_tgt = tgt.group.free_rank + len(tgt.group.torsion)
-    entries: dict[tuple[int, int], Scalar] = {}
-    f_d = f.component(d)
-    for j in range(n_src):
-        z = src.representative(j)
-        w = f_d * z
-        col = tgt.class_of(w)
-        for (i, _), v in col.entries.items():
-            entries[(i, j)] = v
-    M = ExactMatrix(f.source.ring, n_tgt, n_src, entries, _normalized=True)
-    return M, src.group, tgt.group
-
-
-def is_homology_iso(M: ExactMatrix, src: HomologyGroup, tgt: HomologyGroup) -> bool:
-    """Decide whether an induced map (field coefficients) is an isomorphism."""
-    if not src.base.is_field:
-        raise ValueError("iso detection implemented for field coefficients")
-    if src.dimension != tgt.dimension:
-        return False
-    if src.dimension == 0:
-        return True
-    return rank(M) == src.dimension
+        rank_in = rank(C.diff(d + 1)) if C.rank(d + 1) and n else 0
+        return HomologyGroup(C.ring, n - rank_out - rank_in)
+    factors = invariant_factors(C.diff(d + 1)) if C.rank(d + 1) and n else []
+    return HomologyGroup(ZZ, n - rank_out - len(factors), tuple(e for e in factors if e > 1))
 
 
 # ---------------------------------------------------------------------------

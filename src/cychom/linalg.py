@@ -1,9 +1,8 @@
 """Exact rank / kernel / solve primitives on top of ExactMatrix.
 
 Field computations use dense reduced row echelon form with the
-leftmost-pivot rule, so kernels come out in a canonical reduced
-column-echelon basis (pivot order lexicographic in the column index).
-Integer computations reduce to the Smith normal form.
+leftmost-pivot rule, so solutions come out canonical (free variables
+set to zero).  Integer computations reduce to the Smith normal form.
 """
 
 from __future__ import annotations
@@ -51,28 +50,6 @@ def rank(A: ExactMatrix) -> int:
         return len(rref(A)[1])
     _, D, _ = smith_normal_form(A, left=False, right=False)
     return len([i for i in range(min(D.nrows, D.ncols)) if D.entry(i, i) != 0])
-
-
-def rank_kernel(A: ExactMatrix) -> tuple[int, ExactMatrix]:
-    """Rank and a canonical kernel basis (columns) over a field.
-
-    The basis vectors correspond to the free columns of the RREF in
-    increasing order; each has a 1 in its free coordinate and the usual
-    negated pivot-row entries elsewhere, so the result is reproducible
-    across runs.
-    """
-    ring = A.ring
-    M, pivots = rref(A)
-    pivot_set = set(pivots)
-    free = [c for c in range(A.ncols) if c not in pivot_set]
-    entries: dict[tuple[int, int], Scalar] = {}
-    for k, c in enumerate(free):
-        entries[(c, k)] = ring.one
-        for r, pc in enumerate(pivots):
-            v = M[r][c]
-            if v != 0:
-                entries[(pc, k)] = ring.neg(v)
-    return len(pivots), ExactMatrix(ring, A.ncols, len(free), entries, _normalized=True)
 
 
 def solve_field(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:

@@ -5,7 +5,9 @@ to a homotopy-equivalent one while recording enough data to transport
 chains in both directions afterwards.  Over a field a full reduction
 leaves the zero differential, so surviving cells per degree count
 homology; the transports realize the induced maps along truncation
-towers without ever materializing a homology presentation.
+towers without ever materializing a homology presentation.  Over Z the
+surviving cells form a residual complex, and `complex_homology` reads its
+groups from ranks and invariant factors.
 
 Cancelling a pair (a in degree d, b in degree d+1) with unit pivot
 lam = <db, a> rewrites every other degree-(d+1) boundary as
@@ -74,6 +76,8 @@ from itertools import chain
 
 import numpy as np
 
+from .complexes import ChainComplex, HomologyGroup, complex_homology
+from .matrix import ExactMatrix
 from .rings import BaseRing
 
 _UPPER = -2  # pivot-table mark of a cell cancelled as an upper cell
@@ -360,9 +364,6 @@ class MorseReduction:
 
 def residual_complex(red: MorseReduction):
     """Surviving cells as a ChainComplex, with the id <-> index dictionaries."""
-    from .complexes import ChainComplex
-    from .matrix import ExactMatrix
-
     by_degree: dict[int, list[int]] = {}
     for i in red.alive():
         by_degree.setdefault(red.degree[i], []).append(i)
@@ -392,8 +393,6 @@ def homology_via_reduction(red: MorseReduction, degrees) -> dict:
     Over a field the survivors of a full reduction count homology; else
     every degree is read off one residual complex.
     """
-    from .complexes import HomologyGroup, complex_homology
-
     if red.ring.is_field and red.is_exactly_reduced():
         return {d: HomologyGroup(red.ring, len(red.alive(d))) for d in degrees}
     C, _, _ = residual_complex(red)

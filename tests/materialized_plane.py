@@ -11,9 +11,9 @@ the reduced routes against these.
 from __future__ import annotations
 
 from cychom.bicomplex import _Layout, _TotalStage, row_truncated_total
-from cychom.complexes import ChainMap
 from cychom.cyclic import CyclicModule
 from cychom.matrix import ExactMatrix
+from presentation_homology import ChainMap
 
 
 def materialized_stages(region: str):

@@ -1,18 +1,27 @@
-"""Chain complexes, homology groups, induced maps, presented complexes."""
+"""Chain complexes, homology groups, induced maps, presented complexes.
+
+Induced maps and canonical presentations come from the oracle in
+`presentation_homology`; `complex_homology` is checked against it.
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cychom.linalg import integer_kernel_basis
 from cychom.rings import ZZ, QQ, GF
 from cychom.matrix import ExactMatrix
 from cychom.complexes import (
     ChainComplex,
-    ChainMap,
     HomologyGroup,
     PresentedChainComplex,
     complex_homology,
+)
+from presentation_homology import (
+    ChainMap,
     homology_map,
     homology_presentation,
     is_homology_iso,
+    rank_kernel,
     validate_complex,
 )
 
@@ -210,3 +219,48 @@ def test_presented_free_matches_plain():
     C = ChainComplex(ZZ, {0: 2, 1: 2}, {1: d1})
     for d in (0, 1):
         assert P.homology(d) == complex_homology(C, d)
+
+
+# ---------------------------------------------------------------------------
+# ranks and invariant factors against the presentation oracle
+
+
+def _kernel_basis(A):
+    return integer_kernel_basis(A) if A.ring == ZZ else rank_kernel(A)[1]
+
+
+@st.composite
+def random_complexes(draw, ring):
+    """C_0 <- C_1 <- C_2 <- C_3 with d_1 random and d_{k+1} = K_k T, K_k spanning ker d_k."""
+    entry = st.integers(-4, 4) if ring.characteristic == 0 else st.integers(0, ring.characteristic - 1)
+    ranks = {k: draw(st.integers(0, 4)) for k in range(4)}
+
+    def matrix(nrows, ncols):
+        values = draw(st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols))
+        return ExactMatrix(ring, nrows, ncols, {divmod(k, ncols): v for k, v in enumerate(values)})
+
+    diffs = {1: matrix(ranks[0], ranks[1])}
+    for k in (1, 2):
+        K = _kernel_basis(diffs[k])
+        diffs[k + 1] = K * matrix(K.ncols, ranks[k + 1])
+    return ChainComplex(ring, ranks, diffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ZZ, GF(2), GF(3), GF(5), QQ]).flatmap(random_complexes))
+def test_complex_homology_matches_presentations(C):
+    assert C.validate().ok
+    for d in range(-1, 5):
+        assert complex_homology(C, d) == homology_presentation(C, d).group, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_complexes(ZZ), st.integers(2, 6))
+def test_presented_homology_matches_presentations(C, n):
+    # every degree is (Z/n)^{n_d}; n * identity relations are carried into
+    # each other by any differential
+    relations = {d: ExactMatrix(ZZ, r, r, {(i, i): n for i in range(r)}) for d, r in C.ranks.items()}
+    total = PresentedChainComplex(C.ranks, C.diffs, relations).to_free_total()
+    assert total.validate().ok
+    for d in range(-1, 6):
+        assert complex_homology(total, d) == homology_presentation(total, d).group, d

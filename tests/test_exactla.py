@@ -18,10 +18,10 @@ from cychom.linalg import (
     integer_solve,
     is_invertible,
     rank,
-    rank_kernel,
     rref,
     solve_field,
 )
+from presentation_homology import rank_kernel
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from cychom.reduction import (
 )
 from dict_reduction import MorseReduction as DictReduction
 from markowitz_reduction import MarkowitzReduction
+from presentation_homology import rank_kernel
 
 
 def reduction_of(C: ChainComplex):
@@ -137,8 +138,6 @@ def test_reduction_matches_direct_homology(p, n0, n1, n2, data):
         st.lists(st.lists(st.integers(0, p - 1), min_size=n1, max_size=n1), min_size=n0, max_size=n0)
     )
     d1 = ExactMatrix.from_rows(F, rows)
-    from cychom.linalg import rank_kernel
-
     _, K = rank_kernel(d1)
     if K.ncols:
         mix = data.draw(

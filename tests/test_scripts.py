@@ -38,3 +38,16 @@ def test_script_main_runs(capsys, name, argv, expect):
     out = capsys.readouterr().out
     assert expect in out
     assert out.count("\n") >= 3
+
+
+def test_stabilization_profile_prints_survivor_rows(capsys):
+    script = load("stabilization_profile")
+    argv = ["--algebra", "ground-field", "--degrees", "0..1", "--schedule", "4,6,8,10", "--min-stages", "4"]
+    script.main(argv + ["--base", "F3"])
+    out = capsys.readouterr().out
+    assert "step 4 -> 6 adds survivor rows 5\n" in out
+    assert "step 6 -> 8 adds survivor rows 8\n" in out
+    assert "step 8 -> 10 adds no survivor row\n" in out
+    script.main(argv + ["--base", "Q"])
+    out = capsys.readouterr().out
+    assert "no survivor rows" in out and "step" not in out
