@@ -542,8 +542,11 @@ class StabilizationReport:
     verdict: str = "not-stabilized"
     q_star: int | None = None
     value: HomologyGroup | None = None
-    value_kind: str = "unresolved"
     dying: list[str] = field(default_factory=list)
+
+    @property
+    def value_kind(self) -> str:
+        return "unresolved" if self.verdict == "not-stabilized" else "stabilized"
 
     def label(self) -> str:
         if self.verdict == "stabilized":
@@ -682,7 +685,6 @@ def _run_truncation_tower(
                     rep.verdict = "stabilized"
                     rep.q_star = rep.stages[len(rep.stages) - 1 - persistence][0]
                     rep.value = rep.stages[-1][1]
-                    rep.value_kind = "stabilized"
                     pending.discard(d)
                 elif len(rep.maps) >= 2 * persistence - 1:
                     r = _persistent_rank(rep.maps, persistence)
@@ -690,7 +692,6 @@ def _run_truncation_tower(
                         rep.verdict = "stabilized-persistent"
                         rep.q_star = rep.stages[len(rep.maps) - 2 * persistence + 1][0]
                         rep.value = HomologyGroup(stage.ring, r)
-                        rep.value_kind = "stabilized"
                         pending.discard(d)
         prev = stage
     return reports
@@ -699,10 +700,7 @@ def _run_truncation_tower(
 def _table_from_reports(
     theory: str, base: BaseRing, reports: dict[int, StabilizationReport]
 ) -> HomologyTable:
-    groups = {
-        d: (rep.value if rep.value_kind == "stabilized" else None)
-        for d, rep in reports.items()
-    }
+    groups = {d: rep.value for d, rep in reports.items()}
     return HomologyTable(theory=theory, base=base, groups=groups, reports=reports)
 
 
@@ -871,7 +869,6 @@ def _s_tower_run(
                 rep.verdict = "stabilized"
                 rep.q_star = d + 2 * K
                 rep.value = rep.stages[0][1]
-                rep.value_kind = "stabilized"
         elif run_alive and not iso:
             run_alive = False
     return rep

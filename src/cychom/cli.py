@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hc", help="cyclic homology table")
     common(p, algebra=True, degrees=True)
     p = sub.add_parser("hp", help="periodic cyclic homology via the S-tower")
-    common(p, algebra=True, degrees=True, tower=True)
+    common(p, algebra=True, degrees=True)
+    p.add_argument("--persistence", type=int, default=3)  # the S-tower reads no schedule
     p = sub.add_parser("hp-poly", help="polynomial periodic cyclic homology")
     common(p, algebra=True, degrees=True, tower=True)
     p = sub.add_parser("hc-minus-poly", help="polynomial negative cyclic homology")

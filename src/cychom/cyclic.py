@@ -15,11 +15,13 @@ structure table, to flat int64 arrays of nonzero summands (source tuple,
 output code, coefficient).  The homology pipelines read the operators as
 Coo arrays, which `CyclicModule` and `NormalizedBarModule` assemble by
 running it on every basis tuple of a degree at once and summing the
-duplicate entries by a sort; `CyclicModule` memoizes each operator once,
-as a Coo, and builds an ExactMatrix from it on request.  The identity
-sweep never builds the matrices: it runs the same engine on a bounded
-block of source rows at a time and judges the integer residuals exactly
-and mod several primes.
+duplicate entries by a sort (`_sum_by`, which also sums the orbit
+walk's terms); `CyclicModule` memoizes each operator once, as a Coo, and
+builds an ExactMatrix from it on request.  The orbit walk of `orbits`
+takes its cyclic faces from `SummandOps.face` too, on the codes of one
+batch of orbits at a time.  The identity sweep never builds the
+matrices: it runs the same engine on a bounded block of source rows at
+a time and judges the integer residuals exactly and mod several primes.
 """
 
 from __future__ import annotations
@@ -68,21 +70,25 @@ class Coo:
         )
 
 
-def _sum_into_coo(base: BaseRing, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
-                  vals: np.ndarray, den: int) -> Coo:
-    """The Coo of the summands vals at (rows, cols), summed per entry."""
-    if len(vals):
-        order = np.lexsort((rows, cols))
-        cols, rows, vals = cols[order], rows[order], vals[order]
-        edge = np.ones(len(vals), dtype=bool)
-        edge[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
-        starts = np.flatnonzero(edge)
-        cols, rows = cols[starts], rows[starts]
-        vals = np.add.reduceat(vals, starts)
-    if base.kind == "Fp":
-        vals %= base.p
+def _sum_by(p: int, vals: np.ndarray, *keys: np.ndarray):
+    """Sum vals mod p (exactly if p = 0) over equal key tuples and drop zero sums;
+    keys come back sorted.  Each step's result replaces the arrays it was
+    computed from, so those, and inputs that only this call holds, are
+    freed as it goes."""
+    if not len(vals):
+        return keys, vals
+    order = np.lexsort(keys[::-1])
+    vals = vals[order]
+    keys = [k[order] for k in keys]
+    edge = np.ones(len(vals), dtype=bool)
+    edge[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    starts = np.flatnonzero(edge)
+    keys = [k[starts] for k in keys]
+    vals = np.add.reduceat(vals, starts)
+    if p:
+        vals %= p
     keep = vals != 0
-    return Coo(base, nrows, ncols, rows[keep], cols[keep], vals[keep], den)
+    return [k[keep] for k in keys], vals[keep]
 
 
 def _empty(base: BaseRing, ncols: int) -> Coo:
@@ -167,8 +173,8 @@ class CyclicModule:
             else:
                 s = ops.apply(kind, ops.identity_state(n), i)
                 den = 1 if kind in _ROTATIONS else ops.scale
-                hit = _sum_into_coo(self.base, self.rank(out), self.rank(n), s.code, s.src,
-                                    s.coeff, den)
+                (cols, rows), vals = _sum_by(self.base.characteristic, s.coeff, s.src, s.code)
+                hit = Coo(self.base, self.rank(out), self.rank(n), rows, cols, vals, den)
             self._coos[key] = hit
         return hit
 
@@ -300,8 +306,9 @@ class NormalizedBarModule:
         s = ops.apply(op, x)
         rows, keep = _normalized_index(d, out + 1, s.code)
         den = ops.scale if kind == "b" else 1
-        return _sum_into_coo(self.base, self.rank(out), self.rank(n), rows[keep], s.src[keep],
-                             s.coeff[keep], den)
+        (cols, rows), vals = _sum_by(self.base.characteristic, s.coeff[keep], s.src[keep],
+                                     rows[keep])
+        return Coo(self.base, self.rank(out), self.rank(n), rows, cols, vals, den)
 
     def inclusion(self, n: int) -> ExactMatrix:
         """Section X-bar_n -> X_n picking the non-degenerate basis tuples."""
@@ -552,21 +559,22 @@ class SummandOps:
             head -= first
         K, C = self.terms[0]
         c = C[pair]
-        hit = c != 0
+        hits = np.count_nonzero(c)
         parts = []
-        if hit.all():
+        if hits == len(c):
             c *= s.coeff
             parts.append(_Summands(n, s.src, _shifted(K[pair], p, head), c))
-        elif hit.any():
-            k = pair[hit]
-            c = c[hit]
-            c *= s.coeff[hit]
-            parts.append(_Summands(n, s.src[hit], _shifted(K[k], p, head[hit]), c))
+        elif hits:
+            rows = np.flatnonzero(c)  # integer indices gather several times faster than a mask
+            k = pair[rows]
+            c = c[rows]
+            c *= s.coeff[rows]
+            parts.append(_Summands(n, s.src[rows], _shifted(K[k], p, head[rows]), c))
         if len(self.terms) > 1:
             more = np.flatnonzero(self.later[pair])  # only these meet a later term
             for K, C in self.terms[1:]:
                 c = C[pair[more]]
-                hit = c != 0
+                hit = np.flatnonzero(c)
                 rows = more[hit]
                 if len(rows):
                     c = c[hit]

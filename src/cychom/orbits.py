@@ -51,7 +51,9 @@ next level needs, less those it has already evaluated.  Bottom up, Z of
 those orbits is evaluated from their faces again, looking up only the
 faces that land on a rotation of an orbit whose Z is nonzero; only such
 orbits are kept.  Survivors first appear in row p - 1, and Z vanishes in
-every row below it, so the walk stops there.
+every row below it, so the walk stops there.  The faces are the bar
+modules' own, from `cyclic.SummandOps.face`, and terms are summed by
+`cyclic._sum_by`.
 
 The left region p <= 0, which carries negative cyclic homology, has the
 same rows cut at column 0, where nothing comes in.  There a row's
@@ -71,31 +73,15 @@ their own levels, keyed by e; for e <= 0 the walk meets no edge cell (row
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .algebra import Algebra
+from .cyclic import SummandOps, _sum_by, _Summands
 
 # face entries per numpy batch: bounds the memory of one batch
 _BATCH = 1 << 18
-
-
-def _sum_by(p: int, vals: np.ndarray, *keys: np.ndarray):
-    """Sum vals mod p (exactly if p = 0) over equal key tuples and drop zero sums;
-    keys come back sorted."""
-    if not len(vals):
-        return keys, vals
-    order = np.lexsort(keys[::-1])
-    keys = [k[order] for k in keys]
-    edge = np.zeros(len(vals), dtype=bool)
-    edge[0] = True
-    for k in keys:
-        edge[1:] |= k[1:] != k[:-1]
-    starts = np.flatnonzero(edge)
-    sums = np.add.reduceat(vals[order], starts)
-    if p:
-        sums %= p
-    keep = sums != 0
-    return [k[starts][keep] for k in keys], sums[keep]
 
 
 def _distinct(a: np.ndarray, *carry: np.ndarray) -> list[np.ndarray]:
@@ -159,31 +145,22 @@ class OrbitPlane:
     """Survivors and reduced boundaries of the 2-periodic plane of A over F_p.
 
     A cell is a pair (q, x): a surviving orbit with representative code x
-    in row q.  In total degree d it sits in column d - q.  Over Q nothing
-    survives, so the structure constants are only read mod p.  Codes are
-    int64, so a row with dim^(q+1) >= 2^63 basis tuples is refused.
-    Coefficients are int64 residues too: a product of two stays below
-    2^63 for every p up to 3 * 10^9, and larger primes leave no survivor
-    in any row that can be enumerated.
+    in row q.  In total degree d it sits in column d - q.  The faces come
+    from `SummandOps`, built on the first walk; over Q, and for primes
+    that leave no survivor, nothing is walked and the structure constants
+    are never read.  Codes are int64, so a row with dim^(q+1) >= 2^63
+    basis tuples is refused.  Coefficients are int64 residues too: a face
+    term's coefficient is a structure constant, already below p, and a
+    product of two residues stays below 2^63 for every p up to 3 * 10^9;
+    larger primes leave no survivor in any row that can be enumerated.
     """
 
     def __init__(self, A: Algebra):
         if not A.base.is_field:
             raise ValueError("tower stages require field coefficients")
-        self.p = p = A.base.characteristic
-        self.dim = d = A.dim
-        # products of basis pairs a * d + y, as nonzero (k, e) padded with e = 0
-        pairs = [
-            [(k, int(c) % p) for k, c in A.structure[a][y] if int(c) % p] if p else []
-            for a in range(d)
-            for y in range(d)
-        ]
-        width = max(1, max(len(t) for t in pairs))
-        self._K = np.zeros((d * d, width), dtype=np.int64)
-        self._E = np.zeros((d * d, width), dtype=np.int64)
-        for i, terms in enumerate(pairs):
-            for l, (k, e) in enumerate(terms):
-                self._K[i, l], self._E[i, l] = k, e
+        self.algebra = A
+        self.p = A.base.characteristic
+        self.dim = A.dim
         self._survivors: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
         # keyed (row, parity, edge row of the cut or None)
         self._levels: dict[tuple, _Level] = {}
@@ -221,10 +198,9 @@ class OrbitPlane:
         y = codes
         for k in range(1, n):
             y = (y % d) * top + y // d  # tau^k code
-            less = y < best
-            best[less] = y[less]
-            first[less] = k  # best = tau^first code
-            period[(y == codes) & (period == n)] = k
+            np.copyto(first, k, where=y < best)  # best = tau^first code
+            np.minimum(best, y, out=best)
+            np.copyto(period, k, where=(y == codes) & (period == n))
         return best, (period - first) % period, period
 
     def _rotations(self, q: int, x: np.ndarray, m: np.ndarray):
@@ -233,34 +209,26 @@ class OrbitPlane:
         pw, base = self._powers(q), x[o]
         return o, j, (base % pw[j]) * pw[q + 1 - j] + base // pw[j]
 
-    def _faces(self, q: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _ops(self) -> SummandOps:
+        return SummandOps(self.algebra)
+
+    def _faces(self, q: int, codes: np.ndarray) -> tuple[np.ndarray, ...]:
         """Terms e * y of the cyclic faces d_0, ..., d_q of row-q codes.
 
-        d_i multiplies slots i and i + 1 for i < q; d_q multiplies the last
-        slot by the first and puts the product in front.  Returns y and
-        e mod p, indexed [i, code, product term]; e = 0 marks no term.
+        Returns flat arrays (i, position in codes, y, e), one entry per
+        nonzero term of a face d_i, from `SummandOps.face`.  e is a
+        structure constant, over F_p already a residue mod p.
         """
-        d, pw = self.dim, self._powers(q)
-        slots = [codes // pw[q - s] % d for s in range(q + 1)]
-        keys = np.empty((q + 1, len(codes), self._K.shape[1]), dtype=np.int64)
-        vals = np.empty_like(keys)
-        # numpy divides fast by a scalar, so this loops over the faces
-        for i in range(q + 1):
-            if i < q:
-                pair = slots[i] * d + slots[i + 1]
-                lo = pw[q - i - 1]
-                rest = codes // pw[q - i + 1] * pw[q - i] + codes % lo  # slots i, i+1 cut out
-            else:
-                pair = slots[q] * d + slots[0]
-                lo = pw[q - 1]
-                rest = codes // d % lo
-            keys[i] = self._K[pair] * lo + rest[:, None]
-            vals[i] = self._E[pair]
-        return keys, vals
+        x = _Summands(q + 1, np.arange(len(codes)), codes, np.ones(len(codes), dtype=np.int64))
+        faces = [self._ops.face(x, i) for i in range(q + 1)]
+        face = np.repeat(np.arange(q + 1), [len(s.src) for s in faces])
+        src, y, e = (np.concatenate(a) for a in zip(*((s.src, s.code, s.coeff) for s in faces)))
+        return face, src, y, e
 
     def _batches(self, q: int, n: int):
         """Slices of n row-q codes whose faces fill at most one batch."""
-        return _spans(np.full(n, (q + 1) * self._K.shape[1]), _BATCH)
+        return _spans(np.full(n, (q + 1) * len(self._ops.terms)), _BATCH)
 
     # -- survivors ------------------------------------------------------------
 
@@ -331,8 +299,8 @@ class OrbitPlane:
         """
         xs, ms = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for part in self._batches(q, len(x)):
-            keys, vals = self._faces(q, x[part])
-            y, _, m = self._least(q - 1, _distinct(keys[vals != 0])[0])
+            y = self._faces(q, x[part])[2]  # the codes the faces reach
+            y, _, m = self._least(q - 1, _distinct(y)[0])
             y, m = _distinct(y, m)
             xs.append(y)
             ms.append(m)
@@ -354,13 +322,11 @@ class OrbitPlane:
         out = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
         if len(lower.codes):
             for part in self._batches(q, len(x)):
-                keys, vals = self._faces(q, x[part])
-                face = np.flatnonzero(vals)
-                face = face[_in_sorted(keys.ravel()[face], lower.codes)]
-                pos = np.searchsorted(lower.codes, keys.ravel()[face])
-                f, src = np.divmod(face // vals.shape[2], vals.shape[1])
-                src += part.start
-                hits = (src, f, vals.ravel()[face], lower.orbit[pos], lower.shift[pos])
+                f, src, y, e = self._faces(q, x[part])
+                hit = np.flatnonzero(_in_sorted(y, lower.codes))
+                src = src[hit] + part.start
+                pos = np.searchsorted(lower.codes, y[hit])
+                hits = (src, f[hit], e[hit], lower.orbit[pos], lower.shift[pos])
                 for span in _spans(counts[src], _BATCH):
                     found = self._rotated_hits(
                         q, parity, lower, counts, *(a[span] for a in hits)
@@ -383,7 +349,7 @@ class OrbitPlane:
         t = t[h]
         j = (j0[h] + k - wrap) % lower.size[t]
         # Z(f_j) sums the terms of x_t that start at or before j
-        keep = (even | (i < q)) & (lower.start[lower.ptr[t]] <= j)
+        keep = np.flatnonzero((even | (i < q)) & (lower.start[lower.ptr[t]] <= j))
         h, k, i, t, j = h[keep], k[keep], i[keep], t[keep], j[keep]
         # signs of face i in v, of f_k = (-1)^{qk} tau^k x, and of
         # Z(tau^j x_t) = (-1)^{(q-1)j} Z(f_j)
@@ -391,7 +357,7 @@ class OrbitPlane:
         c = np.where(odd, p - e[h], e[h])
         g, off = _ranges(lower.ptr[t + 1] - lower.ptr[t])
         term = lower.ptr[t][g] + off
-        keep = lower.start[term] <= j[g]
+        keep = np.flatnonzero(lower.start[term] <= j[g])
         g, term = g[keep], term[keep]
         return src[h][g], k[g], lower.cell[term], c[g] * lower.value[term] % p
 

@@ -273,12 +273,7 @@ def direct_sum_modules(A: GModuleComplex, B: GModuleComplex) -> GModuleComplex:
             B.sigma(i) if B.rank(i) else ExactMatrix.zero(A.base, 0, 0),
         )
         if A.rank(i - 1) + B.rank(i - 1):
-            entries = dict(A.diff(i).entries)
-            for (r, c), v in B.diff(i).entries.items():
-                entries[(A.rank(i - 1) + r, A.rank(i) + c)] = v
-            diffs[i] = ExactMatrix(
-                A.base, A.rank(i - 1) + B.rank(i - 1), ranks[i], entries
-            )
+            diffs[i] = block_diag(A.diff(i), B.diff(i))
         RA, RB = A.relation(i), B.relation(i)
         if RA.ncols or RB.ncols:
             relations[i] = block_diag(RA, RB)
@@ -447,11 +442,7 @@ def _surjective_onto_presented(
     """Surjectivity onto coker(rel): [comp | rel] has all unit factors."""
     if comp.nrows == 0:
         return True
-    entries = dict(comp.entries)
-    for (i, j), v in rel.entries.items():
-        entries[(i, comp.ncols + j)] = v
-    stacked = ExactMatrix(ZZ, comp.nrows, comp.ncols + rel.ncols, entries)
-    factors = invariant_factors(stacked)
+    factors = invariant_factors(comp.hstack(rel))
     return len(factors) == comp.nrows and all(f == 1 for f in factors)
 
 
@@ -491,11 +482,7 @@ def construction_5_1_check(n: int) -> CheckReport:
     # kernel lattice in degree 0: solutions of comp . x = rel . y
     comp0 = the_map.component(0)
     rel0 = target.relations.get(0) or ExactMatrix.zero(ZZ, target.rank(0), 0)
-    entries = dict(comp0.entries)
-    for (i, j), v in rel0.entries.items():
-        entries[(i, comp0.ncols + j)] = -v
-    paired = ExactMatrix(ZZ, comp0.nrows, comp0.ncols + rel0.ncols, entries)
-    pair_basis = integer_kernel_basis(paired)
+    pair_basis = integer_kernel_basis(comp0.hstack(-rel0))
     k0 = ExactMatrix(
         ZZ,
         comp0.ncols,

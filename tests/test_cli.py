@@ -273,3 +273,14 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert "internal error" in err
+
+
+def test_hp_takes_persistence_but_no_schedule(capsys):
+    # the S-tower reads no truncation schedule, so hp refuses one
+    argv = ["hp", "--algebra", "ground-field", "--base", "Fp", "--p", "3", "--degrees", "0..1"]
+    assert main(argv + ["--persistence", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["persistence"] == 2
+    with pytest.raises(SystemExit) as exit_:  # argparse's usage error, exit status 2
+        main(argv + ["--q-schedule", "1,2"])
+    assert exit_.value.code == 2
+    assert "--q-schedule" in capsys.readouterr().err

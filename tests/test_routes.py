@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cychom import bicomplex
+from cychom import bicomplex, orbits
 from cychom.algebra import CATALOG_NAMES, AlgebraError, catalog
 from cychom.cyclic import cyclic_bar_module
 from cychom.linalg import rank
@@ -382,6 +382,13 @@ def test_orbit_plane_matches_scalar_recursion(name, base, top):
                 )
                 compared += 1
     assert compared
+
+
+def test_orbit_plane_matches_scalar_recursion_in_small_batches(monkeypatch):
+    # 64 face entries a batch split the walk's batches, the spans of
+    # _below and the necklace enumeration into many slices each
+    monkeypatch.setattr(orbits, "_BATCH", 64)
+    test_orbit_plane_matches_scalar_recursion("truncated-poly(3)", GF(2), 9)
 
 
 @pytest.mark.parametrize(
