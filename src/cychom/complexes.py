@@ -7,14 +7,15 @@ the invariant factors > 1 of the incoming differential d_{d+1}, since
 ker d_d is a direct summand of Z^{n_d}, and its free rank is what the
 two ranks leave.  Both are transform-free Smith forms; no kernel basis
 is built.  Induced maps along towers are read off `MorseReduction`
-transports, not off homology presentations.
+transports, not off homology presentations.  Every module is free: a
+quotient such as Z/n enters as its free resolution (see `tate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import integer_solve, rank
+from .linalg import rank
 from .matrix import ExactMatrix
 from .rings import BaseRing, ZZ
 from .snf import invariant_factors
@@ -131,78 +132,3 @@ def complex_homology(C: ChainComplex, d: int) -> HomologyGroup:
         return HomologyGroup(C.ring, n - rank_out - rank_in)
     factors = invariant_factors(C.diff(d + 1)) if C.rank(d + 1) and n else []
     return HomologyGroup(ZZ, n - rank_out - len(factors), tuple(e for e in factors if e > 1))
-
-
-# ---------------------------------------------------------------------------
-# presented complexes (quotient modules such as Z/n in each degree)
-
-
-class PresentedChainComplex:
-    """Complex of presented Z-modules coker(rel_d : Z^{r_d} -> Z^{f_d}).
-
-    Differentials are given on the free covers and must carry relations
-    into relations.  Relation matrices must be injective (true for all
-    uses here: relation blocks are n * identity).  Homology is computed
-    from the free total complex of the two-row resolution bicomplex.
-    """
-
-    def __init__(
-        self,
-        ranks: dict[int, int],
-        diffs: dict[int, ExactMatrix],
-        relations: dict[int, ExactMatrix] | None = None,
-    ):
-        self.ring = ZZ
-        self.ranks = dict(ranks)
-        self.diffs = dict(diffs)
-        self.relations = dict(relations or {})
-
-    def rank(self, d: int) -> int:
-        return self.ranks.get(d, 0)
-
-    def relation(self, d: int) -> ExactMatrix:
-        R = self.relations.get(d)
-        if R is None:
-            return ExactMatrix.zero(ZZ, self.rank(d), 0)
-        return R
-
-    def diff(self, d: int) -> ExactMatrix:
-        M = self.diffs.get(d)
-        if M is None:
-            return ExactMatrix.zero(ZZ, self.rank(d - 1), self.rank(d))
-        return M
-
-    def to_free_total(self) -> ChainComplex:
-        degrees = sorted(set(self.ranks) | {d + 1 for d in self.relations})
-        ranks = {}
-        for d in degrees:
-            ranks[d] = self.rank(d) + self.relation(d - 1).ncols
-        diffs: dict[int, ExactMatrix] = {}
-        lifts: dict[int, ExactMatrix] = {}
-        for d in degrees:
-            R = self.relation(d)
-            if R.ncols and self.rank(d - 1):
-                # lift of the differential to relation covers: diff o rel = rel o lift
-                R_prev = self.relation(d - 1)
-                Y = self.diff(d) * R
-                if R_prev.ncols:
-                    lifts[d] = integer_solve(R_prev, Y)
-                elif not Y.is_zero():
-                    raise ValueError(f"differential at degree {d} does not preserve relations")
-        for d in degrees:
-            f, r_prev = self.rank(d), self.relation(d - 1).ncols
-            f_lo, r_lo = self.rank(d - 1), self.relation(d - 2).ncols
-            entries: dict[tuple[int, int], int] = {}
-            for (i, j), v in self.diff(d).entries.items():
-                entries[(i, j)] = v
-            for (i, j), v in self.relation(d - 1).entries.items():
-                entries[(i, j + f)] = v
-            L = lifts.get(d - 1)
-            if L is not None:
-                for (i, j), v in L.entries.items():
-                    entries[(f_lo + i, f + j)] = -v
-            diffs[d] = ExactMatrix(ZZ, f_lo + r_lo, f + r_prev, entries)
-        return ChainComplex(ZZ, ranks, diffs)
-
-    def homology(self, d: int) -> HomologyGroup:
-        return complex_homology(self.to_free_total(), d)

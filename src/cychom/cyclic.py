@@ -27,15 +27,14 @@ a time and judges the integer residuals exactly and mod several primes.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import lands_in_span
 from .matrix import ExactMatrix
-from .rings import BaseRing, ZZ
+from .rings import BaseRing
 
 
 # ---------------------------------------------------------------------------
@@ -338,89 +337,6 @@ class NormalizedBarModule:
 
 def normalized(A: Algebra) -> NormalizedBarModule:
     return NormalizedBarModule(A)
-
-
-# ---------------------------------------------------------------------------
-# mixed complexes
-
-
-@dataclass
-class MixedComplex:
-    """Degreewise modules with d (degree -1) and B (degree +1).
-
-    Modules are free of the given ranks unless a degree appears in
-    relations, in which case that degree is the cokernel of the relation
-    matrix (needed for the Z/n target of the comparison display).
-    """
-
-    base: BaseRing
-    lo: int
-    hi: int
-    ranks: dict[int, int]
-    d: dict[int, ExactMatrix] = field(default_factory=dict)
-    B: dict[int, ExactMatrix] = field(default_factory=dict)
-    relations: dict[int, ExactMatrix] = field(default_factory=dict)
-
-    def rank(self, n: int) -> int:
-        return self.ranks.get(n, 0)
-
-    def d_at(self, n: int) -> ExactMatrix:
-        return self.d.get(n) or ExactMatrix.zero(self.base, self.rank(n - 1), self.rank(n))
-
-    def B_at(self, n: int) -> ExactMatrix:
-        return self.B.get(n) or ExactMatrix.zero(self.base, self.rank(n + 1), self.rank(n))
-
-    def validate(self) -> list[str]:
-        problems = []
-        for n in range(self.lo, self.hi + 1):
-            if not lands_in_span(self.d_at(n).mul(self.d_at(n + 1)), self.relations.get(n - 1)):
-                problems.append(f"d o d != 0 into degree {n - 1}")
-            if not lands_in_span(self.B_at(n + 1).mul(self.B_at(n)), self.relations.get(n + 2)):
-                problems.append(f"B o B != 0 out of degree {n}")
-            anti = self.d_at(n + 1).mul(self.B_at(n)).add(self.B_at(n - 1).mul(self.d_at(n)))
-            if not lands_in_span(anti, self.relations.get(n)):
-                problems.append(f"dB + Bd != 0 at degree {n}")
-        return problems
-
-
-@dataclass
-class MixedMap:
-    source: MixedComplex
-    target: MixedComplex
-    components: dict[int, ExactMatrix]
-
-    def component(self, n: int) -> ExactMatrix:
-        return self.components.get(n) or ExactMatrix.zero(
-            self.source.base, self.target.rank(n), self.source.rank(n)
-        )
-
-
-def mixed_complex_from_display(n: int):
-    """The comparison display for one cyclic group order.
-
-    Source: Z in degrees 0 and -1, d = 0, B = multiplication by n.
-    Target: Z/n in degree 0 (free cover Z with relation n), zero operators.
-    Map: canonical surjection in degree 0.  Returns (source, target, map).
-    """
-    if n < 1:
-        raise ValueError("group order must be >= 1")
-    source = MixedComplex(
-        base=ZZ,
-        lo=-1,
-        hi=0,
-        ranks={0: 1, -1: 1},
-        d={},
-        B={-1: ExactMatrix(ZZ, 1, 1, {(0, 0): n})},
-    )
-    target = MixedComplex(
-        base=ZZ,
-        lo=0,
-        hi=0,
-        ranks={0: 1},
-        relations={0: ExactMatrix(ZZ, 1, 1, {(0, 0): n})},
-    )
-    the_map = MixedMap(source, target, {0: ExactMatrix.identity(ZZ, 1)})
-    return source, target, the_map
 
 
 # ---------------------------------------------------------------------------

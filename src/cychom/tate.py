@@ -11,18 +11,17 @@ direct sum of the M_i, so the direct-sum totalization needs no truncation
 bookkeeping; only degrees at the edge of the requested window are
 unreliable and are refused.
 
-Presented modules (cokernels of an integer relation block, e.g. the
-trivial module Z/n) are carried through on free covers; homology goes
-through the two-row free resolution.
+Every module is a bounded complex of free C_n-modules.  Tate cohomology
+does not change under quasi-isomorphism, so a quotient enters as a free
+resolution: the trivial module Z/n is Z --n--> Z in degrees 1 and 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import ChainComplex, HomologyGroup, PresentedChainComplex
-from .cyclic import mixed_complex_from_display
-from .linalg import integer_kernel_basis, integer_solve, lands_in_span
+from .complexes import ChainComplex, HomologyGroup
+from .linalg import integer_kernel_basis, integer_solve, lands_in_span, rank
 from .matrix import ExactMatrix
 from .rings import ZZ, BaseRing
 from .snf import invariant_factors
@@ -125,11 +124,10 @@ def complete_resolution_cyclic(base: BaseRing, n: int) -> CompleteResolution:
 
 
 class GModuleComplex:
-    """Bounded complex of C_n-modules, each a cokernel on a free cover.
+    """Bounded complex of free C_n-modules.
 
-    sigma and the differentials are given on the covers and must preserve
-    the relation spans; validation checks sigma^n = id, equivariance of d,
-    and d . d = 0, all modulo relations.
+    sigma and the differentials are matrices on the free modules;
+    validation checks sigma^n = id, equivariance of d, and d . d = 0.
     """
 
     def __init__(
@@ -139,7 +137,6 @@ class GModuleComplex:
         ranks: dict[int, int],
         sigmas: dict[int, ExactMatrix],
         diffs: dict[int, ExactMatrix] | None = None,
-        relations: dict[int, ExactMatrix] | None = None,
     ):
         if order < 1:
             raise TateError("group order must be >= 1")
@@ -148,9 +145,6 @@ class GModuleComplex:
         self.ranks = dict(ranks)
         self.sigmas = dict(sigmas)
         self.diffs = dict(diffs or {})
-        self.relations = dict(relations or {})
-        if self.relations and base != ZZ:
-            raise TateError("presented modules are supported over Z only")
         for i, r in self.ranks.items():
             s = self.sigmas.get(i)
             if s is None or s.nrows != r or s.ncols != r:
@@ -172,12 +166,6 @@ class GModuleComplex:
             return ExactMatrix.zero(self.base, self.rank(i - 1), self.rank(i))
         return M
 
-    def relation(self, i: int) -> ExactMatrix:
-        R = self.relations.get(i)
-        if R is None:
-            return ExactMatrix.zero(self.base, self.rank(i), 0)
-        return R
-
     def sigma_inverse(self, i: int) -> ExactMatrix:
         return _matrix_power(self.sigma(i), self.order - 1) if self.rank(i) else self.sigma(i)
 
@@ -192,30 +180,19 @@ class GModuleComplex:
     def validate(self) -> list[str]:
         problems = []
         for i in self.degrees:
-            r = self.rank(i)
-            sig, rel = self.sigma(i), self.relation(i)
-            if not lands_in_span(
-                _matrix_power(sig, self.order) - ExactMatrix.identity(self.base, r), rel
+            if _matrix_power(self.sigma(i), self.order) != ExactMatrix.identity(
+                self.base, self.rank(i)
             ):
                 problems.append(f"sigma^order != id in degree {i}")
-            if not lands_in_span(sig * rel, rel):
-                problems.append(f"sigma does not preserve relations in degree {i}")
         for i in self.degrees:
             dmat = self.diff(i)
             if not self.rank(i - 1):
                 if not dmat.is_zero():
                     problems.append(f"differential at {i} targets a zero module")
                 continue
-            rel_lo = self.relation(i - 1)
-            if not lands_in_span(dmat * self.relation(i), rel_lo):
-                problems.append(f"differential at {i} does not preserve relations")
-            if not lands_in_span(
-                self.sigma(i - 1) * dmat - dmat * self.sigma(i), rel_lo
-            ):
+            if self.sigma(i - 1) * dmat != dmat * self.sigma(i):
                 problems.append(f"differential at {i} is not equivariant")
-            if self.rank(i - 2) and not lands_in_span(
-                self.diff(i - 1) * dmat, self.relation(i - 2)
-            ):
+            if self.rank(i - 2) and not (self.diff(i - 1) * dmat).is_zero():
                 problems.append(f"d . d != 0 out of degree {i}")
         return problems
 
@@ -224,7 +201,8 @@ def named_module(kind: str, order: int, base: BaseRing = ZZ) -> GModuleComplex:
     """The handful of modules the checks and the CLI need.
 
     trivial-Z: Z with trivial action in degree 0.
-    trivial-Zn: Z/order with trivial action in degree 0 (presented).
+    trivial-Zn: Z/order with trivial action, as its free resolution
+        Z --order--> Z in degrees 1 and 0; over Z only.
     free: the group ring k[C_order] in degree 0.
     two-term: k[C_order] -> k[C_order], d = sigma - 1, in degrees 1 and 0.
     contractible: k[C_order] -> k[C_order], d = id, in degrees 1 and 0.
@@ -234,8 +212,10 @@ def named_module(kind: str, order: int, base: BaseRing = ZZ) -> GModuleComplex:
     if kind == "trivial-Z":
         return GModuleComplex(base, order, {0: 1}, {0: one})
     if kind == "trivial-Zn":
-        rel = ExactMatrix(ZZ, 1, 1, {(0, 0): order})
-        return GModuleComplex(ZZ, order, {0: 1}, {0: one}, relations={0: rel})
+        if base != ZZ:
+            raise TateError(f"trivial-Zn is a module over Z, not over {base.label()}")
+        times_n = ExactMatrix(ZZ, 1, 1, {(0, 0): order})
+        return GModuleComplex(ZZ, order, {0: 1, 1: 1}, {0: one, 1: one}, diffs={1: times_n})
     if kind == "free":
         return GModuleComplex(base, order, {0: order}, {0: sigma})
     if kind == "two-term":
@@ -258,7 +238,7 @@ def direct_sum_modules(A: GModuleComplex, B: GModuleComplex) -> GModuleComplex:
     if A.order != B.order or A.base != B.base:
         raise TateError("summands must share group order and base")
     degrees = sorted(set(A.degrees) | set(B.degrees))
-    ranks, sigmas, diffs, relations = {}, {}, {}, {}
+    ranks, sigmas, diffs = {}, {}, {}
 
     def block_diag(M1: ExactMatrix, M2: ExactMatrix) -> ExactMatrix:
         entries = dict(M1.entries)
@@ -274,10 +254,7 @@ def direct_sum_modules(A: GModuleComplex, B: GModuleComplex) -> GModuleComplex:
         )
         if A.rank(i - 1) + B.rank(i - 1):
             diffs[i] = block_diag(A.diff(i), B.diff(i))
-        RA, RB = A.relation(i), B.relation(i)
-        if RA.ncols or RB.ncols:
-            relations[i] = block_diag(RA, RB)
-    return GModuleComplex(A.base, A.order, ranks, sigmas, diffs, relations)
+    return GModuleComplex(A.base, A.order, ranks, sigmas, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +275,6 @@ class TateComplex:
     window: tuple[int, int]
     ranks: dict[int, int]
     diffs: dict[int, ExactMatrix]
-    relations: dict[int, ExactMatrix] = field(default_factory=dict)
 
     def interior(self) -> range:
         return range(self.window[0] + 1, self.window[1])
@@ -308,19 +284,13 @@ class TateComplex:
             raise TateError(
                 f"degree {d} is at or outside the window edge {self.window}"
             )
-        if self.relations:
-            return PresentedChainComplex(self.ranks, self.diffs, self.relations).homology(d)
         return ChainComplex(self.base, self.ranks, self.diffs).homology(d)
 
     def table(self) -> dict[int, HomologyGroup]:
         return {d: self.homology(d) for d in self.interior()}
 
     def validate(self) -> list[str]:
-        if self.relations:
-            C = PresentedChainComplex(self.ranks, self.diffs, self.relations).to_free_total()
-        else:
-            C = ChainComplex(self.base, self.ranks, self.diffs)
-        return C.validate().problems
+        return ChainComplex(self.base, self.ranks, self.diffs).validate().problems
 
 
 def tate_complex(
@@ -342,18 +312,6 @@ def tate_complex(
         offsets[i] = total
         total += M.rank(i)
     ranks = {d: total for d in range(lo, hi + 1)}
-    relations = {}
-    rel_cols = sum(M.relation(i).ncols for i in degs)
-    if rel_cols:
-        entries = {}
-        col0 = 0
-        for i in degs:
-            R = M.relation(i)
-            for (r, c), v in R.entries.items():
-                entries[(offsets[i] + r, col0 + c)] = v
-            col0 += R.ncols
-        block = ExactMatrix(ZZ, total, rel_cols, entries)
-        relations = {d: block for d in range(lo, hi + 1)}
     diffs: dict[int, ExactMatrix] = {}
     for d in range(lo + 1, hi + 1):
         entries = {}
@@ -380,40 +338,133 @@ def tate_complex(
                 else:
                     entries[key] = s
         diffs[d] = ExactMatrix(M.base, total, total, entries)
-    return TateComplex(M.base, M.order, (lo, hi), ranks, diffs, relations)
+    return TateComplex(M.base, M.order, (lo, hi), ranks, diffs)
 
 
 # ---------------------------------------------------------------------------
 # the norm oracle
 
+
 def norm_oracle(M: GModuleComplex) -> tuple[HomologyGroup, HomologyGroup]:
     """(H^0, H^{-1}) by the classical fixed-point formulas.
 
-    H^0 = ker(sigma - 1) / im N and H^{-1} = ker N / im(sigma - 1),
-    each read off as the middle homology of a three-term presented
-    complex.  Built directly from sigma on M, independent of the
-    resolution and of the untwisting convention in tate_complex, so
-    agreement with it at degrees 0 and -1 is a genuine cross-check.
+    H^0 = ker(sigma - 1) / im N and H^{-1} = ker N / im(sigma - 1), for a
+    module in one degree i or the cokernel of a free resolution
+    d: M_{i+1} >-> M_i of one.  Each is the middle homology of the three
+    columns M --first--> M --second--> M, read off the total complex of
+    those columns times M's rows, whose column homology is the cokernel.
+    Built directly from sigma on M, independent of the resolution and of
+    the untwisting convention in tate_complex, so agreement with it at
+    degrees 0 and -1 is a genuine cross-check.
     """
     degs = M.degrees
-    if len(degs) != 1:
-        raise TateError("norm oracle takes a module concentrated in one degree")
-    i = degs[0]
-    r = M.rank(i)
-    sm1 = M.sigma(i) - ExactMatrix.identity(M.base, r)
-    N = M.norm(i)
-    R = M.relation(i)
-    rels = {0: R, 1: R, 2: R} if R.ncols else None
+    i = degs[0] if degs else 0
+    a, b, d = M.rank(i + 1), M.rank(i), M.diff(i + 1)
+    if not degs or degs[-1] > i + 1 or (a and rank(d) < a):
+        raise TateError(
+            "norm oracle takes a module in one degree or an injective M_{i+1} -> M_i"
+        )
+    sm1 = {j: M.sigma(j) - ExactMatrix.identity(M.base, M.rank(j)) for j in (i, i + 1)}
+    N = {j: M.norm(j) for j in (i, i + 1)}
 
-    def middle(first: ExactMatrix, second: ExactMatrix) -> HomologyGroup:
-        if M.base == ZZ:
-            C = PresentedChainComplex({0: r, 1: r, 2: r}, {1: second, 2: first}, rels)
-            return C.homology(1)
-        return ChainComplex(M.base, {0: r, 1: r, 2: r}, {1: second, 2: first}).homology(1)
+    def middle(first: dict, second: dict) -> HomologyGroup:
+        # total degree t holds column t of row i and column t - 1 of row
+        # i + 1; row i + 1's column maps carry the Koszul sign
+        Z = ExactMatrix.zero(M.base, a, b)
+        diffs = {
+            1: second[i].hstack(d),
+            2: first[i].hstack(d).vstack(Z.hstack(-second[i + 1])),
+            3: d.vstack(-first[i + 1]),
+        }
+        C = ChainComplex(M.base, {0: b, 1: b + a, 2: b + a, 3: a}, diffs)
+        if not C.validate().ok:
+            raise TateError("norm oracle needs an equivariant differential")
+        return C.homology(1)
 
-    h0 = middle(N, sm1)
-    hm1 = middle(sm1, N)
-    return h0, hm1
+    return middle(N, sm1), middle(sm1, N)
+
+
+# ---------------------------------------------------------------------------
+# the Construction 5.1 display
+
+
+@dataclass
+class MixedComplex:
+    """Degreewise modules with d (degree -1) and B (degree +1).
+
+    Modules are free of the given ranks unless a degree appears in
+    relations, in which case that degree is the cokernel of the relation
+    matrix (needed for the Z/n target of the comparison display).
+    """
+
+    base: BaseRing
+    lo: int
+    hi: int
+    ranks: dict[int, int]
+    d: dict[int, ExactMatrix] = field(default_factory=dict)
+    B: dict[int, ExactMatrix] = field(default_factory=dict)
+    relations: dict[int, ExactMatrix] = field(default_factory=dict)
+
+    def rank(self, n: int) -> int:
+        return self.ranks.get(n, 0)
+
+    def d_at(self, n: int) -> ExactMatrix:
+        return self.d.get(n) or ExactMatrix.zero(self.base, self.rank(n - 1), self.rank(n))
+
+    def B_at(self, n: int) -> ExactMatrix:
+        return self.B.get(n) or ExactMatrix.zero(self.base, self.rank(n + 1), self.rank(n))
+
+    def validate(self) -> list[str]:
+        problems = []
+        for n in range(self.lo, self.hi + 1):
+            if not lands_in_span(self.d_at(n).mul(self.d_at(n + 1)), self.relations.get(n - 1)):
+                problems.append(f"d o d != 0 into degree {n - 1}")
+            if not lands_in_span(self.B_at(n + 1).mul(self.B_at(n)), self.relations.get(n + 2)):
+                problems.append(f"B o B != 0 out of degree {n}")
+            anti = self.d_at(n + 1).mul(self.B_at(n)).add(self.B_at(n - 1).mul(self.d_at(n)))
+            if not lands_in_span(anti, self.relations.get(n)):
+                problems.append(f"dB + Bd != 0 at degree {n}")
+        return problems
+
+
+@dataclass
+class MixedMap:
+    source: MixedComplex
+    target: MixedComplex
+    components: dict[int, ExactMatrix]
+
+    def component(self, n: int) -> ExactMatrix:
+        return self.components.get(n) or ExactMatrix.zero(
+            self.source.base, self.target.rank(n), self.source.rank(n)
+        )
+
+
+def mixed_complex_from_display(n: int):
+    """The comparison display for one cyclic group order.
+
+    Source: Z in degrees 0 and -1, d = 0, B = multiplication by n.
+    Target: Z/n in degree 0 (free cover Z with relation n), zero operators.
+    Map: canonical surjection in degree 0.  Returns (source, target, map).
+    """
+    if n < 1:
+        raise ValueError("group order must be >= 1")
+    source = MixedComplex(
+        base=ZZ,
+        lo=-1,
+        hi=0,
+        ranks={0: 1, -1: 1},
+        d={},
+        B={-1: ExactMatrix(ZZ, 1, 1, {(0, 0): n})},
+    )
+    target = MixedComplex(
+        base=ZZ,
+        lo=0,
+        hi=0,
+        ranks={0: 1},
+        relations={0: ExactMatrix(ZZ, 1, 1, {(0, 0): n})},
+    )
+    the_map = MixedMap(source, target, {0: ExactMatrix.identity(ZZ, 1)})
+    return source, target, the_map
 
 
 # ---------------------------------------------------------------------------

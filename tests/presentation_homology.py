@@ -8,7 +8,12 @@ integer kernel basis, the incoming boundaries solved in it and their
 Smith form with its left transform.  They give a class's coordinates
 (`class_of`), a cycle per basis class (`representative`) and, through
 them, the matrix a chain map induces on homology (`homology_map`), which
-the tests compare the reduced routes' tower maps against.  Not collected
+the tests compare the reduced routes' tower maps against.
+
+`PresentedChainComplex` reads the homology of a complex of quotients
+Z^{f_d} / rel_d through the two-row free resolution bicomplex, solving
+for the lifts of the differential to the relations.  The Tate tests
+compare the free resolutions of `cychom.tate` against it.  Not collected
 by pytest; the tests import it.
 """
 
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from cychom.complexes import ChainComplex, ComplexReport, HomologyGroup
+from cychom.complexes import ChainComplex, ComplexReport, HomologyGroup, complex_homology
 from cychom.linalg import integer_kernel_basis, integer_solve, rank, rref, solve_field
 from cychom.matrix import ExactMatrix
 from cychom.rings import Scalar, ZZ
@@ -226,3 +231,78 @@ def is_homology_iso(M: ExactMatrix, src: HomologyGroup, tgt: HomologyGroup) -> b
     if src.dimension == 0:
         return True
     return rank(M) == src.dimension
+
+
+# ---------------------------------------------------------------------------
+# presented complexes (quotient modules such as Z/n in each degree)
+
+
+class PresentedChainComplex:
+    """Complex of presented Z-modules coker(rel_d : Z^{r_d} -> Z^{f_d}).
+
+    Differentials are given on the free covers and must carry relations
+    into relations.  Relation matrices must be injective (true for all
+    uses here: relation blocks are n * identity).  Homology is computed
+    from the free total complex of the two-row resolution bicomplex.
+    """
+
+    def __init__(
+        self,
+        ranks: dict[int, int],
+        diffs: dict[int, ExactMatrix],
+        relations: dict[int, ExactMatrix] | None = None,
+    ):
+        self.ring = ZZ
+        self.ranks = dict(ranks)
+        self.diffs = dict(diffs)
+        self.relations = dict(relations or {})
+
+    def rank(self, d: int) -> int:
+        return self.ranks.get(d, 0)
+
+    def relation(self, d: int) -> ExactMatrix:
+        R = self.relations.get(d)
+        if R is None:
+            return ExactMatrix.zero(ZZ, self.rank(d), 0)
+        return R
+
+    def diff(self, d: int) -> ExactMatrix:
+        M = self.diffs.get(d)
+        if M is None:
+            return ExactMatrix.zero(ZZ, self.rank(d - 1), self.rank(d))
+        return M
+
+    def to_free_total(self) -> ChainComplex:
+        degrees = sorted(set(self.ranks) | {d + 1 for d in self.relations})
+        ranks = {}
+        for d in degrees:
+            ranks[d] = self.rank(d) + self.relation(d - 1).ncols
+        diffs: dict[int, ExactMatrix] = {}
+        lifts: dict[int, ExactMatrix] = {}
+        for d in degrees:
+            R = self.relation(d)
+            if R.ncols and self.rank(d - 1):
+                # lift of the differential to relation covers: diff o rel = rel o lift
+                R_prev = self.relation(d - 1)
+                Y = self.diff(d) * R
+                if R_prev.ncols:
+                    lifts[d] = integer_solve(R_prev, Y)
+                elif not Y.is_zero():
+                    raise ValueError(f"differential at degree {d} does not preserve relations")
+        for d in degrees:
+            f, r_prev = self.rank(d), self.relation(d - 1).ncols
+            f_lo, r_lo = self.rank(d - 1), self.relation(d - 2).ncols
+            entries: dict[tuple[int, int], int] = {}
+            for (i, j), v in self.diff(d).entries.items():
+                entries[(i, j)] = v
+            for (i, j), v in self.relation(d - 1).entries.items():
+                entries[(i, j + f)] = v
+            L = lifts.get(d - 1)
+            if L is not None:
+                for (i, j), v in L.entries.items():
+                    entries[(f_lo + i, f + j)] = -v
+            diffs[d] = ExactMatrix(ZZ, f_lo + r_lo, f + r_prev, entries)
+        return ChainComplex(ZZ, ranks, diffs)
+
+    def homology(self, d: int) -> HomologyGroup:
+        return complex_homology(self.to_free_total(), d)

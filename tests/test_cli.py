@@ -251,6 +251,14 @@ def test_invalid_configs_exit_two(capsys):
         assert code == 2, argv
 
 
+def test_mod_n_module_off_z_exits_two(capsys):
+    argv = ["tate", "--group-order", "4", "--degrees", "-4..4", "--module", "trivial-Zn"]
+    for base in (["--base", "Q"], ["--base", "Fp", "--p", "3"]):
+        code = main(argv + base)
+        assert code == 2, base
+        assert "trivial-Zn is a module over Z" in capsys.readouterr().err
+
+
 def test_missing_algebra_file_exits_two(capsys, tmp_path):
     code = main(["hc", "--algebra", str(tmp_path / "absent.json"), "--degrees", "0..2"])
     capsys.readouterr()

@@ -1,7 +1,8 @@
 """Chain complexes, homology groups, induced maps, presented complexes.
 
-Induced maps and canonical presentations come from the oracle in
-`presentation_homology`; `complex_homology` is checked against it.
+Induced maps, canonical presentations and presented complexes come from
+the oracle in `presentation_homology`; `complex_homology` is checked
+against it.
 """
 
 import pytest
@@ -13,11 +14,11 @@ from cychom.matrix import ExactMatrix
 from cychom.complexes import (
     ChainComplex,
     HomologyGroup,
-    PresentedChainComplex,
     complex_homology,
 )
 from presentation_homology import (
     ChainMap,
+    PresentedChainComplex,
     homology_map,
     homology_presentation,
     is_homology_iso,

@@ -15,9 +15,9 @@ from cychom.cyclic import (
     cyclic_bar_module,
     cyclic_identity_report,
     cyclic_identity_multibase_report,
-    mixed_complex_from_display,
     normalized,
 )
+from cychom.tate import mixed_complex_from_display
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 

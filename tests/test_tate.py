@@ -2,7 +2,7 @@ import pytest
 
 from cychom.complexes import HomologyGroup
 from cychom.matrix import ExactMatrix
-from cychom.rings import ZZ, GF
+from cychom.rings import ZZ, GF, QQ
 from cychom.tate import (
     CompleteResolution,
     GModuleComplex,
@@ -15,11 +15,19 @@ from cychom.tate import (
     norm_oracle,
     tate_complex,
 )
+from presentation_homology import PresentedChainComplex
 
 
 def tate_table(kind, n, window=(-4, 4), base=ZZ):
     P = complete_resolution_cyclic(base, n)
     return tate_complex(named_module(kind, n, base), P, window).table()
+
+
+def mod_k_group_ring(n, k):
+    """Z/k tensor Z[C_n], resolved as Z[C_n] --k--> Z[C_n]."""
+    sigma = named_module("free", n).sigma(0)
+    times_k = ExactMatrix(ZZ, n, n, {(j, j): k for j in range(n)})
+    return GModuleComplex(ZZ, n, {0: n, 1: n}, {0: sigma, 1: sigma}, diffs={1: times_k})
 
 
 # -- the standard resolution -----------------------------------------------------
@@ -67,6 +75,15 @@ def test_named_modules_validate():
 def test_named_module_rejects_unknown_kind():
     with pytest.raises(TateError):
         named_module("projective", 3)
+
+
+def test_mod_n_module_is_a_resolution_over_z_only():
+    M = named_module("trivial-Zn", 5)
+    assert M.degrees == [0, 1]
+    assert M.diff(1) == ExactMatrix(ZZ, 1, 1, {(0, 0): 5})
+    for base in (QQ, GF(3)):
+        with pytest.raises(TateError, match="module over Z"):
+            named_module("trivial-Zn", 4, base)
 
 
 def test_module_validation_catches_broken_action():
@@ -130,11 +147,14 @@ def test_two_term_cone_is_tate_acyclic():
 def test_contractible_summand_does_not_change_homology():
     n = 4
     P = complete_resolution_cyclic(ZZ, n)
-    M = named_module("trivial-Z", n)
-    MC = direct_sum_modules(M, named_module("contractible", n))
-    a = tate_complex(M, P, (-4, 4)).table()
-    b = tate_complex(MC, P, (-4, 4)).table()
-    assert {d: H.label() for d, H in a.items()} == {d: H.label() for d, H in b.items()}
+    for kind in ("trivial-Z", "trivial-Zn"):
+        M = named_module(kind, n)
+        MC = direct_sum_modules(M, named_module("contractible", n))
+        a = tate_complex(M, P, (-4, 4)).table()
+        b = tate_complex(MC, P, (-4, 4)).table()
+        assert {d: H.label() for d, H in a.items()} == {
+            d: H.label() for d, H in b.items()
+        }, kind
 
 
 def test_homology_is_2_periodic():
@@ -190,18 +210,40 @@ def test_window_and_order_guards():
 
 
 def test_norm_oracle_needs_single_degree():
-    with pytest.raises(TateError):
-        norm_oracle(named_module("two-term", 3))
+    # a module in one degree or a resolution of one: not the sigma - 1
+    # cone, not Z --1--> Z --0--> Z across three degrees, not Z and Z in
+    # degrees 0 and 2
+    one = ExactMatrix.identity(ZZ, 1)
+    three = GModuleComplex(
+        ZZ, 3, {0: 1, 1: 1, 2: 1}, {0: one, 1: one, 2: one}, diffs={2: one}
+    )
+    assert three.validate() == []
+    gapped = GModuleComplex(ZZ, 3, {0: 1, 2: 1}, {0: one, 2: one})
+    for M in (named_module("two-term", 3), three, gapped):
+        with pytest.raises(TateError):
+            norm_oracle(M)
+
+
+def test_norm_oracle_refuses_nonequivariant_resolution():
+    swap = ExactMatrix(ZZ, 2, 2, {(0, 1): 1, (1, 0): 1})
+    d = ExactMatrix(ZZ, 2, 2, {(0, 0): 1, (1, 1): 2})
+    M = GModuleComplex(ZZ, 2, {0: 2, 1: 2}, {0: swap, 1: swap}, diffs={1: d})
+    with pytest.raises(TateError, match="equivariant"):
+        norm_oracle(M)
 
 
 # -- the norm oracle against the resolution route ----------------------------------
 
 
 def test_norm_oracle_matches_tate_complex():
-    for kind in ("trivial-Z", "trivial-Zn", "free"):
-        for n in (2, 3, 4, 5, 6):
-            M = named_module(kind, n)
-            P = complete_resolution_cyclic(ZZ, n)
+    # on the mod-k group rings sigma - 1 and N are both nonzero, so the
+    # oracle's Koszul signs matter
+    for n in (2, 3, 4, 5, 6):
+        kinds = ("trivial-Z", "trivial-Zn", "free", "contractible")
+        modules = {kind: named_module(kind, n) for kind in kinds}
+        modules.update({f"mod-{k}-group-ring": mod_k_group_ring(n, k) for k in (2, 3)})
+        P = complete_resolution_cyclic(ZZ, n)
+        for kind, M in modules.items():
             T = tate_complex(M, P, (-3, 2))
             h0, hm1 = norm_oracle(M)
             assert T.homology(0) == h0, (kind, n)
@@ -217,6 +259,42 @@ def test_norm_oracle_classical_values():
     h0, hm1 = norm_oracle(named_module("trivial-Zn", 6))
     assert h0 == HomologyGroup(ZZ, 0, (6,))
     assert hm1 == HomologyGroup(ZZ, 0, (6,))
+    # Z[C_n] --1--> Z[C_n] resolves 0
+    h0, hm1 = norm_oracle(named_module("contractible", 4))
+    assert h0.is_zero() and hm1.is_zero()
+
+
+# -- free resolutions against the presented route they replace ---------------------
+
+
+def presented_table(cover, k, window):
+    """Tate table of cover / k * cover, read as a presented complex.
+
+    The cover's Tate differentials with a k * identity relation block in
+    every degree, read through relation lifts: a route to the quotient's
+    homology independent of its free resolution.
+    """
+    T = tate_complex(cover, complete_resolution_cyclic(ZZ, cover.order), window)
+    r = T.ranks[window[0]]
+    rel = ExactMatrix(ZZ, r, r, {(j, j): k for j in range(r)})
+    presented = PresentedChainComplex(T.ranks, T.diffs, {d: rel for d in T.ranks})
+    return {d: presented.homology(d) for d in T.interior()}
+
+
+def test_mod_n_resolution_matches_presented_route():
+    for n in range(1, 9):
+        for window in ((-3, 3), (-7, 7)):
+            free = tate_table("trivial-Zn", n, window)
+            assert free == presented_table(named_module("trivial-Z", n), n, window), (n, window)
+
+
+def test_mod_k_group_ring_resolution_matches_presented_route():
+    for k in (2, 3):
+        for n in range(2, 7):
+            M = mod_k_group_ring(n, k)
+            assert M.validate() == []
+            T = tate_complex(M, complete_resolution_cyclic(ZZ, n), (-3, 3))
+            assert T.table() == presented_table(named_module("free", n), k, (-3, 3)), (k, n)
 
 
 # -- the two comparison checks ------------------------------------------------------
