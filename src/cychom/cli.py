@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,6 @@ from .cyclic import cyclic_bar_module, normalized
 from .rings import BaseRing, ring_from_name
 from .tate import (
     TateError,
-    complete_resolution_cyclic,
     construction_5_1_check,
     corollary_5_3_check,
     named_module,
@@ -73,6 +73,13 @@ class RunConfig:
             raise SpecError("--base Fp needs --p")
         if self.normalized not in ("on", "off"):
             raise SpecError("--normalized takes on or off")
+        # refuse an unwritable report path before a long run, not after it
+        if self.out is not None:
+            if os.path.isdir(self.out):
+                raise SpecError(f"--out {self.out} is a directory")
+            parent = os.path.dirname(self.out) or "."
+            if not os.path.isdir(parent):
+                raise SpecError(f"--out {self.out}: no directory {parent}")
 
     def to_json(self) -> dict:
         out = {"command": self.command, "format": self.format}
@@ -181,9 +188,9 @@ def _need_degrees(cfg: RunConfig) -> tuple[int, int]:
     return cfg.degrees
 
 
-def _need_order(cfg: RunConfig) -> int:
-    if cfg.group_order is None or cfg.group_order < 1:
-        raise SpecError(f"{cfg.command} needs --group-order n with n >= 1")
+def _need_order(cfg: RunConfig, least: int = 1) -> int:
+    if cfg.group_order is None or cfg.group_order < least:
+        raise SpecError(f"{cfg.command} needs --group-order n with n >= {least}")
     return cfg.group_order
 
 
@@ -249,9 +256,8 @@ def _cmd_tate(cfg: RunConfig) -> ReportDocument:
     n = _need_order(cfg)
     lo, hi = _need_degrees(cfg)
     M = named_module(cfg.module_kind, n, _resolve_base(cfg))
-    P = complete_resolution_cyclic(M.base, n)
     # homology is only defined away from the window edges; pad by one
-    T = tate_complex(M, P, (lo - 1, hi + 1))
+    T = tate_complex(M, (lo - 1, hi + 1))
     doc = ReportDocument(config=cfg.to_json())
     doc.tables["Tate"] = {
         "theory": "Tate",
@@ -272,7 +278,7 @@ def _cmd_check_5_1(cfg: RunConfig) -> ReportDocument:
 
 def _cmd_check_5_3(cfg: RunConfig) -> ReportDocument:
     window = cfg.degrees if cfg.degrees is not None else (-4, 4)
-    report = corollary_5_3_check(_need_order(cfg), window)
+    report = corollary_5_3_check(_need_order(cfg, 2), window)
     doc = ReportDocument(config=cfg.to_json())
     doc.config["degrees"] = list(window)
     doc.checks.append(report.to_json())
@@ -474,8 +480,12 @@ def main(argv=None) -> int:
         return 3
     text = doc.render(cfg.format)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 1 if doc.failed() else 0

@@ -50,10 +50,11 @@ the vertical faces of the previous level's orbits give the orbits the
 next level needs, less those it has already evaluated.  Bottom up, Z of
 those orbits is evaluated from their faces again, looking up only the
 faces that land on a rotation of an orbit whose Z is nonzero; only such
-orbits are kept.  Survivors first appear in row p - 1, and Z vanishes in
-every row below it, so the walk stops there.  The faces are the bar
-modules' own, from `cyclic.SummandOps.face`, and terms are summed by
-`cyclic._sum_by`.
+orbits are kept.  The second face pass is what keeps one level's faces,
+not every level's, in memory.  Survivors first appear in row p - 1, and
+Z vanishes in every row below it, so the walk stops there.  The faces
+are the bar modules' own, from `cyclic.SummandOps.face`, and terms are
+summed by `cyclic._sum_by`.
 
 The left region p <= 0, which carries negative cyclic homology, has the
 same rows cut at column 0, where nothing comes in.  There a row's

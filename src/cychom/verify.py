@@ -33,7 +33,6 @@ from .matrix import ExactMatrix
 from .rings import GF, QQ, ZZ
 from .snf import det_bareiss, diagonal_of, smith_normal_form
 from .tate import (
-    complete_resolution_cyclic,
     construction_5_1_check,
     corollary_5_3_check,
     direct_sum_modules,
@@ -359,33 +358,29 @@ def _tate_suite(ctx: SuiteContext) -> tuple[bool, str, dict]:
     problems = []
     tables = {}
     for n in (2, 3, 4, 6):
-        P = complete_resolution_cyclic(ZZ, n)
-        T = tate_complex(named_module("trivial-Z", n), P, (-7, 7))
+        T = tate_complex(named_module("trivial-Z", n), (-7, 7))
         tables[n] = {str(d): T.homology(d).label() for d in range(-6, 7)}
         for d in range(-6, 7):
             want = HomologyGroup(ZZ, 0, (n,)) if d % 2 == 0 else HomologyGroup(ZZ, 0)
             if T.homology(d) != want:
                 problems.append(f"trivial-Z order {n} degree {d}")
     for n in range(2, 9):
-        P = complete_resolution_cyclic(ZZ, n)
         for kind in ("trivial-Z", "trivial-Zn", "free"):
             M = named_module(kind, n)
-            T = tate_complex(M, P, (-2, 1))
+            T = tate_complex(M, (-2, 1))
             h0, hm1 = norm_oracle(M)
             if T.homology(0) != h0 or T.homology(-1) != hm1:
                 problems.append(f"oracle disagrees for {kind} order {n}")
     for n in (2, 3, 4, 6):
-        P = complete_resolution_cyclic(ZZ, n)
         M = named_module("trivial-Z", n)
-        plain = tate_complex(M, P, (-4, 4)).table()
-        padded = tate_complex(
-            direct_sum_modules(M, named_module("contractible", n)), P, (-4, 4)
-        ).table()
+        plain = tate_complex(M, (-4, 4)).table()
+        MC = direct_sum_modules(M, named_module("contractible", n))
+        padded = tate_complex(MC, (-4, 4)).table()
         if {d: H.label() for d, H in plain.items()} != {
             d: H.label() for d, H in padded.items()
         }:
             problems.append(f"contractible summand moved homology, order {n}")
-        F = tate_complex(named_module("free", n), P, (-4, 4))
+        F = tate_complex(named_module("free", n), (-4, 4))
         if any(not F.homology(d).is_zero() for d in range(-3, 4)):
             problems.append(f"free module not Tate-acyclic, order {n}")
     ok = not problems
@@ -435,8 +430,7 @@ def _determinism(ctx: SuiteContext) -> tuple[bool, str, dict]:
     def tate_json():
         out = {}
         for n in (2, 3, 4, 6):
-            P = complete_resolution_cyclic(ZZ, n)
-            T = tate_complex(named_module("trivial-Z", n), P, (-7, 7))
+            T = tate_complex(named_module("trivial-Z", n), (-7, 7))
             out[str(n)] = {str(d): T.homology(d).to_json() for d in T.interior()}
         return json.dumps(out, sort_keys=True).encode()
 

@@ -243,6 +243,7 @@ def test_invalid_configs_exit_two(capsys):
         ["hp-poly", "--algebra", "ground-field", "--base", "Q", "--degrees", "0..2", "--persistence", "1"],
         ["verify", "--suite", "no-such-criterion"],
         ["tate", "--group-order", "0", "--degrees", "-2..2"],
+        ["check-5-3", "--group-order", "1"],
         ["conjugate-check", "--algebra", "ground-field", "--base", "Q", "--degrees", "0..1"],
     ]
     for argv in cases:
@@ -257,6 +258,19 @@ def test_mod_n_module_off_z_exits_two(capsys):
         code = main(argv + base)
         assert code == 2, base
         assert "trivial-Zn is a module over Z" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_two_before_computing(capsys, monkeypatch, tmp_path):
+    import cychom.cli as cli
+
+    ran = []
+    monkeypatch.setitem(cli._COMMANDS, "hh", ran.append)
+    argv = ["hh", "--algebra", "dual-numbers", "--base", "Q", "--degrees", "0..1", "--out"]
+    for out in (tmp_path / "absent" / "x.json", tmp_path):
+        code = main(argv + [str(out)])
+        assert code == 2, out
+        assert capsys.readouterr().err.startswith("error: --out"), out
+    assert ran == []
 
 
 def test_missing_algebra_file_exits_two(capsys, tmp_path):

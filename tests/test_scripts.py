@@ -51,3 +51,23 @@ def test_stabilization_profile_prints_survivor_rows(capsys):
     script.main(argv + ["--base", "Q"])
     out = capsys.readouterr().out
     assert "no survivor rows" in out and "step" not in out
+
+
+def test_compare_outputs_finds_a_tree_identical_to_itself(capsys, tmp_path):
+    commands = tmp_path / "commands.txt"
+    commands.write_text(
+        "# one line per command\n"
+        "tate --group-order 3 --degrees -2..2\n"
+        "\n"
+        "check-5-3 --group-order 1\n"
+        "hp-poly --algebra ground-field --base Fp --p 3 --degrees 0..1 --q-schedule 4,6,8,10\n"
+    )
+    src = str(SCRIPTS.parent / "src")
+    script = load("compare_outputs")
+    assert script.main([src, src, "--commands", str(commands)]) == 0
+    assert capsys.readouterr().out == "3 commands: 3 identical, 0 differ\n"
+    # timings alone never differ; an exit code does
+    report = {"code": 0, "stdout": '{"tables": {}, "timings": {"total_s": 1.0}}', "stderr": ""}
+    slower = dict(report, stdout='{"tables": {}, "timings": {"total_s": 2.0}}')
+    assert script.compare([report, report], [slower, dict(report, code=1)], [["a"], ["b"]]) == 1
+    assert capsys.readouterr().out == "DIFF b: exit 0 -> 1\n2 commands: 1 identical, 1 differ\n"
