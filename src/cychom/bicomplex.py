@@ -60,8 +60,12 @@ reduction of the whole truncation would.  A stage keeps its q_max and a
 per-degree snapshot of the surviving cells.  The tower map of a step is
 the projection (transport_down) of the earlier stage's survivors into
 the later one: the lift a separate reduction would need adds only upper
-cells, which the projection drops.  The S-map still lifts (transport_up),
-because S moves upper cells onto cells that survive.
+cells, which the projection drops.  The S-tower's ranks come from
+Connes' exact sequence HH_n --I--> HC_n --S--> HC_{n-2} (Loday, Cyclic
+Homology, 2.2.1) on a two-step filtration of the same kind: Tot(b-bar +
+B-bar) reaches its reduction in two blocks, the Hochschild complex (the
+summands k = 0) and then the rest, so I is a tower map and
+rank S = dim HC_n - rank I.
 """
 
 from __future__ import annotations
@@ -129,6 +133,13 @@ def _csc(ncols: int, pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     indptr = np.zeros(ncols + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
     return indptr, rows[order], vals[order]
+
+
+def _columns(csc: tuple, start: int, stop: int) -> tuple:
+    """The columns start..stop - 1 of CSC arrays."""
+    indptr, rows, vals = csc
+    s, e = indptr[start], indptr[stop]
+    return indptr[start:stop + 1] - s, rows[s:e], vals[s:e]
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +350,6 @@ class _ReducedStage:
             raise ValueError(f"degree {d} is outside the trusted window")
         return HomologyGroup(self.ring, len(self._alive[d]))
 
-    def s_shift(self, d: int) -> int:
-        """s: S sends the i-th cell of degree d to the (i - s)-th of d - 2, or to 0."""
-        raise NotImplementedError
-
 
 class _TotalStage(_ReducedStage):
     """One row truncation of a region of the plane, materialized and reduced.
@@ -366,12 +373,6 @@ class _TotalStage(_ReducedStage):
             if d > lo - 1
         }
         super().__init__(MorseReduction(X.base, ranks, boundaries), q_max, lo, hi)
-
-    def s_shift(self, d: int) -> int:
-        # the quotient of the first quadrant by columns p in {0, 1} is the
-        # first quadrant shifted two columns left, (p, q) -> (p - 2, q); the
-        # rows q <= d - 2 lead both layouts with the same offsets
-        return 0
 
 
 def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
@@ -471,13 +472,13 @@ class _MixedStage(_ReducedStage):
     increasing k; cell (k, j) is the j-th basis tuple of the k-th
     summand.  b-bar keeps k and B-bar lowers it by one, so each degree's
     CSC places their Coo at the summand offsets.  Over a field this
-    computes HC with its periodicity S (Loday, Cyclic Homology, 2.1.8);
-    S drops the k = 0 summand and shifts the rest down one step, which
-    moves every cell index down by the rank of the k = 0 summand.
+    computes HC with its periodicity S (Loday, Cyclic Homology, 2.1.8).
+    The summands k = 0 span the Hochschild complex F_0 = (X-bar, b-bar),
+    a subcomplex, and the reduction takes them as a first block: hh is
+    the stage after it, and each degree keeps its cell order.
     """
 
     def __init__(self, nb: NormalizedBarModule, lo: int, hi: int):
-        self.nb = nb
         b = {m: nb.coo("b", m) for m in range(1, hi + 2)}
         B = {m: nb.coo("B", m) for m in range(hi)}
         offsets = {}  # degree -> start of each summand k
@@ -496,11 +497,16 @@ class _MixedStage(_ReducedStage):
                 if k:
                     pieces.append((offsets[n - 1][k - 1], at, B[m]))
             boundaries[n] = _csc(ranks[n], pieces)
-        # q_max only orders the stages of a tower; this is a single stage
-        super().__init__(MorseReduction(nb.base, ranks, boundaries), hi + 1, lo, hi)
-
-    def s_shift(self, d: int) -> int:
-        return self.nb.rank(d)
+        head = {n: nb.rank(n) for n in ranks}  # the summand k = 0
+        red = MorseReduction(nb.base)
+        red.add_cells(head, {n: _columns(csc, 0, head[n]) for n, csc in boundaries.items()})
+        # q_max only orders the two stages, F_0 and the whole
+        self.hh = _ReducedStage(red, 0, lo, hi)
+        red.add_cells(
+            {n: ranks[n] - head[n] for n in ranks},
+            {n: _columns(csc, head[n], ranks[n]) for n, csc in boundaries.items()},
+        )
+        super().__init__(red, hi + 1, lo, hi)
 
 
 def _first_quadrant(X: CyclicModule, lo: int, hi: int) -> _ReducedStage:
@@ -515,9 +521,10 @@ def _first_quadrant(X: CyclicModule, lo: int, hi: int) -> _ReducedStage:
 class StabilizationReport:
     """Progress of one degree along a truncation (or S-) tower.
 
-    stages pair the tower coordinate with the homology group found there;
-    maps[i] is the induced matrix stages[i] -> stages[i+1].  Two
-    certificates can settle a degree:
+    stages pair the tower coordinate with the homology group found there.
+    On a truncation tower maps[i] is the induced matrix stages[i] ->
+    stages[i+1]; an S-tower report carries no maps, and the ranks of S
+    show only in `dying`.  Two certificates can settle a degree:
 
     "stabilized": `persistence` consecutive maps were isomorphisms, so the
     groups themselves became constant.  "stabilized-persistent": the ranks
@@ -776,40 +783,33 @@ def hh(
 # ---------------------------------------------------------------------------
 # the S-tower
 
-def _s_map_on_stage(stage: _ReducedStage, n: int) -> ExactMatrix:
-    """H_n -> H_{n-2} induced by the periodicity shift S of a first quadrant.
+def _s_rank(stage: _MixedStage, n: int) -> int:
+    """Rank of the periodicity S: HC_n -> HC_{n-2} of a reduced stage.
 
-    S is the chain-level quotient map onto the complex two degrees down,
-    which moves cell indices down by the stage's s_shift.
+    Connes' sequence HH_n --I--> HC_n --S--> HC_{n-2} is exact, so the
+    kernel of S is the image of I, and I is the tower map from the
+    stage's Hochschild part into it: a projection, exact over every field.
     """
-    ring = stage.ring
-    rows_alive = stage.alive(n - 2)
-    cols_alive = stage.alive(n)
-    row_pos = {cell: r for r, cell in enumerate(rows_alive)}
-    first = stage.start[n] + stage.s_shift(n)  # the first cell S keeps
-    last = first + stage.red.ranks[n - 2]
-    shift = stage.start[n - 2] - first
-    entries = {}
-    for j, y in enumerate(cols_alive):
-        lifted = stage.red.transport_up({y: ring.one}, n)
-        shifted = {cell + shift: c for cell, c in lifted.items() if first <= cell < last}
-        down = stage.red.transport_down(shifted)
-        for cell, c in down.items():
-            entries[(row_pos[cell], j)] = c
-    return ExactMatrix(
-        ring, len(rows_alive), len(cols_alive), entries, _normalized=True
-    )
+    I = _stage_map(stage.hh, stage, n)
+    return I.nrows - (rank(I) if I.nrows and I.ncols else 0)
 
 
 def sbi_S_map(
     X: CyclicModule, d: int, k: int
 ) -> tuple[ExactMatrix, HomologyGroup, HomologyGroup]:
-    """The periodicity map HC_{d+2k} -> HC_{d+2k-2} in canonical bases."""
+    """The periodicity map HC_{d+2k} -> HC_{d+2k-2} in rank normal form.
+
+    In bases adapted to S the first rank S basis classes of HC_{d+2k} go
+    to the first of HC_{d+2k-2} and the others to 0, so the matrix holds
+    ones on the leading diagonal and is read for its shape and rank.
+    """
     n = d + 2 * k
     if n < 2:
         raise ValueError("need d + 2k >= 2 so both groups exist")
     stage = _first_quadrant(X, max(0, n - 2), n)
-    return _s_map_on_stage(stage, n), stage.group(n), stage.group(n - 2)
+    src, tgt = stage.group(n), stage.group(n - 2)
+    S = {(i, i): 1 for i in range(_s_rank(stage, n))}
+    return ExactMatrix(stage.ring, tgt.dimension, src.dimension, S), src, tgt
 
 
 def _check_tower_depth(d: int, K: int, persistence: int) -> None:
@@ -826,14 +826,14 @@ def _s_tower_run(
     d: int,
     K: int,
     persistence: int,
-    s_maps: dict[int, ExactMatrix],
+    s_ranks: dict[int, int],
 ) -> StabilizationReport:
     """Walk HC_{d+2K} -> ... -> HC_d on a prepared stage, deepest map first.
 
     The limit along the tower is determined by its tail, so the verdict
     demands the deepest `persistence` maps be isomorphisms and reports the
-    deep group as the value.  `s_maps` memoizes S-maps across degrees that
-    share the stage.
+    deep group as the value.  `s_ranks` memoizes the ranks of S across
+    degrees that share the stage.
     """
     rep = StabilizationReport(degree=d, persistence=persistence)
 
@@ -846,18 +846,9 @@ def _s_tower_run(
     run_alive = True
     for j in range(K, 0, -1):
         n = d + 2 * j
-        M = s_maps.get(n)
-        if M is None:
-            if n >= 2:
-                M = _s_map_on_stage(stage, n)
-            else:
-                M = ExactMatrix.zero(
-                    stage.ring, group_at(n - 2).dimension, group_at(n).dimension
-                )
-            s_maps[n] = M
-        rep.maps.append(M)
-        src_dim, tgt_dim = M.ncols, M.nrows
-        r = rank(M) if src_dim and tgt_dim else 0
+        if n not in s_ranks:
+            s_ranks[n] = _s_rank(stage, n) if n >= 2 else 0
+        src_dim, tgt_dim, r = group_at(n).dimension, group_at(n - 2).dimension, s_ranks[n]
         if r < src_dim:
             rep.dying.append(
                 f"{src_dim - r} class(es) die along S: HC_{n} -> HC_{n - 2}"
@@ -883,9 +874,9 @@ def hp_s_tower_table(
     """S-tower limits over a degree range, sharing one reduced complex.
 
     With K=None each degree gets the shallowest depth whose persistence
-    run stays inside the first quadrant.  All towers read groups and maps
-    off a single Morse-reduced first-quadrant complex, and degrees that
-    share an S-map compute it once.
+    run stays inside the first quadrant.  All towers read groups and the
+    ranks of S off a single Morse-reduced first-quadrant complex, and
+    degrees that share an S-map rank it once.
     """
     lo_d, hi_d = degrees
     if lo_d > hi_d:
@@ -897,7 +888,7 @@ def hp_s_tower_table(
         depths[d] = k
     n_max = max(d + 2 * depths[d] for d in depths)
     stage = _first_quadrant(X, 0, n_max)
-    cache: dict[int, ExactMatrix] = {}
+    cache: dict[int, int] = {}
     reports = {
         d: _s_tower_run(stage, d, depths[d], persistence, cache)
         for d in range(lo_d, hi_d + 1)

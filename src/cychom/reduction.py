@@ -1,29 +1,30 @@
-"""Left-looking sparse chain reduction with bidirectional chain transport.
+"""Left-looking sparse chain reduction with chain projection.
 
 Cancels invertible boundary entries (a, b) pairwise, shrinking a complex
-to a homotopy-equivalent one while recording enough data to transport
-chains in both directions afterwards.  Over a field a full reduction
-leaves the zero differential, so surviving cells per degree count
-homology; the transports realize the induced maps along truncation
-towers without ever materializing a homology presentation.  Over Z the
-surviving cells form a residual complex, and `complex_homology` reads its
-groups from ranks and invariant factors.
+to a homotopy-equivalent one while recording enough data to project
+chains onto it afterwards.  Over a field a full reduction leaves the zero
+differential, so surviving cells per degree count homology; the
+projection realizes the induced maps along truncation towers without
+ever materializing a homology presentation.  Over Z the surviving cells
+form a residual complex, and `complex_homology` reads its groups from
+ranks and invariant factors.
 
 Cancelling a pair (a in degree d, b in degree d+1) with unit pivot
 lam = <db, a> rewrites every other degree-(d+1) boundary as
 dy - <dy, a> lam^{-1} db and simply drops b-coordinates in degree d+2
-(forced: the dropped coordinate is determined by d o d = 0).  The
-corresponding maps are, per logged cancellation,
+(forced: the dropped coordinate is determined by d o d = 0).  A log
+entry is (a, b, lam, snapshot), the snapshot being db without its a
+entry, and the projection (original -> reduced) is, per entry in log
+order,
 
-  down (original -> reduced):  v |-> v - v[a] lam^{-1} (db snapshot),
-                               then delete the b coordinate;
-  up   (reduced -> original):  v |-> v - lam^{-1} (sum_y <dy,a> v[y]) b,
+  v |-> v - v[a] lam^{-1} (db snapshot), then delete the b coordinate.
 
-applied in log order (down) or backward (up).  A snapshot holds only
-lower cells of later pivots, so down clears a chain against the pivots
-it hits through a heap of their log indices, as the sweep clears a
-column, and then drops its upper cells; up replays the log entries
-whose upper cell has the chain's degree.
+A snapshot holds only lower cells of later pivots, so the projection
+clears a chain against the pivots it hits through a heap of their log
+indices, as the sweep clears a column, and then drops its upper cells.
+Nothing is kept for the way back: a lift into the original complex
+would need every pivot's row, the coefficients of the columns cleared
+against it, and no route reads one.
 
 Input.  Cells come in blocks, and ids are given in arrival order: a
 block's cells take the next ids, degree by degree in increasing order.
@@ -42,19 +43,17 @@ is cleared against the earlier pivots it hits through a heap of their
 log indices.  Pivot j's snapshot misses the lower cells of earlier
 pivots, so its fill lands only on later pivots and each pivot is popped
 at most once.  The cleared column is the one right-looking elimination
-would hold at this point, and the coefficient it had on each pivot's
-lower cell is that pivot's row entry, so row_a in the log fills in as
-later columns clear.  Over a field one sweep empties every boundary.
+would hold at this point.  Over a field one sweep empties every boundary.
 
 Filtered complexes.  When the blocks are the rows of a filtration and
 a row-q cell's boundary lands only on rows <= q (row truncations of a
 double complex), arrival order keeps row order within each degree.  A
 column then meets only cells and pivots of rows up to its own, so each
-block's sweep logs exactly the pairs, snapshots and row entries that a
-one-shot reduction of the truncation it completes would log: one
-reduction serves a whole truncation tower (Zomorodian-Carlsson,
-"Computing persistent homology", DCG 33, 2005), a stage is its state
-after a block, and a tower map is transport_down of the earlier stage's
+block's sweep logs exactly the pairs and snapshots that a one-shot
+reduction of the truncation it completes would log: one reduction
+serves a whole truncation tower (Zomorodian-Carlsson, "Computing
+persistent homology", DCG 33, 2005), a stage is its state after a
+block, and a tower map is transport_down of the earlier stage's
 survivors, with no lift.
 
 Pivot rule.  A column is cancelled against its largest row (the
@@ -103,7 +102,7 @@ class MorseReduction:
     index the cells of degree d - 1.  A degree without an entry has no
     boundary.  add_cells appends a further block the same way.  Usage:
     construct, call reduce() after each block, then read survivors /
-    transport chains.
+    project chains.
     """
 
     def __init__(
@@ -117,7 +116,7 @@ class MorseReduction:
         self.ranks: dict[int, int] = {}  # cells so far, per degree
         self.degree: list[int] = []
         self.alive_flags: list[bool] = []
-        # log entries: (a, b, lam, col_b items but a, row_a), row_a filled as columns clear
+        # log entries: (a, b, lam, col_b items but a)
         self.log: list[tuple] = []
         self._blocks: dict[int, list[range]] = {}  # the ids of each degree, block by block
         self._pending: dict[int, list] = {}  # degree -> CSC blocks the next sweep reads
@@ -128,8 +127,6 @@ class MorseReduction:
         self._reduced = True
         self._alive_by_degree: dict[int, list[int]] = {}  # survivors of the last sweep
         self._fresh: dict[int, list[range]] = {}  # cells added since
-        self._up_by_degree: dict[int, list] = {}  # log entries by upper-cell degree
-        self._indexed = 0  # log entries in _up_by_degree
         self.add_cells(ranks or {}, boundaries or {})
 
     def add_cells(self, ranks: dict[int, int], boundaries: dict[int, tuple]) -> None:
@@ -231,7 +228,7 @@ class MorseReduction:
     def _settle(self, b: int, col: dict, heap: list, drop: bool) -> bool:
         """Clear column b, then cancel it or keep it as a residual; True if cancelled."""
         if heap:
-            self._clear(col, heap, b)
+            self._clear(col, heap)
         if drop:  # over Z: upper cells cancelled since the column was read
             col = {x: c for x, c in col.items() if self._piv[x] != _UPPER}
         if not col:
@@ -248,24 +245,18 @@ class MorseReduction:
         self._cancel(a, b, col)
         return True
 
-    def _clear(self, col: dict, heap: list, b: int | None = None) -> None:
-        """Subtract from col, in log order, every pivot it hits.
-
-        b, the column's own cell, is recorded in the row entries of the
-        pivots it meets; a transported chain has none.
-        """
+    def _clear(self, col: dict, heap: list) -> None:
+        """Subtract from col, in log order, every pivot it hits."""
         piv, negs, log = self._piv, self._negs, self.log
         pop, push = heapq.heappop, heapq.heappush
         p = self.ring.p
         heapq.heapify(heap)
         while heap:
             j = pop(heap)
-            a, _, _, rest, row_a = log[j]
+            a, _, _, rest = log[j]
             c = col.pop(a, None)
             if c is None:  # a repeated index, or an entry that fill cancelled
                 continue
-            if b is not None:
-                row_a.append((b, c))
             mu = c * negs[j] % p if p else c * negs[j]
             for x, cx in rest:
                 old = col.get(x)
@@ -289,7 +280,7 @@ class MorseReduction:
             neg = -lam if lam == 1 or lam == -1 else -1 / Fraction(lam)
         self._piv[a] = len(self.log)
         self._piv[b] = _UPPER
-        self.log.append((a, b, lam, tuple(col.items()), []))
+        self.log.append((a, b, lam, tuple(col.items())))
         self._negs.append(neg)
         self.alive_flags[a] = False
         self.alive_flags[b] = False
@@ -307,7 +298,7 @@ class MorseReduction:
         """True when reduce() left no residual boundary entries (always, over a field)."""
         return self._reduced and not any(i in self._residual for i in self.alive(degree))
 
-    # -- chain transport -----------------------------------------------------
+    # -- chain projection ----------------------------------------------------
 
     def _normal(self, v: dict) -> dict:
         """v in the ring's normal form: over Q every value a Fraction."""
@@ -328,38 +319,6 @@ class MorseReduction:
         if heap:
             self._clear(v, heap)
         return self._normal({x: c for x, c in v.items() if piv[x] != _UPPER})
-
-    def transport_up(
-        self, chain: dict[int, object], degree: int | None = None
-    ) -> dict[int, object]:
-        """A chain of the original complex mapping onto a reduced chain (replays backward).
-
-        A chain that is homogeneous of a known degree may pass it, and then
-        only the log entries whose upper cell has that degree are replayed.
-        """
-        ring = self.ring
-        v = {i: c for i, c in chain.items() if c != 0}
-        if degree is None:
-            log = self.log
-        else:
-            for entry in self.log[self._indexed:]:
-                self._up_by_degree.setdefault(self.degree[entry[1]], []).append(entry)
-            self._indexed = len(self.log)
-            log = self._up_by_degree.get(degree, [])
-        for a, b, lam, _, row_items in reversed(log):
-            acc = ring.zero
-            for y, c_ya in row_items:
-                vy = v.get(y)
-                if vy is not None:
-                    acc = ring.add(acc, ring.mul(c_ya, vy))
-            if acc != 0:
-                coeff = ring.neg(ring.mul(acc, ring.inv(lam)))
-                new = ring.add(v.get(b, ring.zero), coeff)
-                if new == 0:
-                    v.pop(b, None)
-                else:
-                    v[b] = new
-        return self._normal(v)
 
 
 def residual_complex(red: MorseReduction):

@@ -5,13 +5,19 @@ Cells are added one at a time and boundaries are dicts id -> coefficient;
 reduce() sweeps the cells in id order and cancels each live cell against
 the unit entry of its boundary with the shortest row, lowest id first,
 rewriting every other column that hits the cancelled lower cell at once.
-Over Z sweeps repeat while one cancelled anything.  The log and the
-transports have the contract of `cychom.reduction.MorseReduction`, so
-`residual_complex` and `homology_via_reduction` accept both engines.
-Not collected by pytest; the tests import it.
+Over Z sweeps repeat while one cancelled anything.  Survivors, residual
+boundaries and transport_down have the contract of
+`cychom.reduction.MorseReduction`, so `residual_complex` and
+`homology_via_reduction` accept both engines.  Each log entry here also
+keeps the row of its pivot, the cells whose boundary hit the lower cell,
+and transport_up replays those backward: the lift into the original
+complex, which `cychom` does not record.  Not collected by pytest; the
+tests import it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from cychom.rings import BaseRing
 
@@ -181,7 +187,7 @@ class MorseReduction:
         ring = self.ring
         v = {i: c for i, c in chain.items() if c != 0}
         log = self.log if degree is None else self._degree_log(degree)[0]
-        for a, b, lam, col_items, _ in log:
+        for a, b, lam, col_items, *_ in log:  # a MorseReduction log has no rows
             va = v.pop(a, None)
             if va is not None:
                 factor = ring.neg(ring.mul(va, ring.inv(lam)))
@@ -221,3 +227,20 @@ class MorseReduction:
                 else:
                     v[b] = new
         return v
+
+
+def dict_engine(ring: BaseRing, ranks: dict[int, int], boundaries: dict[int, tuple]) -> MorseReduction:
+    """The dict engine on `cychom`'s one-block input (ranks, CSC boundaries), same cell ids."""
+    red = MorseReduction(ring)
+    red.start, red.ranks = {}, dict(ranks)
+    for d in sorted(ranks):
+        red.start[d] = len(red.degree)
+        for _ in range(ranks[d]):
+            red.add_cell(d)
+    for d, (indptr, rows, values) in boundaries.items():
+        indptr, rows, values = (np.asarray(a).tolist() for a in (indptr, rows, values))
+        for j in range(ranks[d]):
+            col = {red.start[d - 1] + rows[k]: values[k] for k in range(indptr[j], indptr[j + 1])}
+            if col:
+                red.set_boundary(red.start[d] + j, col)
+    return red

@@ -1,4 +1,4 @@
-"""The per-stage tower engine that the shared tower reduction replaced: the test oracle.
+"""The per-stage tower engine and the lifted maps that the shared reductions replaced.
 
 `bicomplex._plane_stages` keeps one reduction per tower, grows it by the
 new rows' cells at each schedule step, and `bicomplex._stage_map`
@@ -6,8 +6,12 @@ projects a survivor into the next stage without lifting it.  Here every
 stage is built and reduced whole, as one block, and `lifted_stage_map`
 lifts a survivor in its own stage (transport_up), includes it by
 shifting its cell ids and projects it into the next stage
-(transport_down).  `MorseReduction` is looked up in this module, so a
-test may swap the engine.  Not collected by pytest; the tests import it.
+(transport_down).  `bicomplex._s_rank` reads the rank of S off Connes'
+sequence; `lifted_s_map` is S itself, lifted, shifted and projected on
+the materialized first quadrant.  The lift needs an engine that records
+pivot rows, so `MorseReduction` here is the dict engine; it is looked up
+in this module, so a test may swap it.  Not collected by pytest; the
+tests import it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from fractions import Fraction
 
 from cychom.bicomplex import _ReducedStage
 from cychom.cyclic import CyclicModule
+from cychom.linalg import rank
 from cychom.matrix import ExactMatrix
 from cychom.orbits import OrbitPlane
-from cychom.reduction import MorseReduction, csc_from_columns
+from cychom.reduction import csc_from_columns
+from dict_reduction import dict_engine as MorseReduction
 
 
 def plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
@@ -97,3 +103,33 @@ def lifted_stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMat
     return ExactMatrix(
         ring, len(rows_alive), len(cols_alive), entries, _normalized=True
     )
+
+
+def lifted_s_map(stage: _ReducedStage, n: int) -> ExactMatrix:
+    """H_n -> H_{n-2} induced by the periodicity shift S of a materialized first quadrant.
+
+    The stage is `materialized_plane.cyclic_first_quadrant`, reduced on an
+    engine that lifts.  S is the quotient by the columns p in {0, 1},
+    (p, q) -> (p - 2, q): the rows q <= n - 2 lead degrees n and n - 2
+    with the same offsets, so S keeps the first cells of degree n and
+    moves them to degree n - 2.
+    """
+    ring = stage.ring
+    rows_alive = stage.alive(n - 2)
+    row_pos = {cell: r for r, cell in enumerate(rows_alive)}
+    first = stage.start[n]
+    last = first + stage.red.ranks[n - 2]
+    shift = stage.start[n - 2] - first
+    entries = {}
+    for j, y in enumerate(stage.alive(n)):
+        lifted = stage.red.transport_up({y: ring.one}, n)
+        shifted = {cell + shift: c for cell, c in lifted.items() if first <= cell < last}
+        for cell, c in stage.red.transport_down(shifted, n - 2).items():
+            entries[(row_pos[cell], j)] = c
+    return ExactMatrix(ring, len(rows_alive), len(stage.alive(n)), entries)
+
+
+def lifted_s_rank(stage: _ReducedStage, n: int) -> int:
+    """rank of lifted_s_map, the oracle of `bicomplex._s_rank`."""
+    S = lifted_s_map(stage, n)
+    return rank(S) if S.nrows and S.ncols else 0

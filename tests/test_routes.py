@@ -12,20 +12,19 @@ cheap: rows of at most about a thousand basis tuples.
 import functools
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cychom import bicomplex, orbits
 from cychom.algebra import CATALOG_NAMES, AlgebraError, catalog
-from cychom.cyclic import cyclic_bar_module
+from cychom.cyclic import cyclic_bar_module, normalized
 from cychom.linalg import rank
 from cychom.orbits import OrbitPlane
 from cychom.rings import GF, QQ
-from dict_reduction import MorseReduction as DictReduction
+from dict_reduction import MorseReduction as DictReduction, dict_engine
 from materialized_plane import cyclic_first_quadrant, materialized_stages
 import per_stage_towers
-from per_stage_towers import lifted_stage_map
+from per_stage_towers import lifted_s_rank, lifted_stage_map
 from scalar_orbits import ScalarOrbitPlane
 
 BASES = (GF(2), GF(3), GF(5), QQ)
@@ -62,6 +61,15 @@ def _reference(monkeypatch, fn, *args, **kwargs):
         m.setattr(bicomplex, "_plane_stages", stages)
         m.setattr(bicomplex, "_first_quadrant", cyclic_first_quadrant)
         return fn(*args, **kwargs)
+
+
+def _lifted_reference(monkeypatch, fn, *args):
+    """fn on the materialized first quadrant, reduced by the dict engine, with S lifted."""
+    with monkeypatch.context() as m:
+        m.setattr(bicomplex, "_first_quadrant", cyclic_first_quadrant)
+        m.setattr(bicomplex, "MorseReduction", dict_engine)
+        m.setattr(bicomplex, "_s_rank", lifted_s_rank)
+        return fn(*args)
 
 
 def _dumps(table):
@@ -149,19 +157,60 @@ def test_hc_and_s_tower_match_cyclic_bicomplex(monkeypatch, name, base):
     X = _module(name, base)
     d_max, degrees, K, persistence = FIRST_QUADRANT[X.rank(0)]
     fast = bicomplex.hc(X, d_max)
-    slow = _reference(monkeypatch, bicomplex.hc, X, d_max)
+    slow = _lifted_reference(monkeypatch, bicomplex.hc, X, d_max)
     assert _dumps(fast) == _dumps(slow)
     fast = bicomplex.hp_s_tower_table(X, degrees, K, persistence)
-    slow = _reference(
+    slow = _lifted_reference(
         monkeypatch, bicomplex.hp_s_tower_table, X, degrees, K, persistence
     )
     assert _dumps(fast) == _dumps(slow)
     for d, k in ((0, 1), (1, 1), (0, 2))[: 3 if X.rank(0) <= 2 else 2]:
         S, src, tgt = bicomplex.sbi_S_map(X, d, k)
-        S_ref, src_ref, tgt_ref = _reference(monkeypatch, bicomplex.sbi_S_map, X, d, k)
+        S_ref, src_ref, tgt_ref = _lifted_reference(monkeypatch, bicomplex.sbi_S_map, X, d, k)
         assert (src, tgt) == (src_ref, tgt_ref)
         assert (S.nrows, S.ncols) == (S_ref.nrows, S_ref.ncols)
         assert rank(S) == rank(S_ref), (d, k)
+
+
+# top degree of the hypothesis tests' first quadrants, by algebra dimension
+MIXED_TOP = {1: 12, 2: 6, 3: 4, 4: 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CONFIGS), st.data())
+def test_s_rank_from_connes_sequence_matches_lifted_s(config, data):
+    # rank S = dim HC_n - rank(HH_n -> HC_n) against S lifted, shifted and
+    # projected on the materialized first quadrant by the dict engine
+    X = _module(*config)
+    hi = data.draw(st.integers(2, MIXED_TOP[X.rank(0)]), label="hi")
+    lo = data.draw(st.integers(0, hi - 2), label="lo")
+    stage = bicomplex._first_quadrant(X, lo, hi)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bicomplex, "MorseReduction", dict_engine)
+        ref = cyclic_first_quadrant(X, lo, hi)
+    for n in range(lo + 2, hi + 1):
+        assert bicomplex._s_rank(stage, n) == lifted_s_rank(ref, n), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CONFIGS), st.data())
+def test_connes_sequence_holds_against_hh(config, data):
+    # the first block of the mixed complex is the normalized Hochschild
+    # complex, and HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} is exact:
+    # dim HH_n = (dim HC_n - rank S_n) + (dim HC_{n-1} - rank S_{n+1})
+    A = catalog(*config)
+    X = cyclic_bar_module(A)
+    top = data.draw(st.integers(0, MIXED_TOP[X.rank(0)] - 1), label="top")
+    lo = data.draw(st.integers(0, top), label="lo")
+    stage = bicomplex._first_quadrant(X, lo, top + 1)
+    hh = bicomplex.hh(normalized(A), (lo, top + 1)).groups
+    assert {n: stage.hh.group(n) for n in hh} == hh
+    hc = {n: stage.group(n).dimension for n in range(lo, top + 2)}
+    s = {n: bicomplex._s_rank(stage, n) if n >= 2 else 0 for n in hc}
+    for n in range(lo + 1, top + 1):
+        assert hh[n].dimension == (hc[n] - s[n]) + (hc[n - 1] - s[n + 1]), n
+    if lo == 0:  # HC_{-1} = 0 and S_1 = 0
+        assert hh[0].dimension == hc[0]
 
 
 def test_orbit_plane_survivor_counts():
@@ -406,45 +455,28 @@ def test_orbit_plane_refuses_rows_beyond_64_bit_codes(name, q):
 # -- stages on the left-looking reduction and on the dict engine it replaced -----
 
 
-def _dict_engine(ring, ranks, boundaries):
-    """The dict engine of `dict_reduction` on a stage's CSC input, same cell ids."""
-    red = DictReduction(ring)
-    red.start, red.ranks = {}, dict(ranks)
-    for d in sorted(ranks):
-        red.start[d] = len(red.degree)
-        for _ in range(ranks[d]):
-            red.add_cell(d)
-    for d, (indptr, rows, values) in boundaries.items():
-        indptr, rows, values = (list(np.asarray(a).tolist()) for a in (indptr, rows, values))
-        for j in range(ranks[d]):
-            col = {red.start[d - 1] + rows[k]: values[k] for k in range(indptr[j], indptr[j + 1])}
-            if col:
-                red.set_boundary(red.start[d] + j, col)
-    return red
-
-
 @pytest.mark.parametrize("name,base", CONFIGS, ids=IDS)
 def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
+    # the dict engine runs the per-stage towers, which reduce each stage
+    # whole, and the materialized first quadrant, on which S is lifted
     X = _module(name, base)
     top = TOP_ROW[X.rank(0)]
     d_max = FIRST_QUADRANT[X.rank(0)][0]
-
-    def build(stages):
-        plane = stages(X, -1, 2)
-        left = stages(X, -2, 1, left=True)
-        return {
-            "plane": [plane(Q) for Q in (top - 2, top)],
-            "left": [left(Q) for Q in (top - 2, top)],
-            "mixed": [bicomplex._first_quadrant(X, 0, d_max)],
-            "first": [cyclic_first_quadrant(X, 0, d_max)],
-        }
-
-    # the dict engine runs the per-stage towers, which reduce each stage whole
-    new = build(bicomplex._plane_stages)
+    new = {
+        "plane": [bicomplex._plane_stages(X, -1, 2)(Q) for Q in (top - 2, top)],
+        "left": [bicomplex._plane_stages(X, -2, 1, left=True)(Q) for Q in (top - 2, top)],
+        "mixed": [bicomplex._first_quadrant(X, 0, d_max)],
+        "first": [cyclic_first_quadrant(X, 0, d_max)],
+    }
     with monkeypatch.context() as m:
-        m.setattr(bicomplex, "MorseReduction", _dict_engine)
-        m.setattr(per_stage_towers, "MorseReduction", _dict_engine)
-        old = build(per_stage_towers.plane_stages)
+        m.setattr(bicomplex, "MorseReduction", dict_engine)
+        first = cyclic_first_quadrant(X, 0, d_max)
+    old = {
+        "plane": [per_stage_towers.plane_stages(X, -1, 2)(Q) for Q in (top - 2, top)],
+        "left": [per_stage_towers.plane_stages(X, -2, 1, left=True)(Q) for Q in (top - 2, top)],
+        "mixed": [first],
+        "first": [first],
+    }
     for route, stages in new.items():
         for stage, ref in zip(stages, old[route]):
             assert isinstance(ref.red, DictReduction)
@@ -456,12 +488,8 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
                 slow = lifted_stage_map(*old[route], d)
                 assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
                 assert rank(fast) == rank(slow), (route, d)
-        else:
-            for n in range(2, d_max + 1):
-                fast = bicomplex._s_map_on_stage(stages[0], n)
-                slow = bicomplex._s_map_on_stage(old[route][0], n)
-                assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
-                assert rank(fast) == rank(slow), (route, n)
+    for n in range(2, d_max + 1):
+        assert bicomplex._s_rank(new["mixed"][0], n) == lifted_s_rank(first, n), n
 
 
 # -- one reduction per tower against the per-stage engine it replaced -------------
@@ -507,28 +535,45 @@ def test_shared_tower_reduction_matches_per_stage_towers_on_random_schedules(con
     assert _dumps(shared) == _dumps(fresh)
 
 
+def _composite_ranks(maps) -> dict:
+    """rank of maps[j] ... maps[i] for every i <= j: the tower up to isomorphism."""
+    n = len(maps)
+    return {(i, j): bicomplex._composite_rank(maps[: j + 1], i) for j in range(n) for i in range(j + 1)}
+
+
 @pytest.mark.parametrize("name,base", CONFIGS, ids=IDS)
-def test_projected_tower_maps_equal_lifted_ones(name, base):
+def test_projected_tower_maps_equal_lifted_ones(monkeypatch, name, base):
     # orbit stages: the shared reduction's projections against lift, shift
-    # and project on stages reduced whole; materialized stages, each with
-    # its own reduction: projection against lift and project
+    # and project on stages reduced whole by the dict engine; materialized
+    # stages, each with its own reduction: projection against lift and
+    # project on the dict engine.  The engines pick different survivors, so
+    # the towers are compared by the ranks of all composites, which fix a
+    # tower of vector spaces up to isomorphism
     X = _module(name, base)
     top = TOP_ROW[X.rank(0)]
     schedule = list(range(max(0, top - 4), top + 1))
     for left, (lo, hi) in ((False, (-1, 2)), (True, (-2, 1))):
         shared = bicomplex._plane_stages(X, lo, hi, left)
         fresh = per_stage_towers.plane_stages(X, lo, hi, left)
+        projected = {d: [] for d in range(lo, hi + 1)}
+        lifted = {d: [] for d in range(lo, hi + 1)}
         prev = None
         for Q in schedule:
             now, ref = shared(Q), fresh(Q)
             for d in range(lo, hi + 1):
                 assert len(now.alive(d)) == len(ref.alive(d)), (left, Q, d)
                 if prev is not None:
-                    projected = bicomplex._stage_map(prev[0], now, d)
-                    assert projected == lifted_stage_map(prev[1], ref, d), (left, Q, d)
+                    projected[d].append(bicomplex._stage_map(prev[0], now, d))
+                    lifted[d].append(lifted_stage_map(prev[1], ref, d))
             prev = now, ref
+        for d in projected:
+            assert _composite_ranks(projected[d]) == _composite_ranks(lifted[d]), (left, d)
     for region in ("plane", "left"):
         stages = [bicomplex._TotalStage(X, region, Q, -1, 1) for Q in schedule[-3:]]
-        for src, dst in zip(stages, stages[1:]):
-            for d in range(-1, 2):
-                assert bicomplex._stage_map(src, dst, d) == lifted_stage_map(src, dst, d), (region, d)
+        with monkeypatch.context() as m:
+            m.setattr(bicomplex, "MorseReduction", dict_engine)
+            refs = [bicomplex._TotalStage(X, region, Q, -1, 1) for Q in schedule[-3:]]
+        for d in range(-1, 2):
+            projected = [bicomplex._stage_map(src, dst, d) for src, dst in zip(stages, stages[1:])]
+            lifted = [lifted_stage_map(src, dst, d) for src, dst in zip(refs, refs[1:])]
+            assert _composite_ranks(projected) == _composite_ranks(lifted), (region, d)
