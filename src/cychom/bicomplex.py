@@ -56,20 +56,25 @@ A truncation tower is one filtered complex, so its stages are views of
 one reduction.  Each schedule step hands the engine only the cells of
 the new rows, as a block, and the sweep reduces only them; since a
 row-q cell's boundary lands on rows <= q, the engine logs what a
-reduction of the whole truncation would.  A stage keeps its q_max and a
-per-degree snapshot of the surviving cells.  The tower map of a step is
-the projection (transport_down) of the earlier stage's survivors into
-the later one: the lift a separate reduction would need adds only upper
-cells, which the projection drops.  The S-tower's ranks come from
-Connes' exact sequence HH_n --I--> HC_n --S--> HC_{n-2} (Loday, Cyclic
-Homology, 2.2.1) on a two-step filtration of the same kind: Tot(b-bar +
-B-bar) reaches its reduction in two blocks, the Hochschild complex (the
-summands k = 0) and then the rest, so I is a tower map and
-rank S = dim HC_n - rank I.
+reduction of the whole truncation would.  A stage keeps its q_max, the
+number of cells so far and a per-degree snapshot of the surviving
+cells.  The engine cancels each column against its newest cell, the
+elder rule of persistence, so the tower is a barcode: a cell that
+survives some stage is a class born there, and it dies at the first
+later stage that has cancelled it.  The rank of the map from one stage
+to a later one is the number of the later stage's survivors that the
+earlier one already had, and every rank the certificates read is a
+count of bars.  The S-tower's ranks come from Connes' exact sequence
+HH_n --I--> HC_n --S--> HC_{n-2} (Loday, Cyclic Homology, 2.2.1) on a
+two-step filtration of the same kind: Tot(b-bar + B-bar) reaches its
+reduction in two blocks, the Hochschild complex (the summands k = 0)
+and then the rest, so rank I counts the Hochschild cells that survive
+the second block and rank S = dim HC_n - rank I counts the others.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,7 +83,6 @@ import numpy as np
 
 from .complexes import ChainComplex, ComplexReport, HomologyGroup
 from .cyclic import Coo, CyclicModule, NormalizedBarModule, normalized
-from .linalg import rank
 from .matrix import ExactMatrix
 from .orbits import OrbitPlane
 from .reduction import MorseReduction, csc_from_columns, homology_via_reduction
@@ -322,11 +326,9 @@ class _ReducedStage:
     corrupts homology in the edge degrees themselves, so groups and maps
     are read off for degrees in [lo, hi] only.  Over a field the
     reduction is exact and surviving cells are a homology basis.  A stage
-    is a view: q_max, the number of cancellations so far and a
-    per-degree snapshot of the surviving cells, so later blocks may grow
-    red under it.  In every stage of one tower the cells of a degree come
-    in the same order, and a stage's cells are a prefix of the next
-    stage's.
+    is a view: q_max, the number of cells so far and a per-degree
+    snapshot of the surviving cells, so later blocks may grow red under
+    it.
     """
 
     def __init__(self, red: MorseReduction, q_max: int, lo: int, hi: int):
@@ -338,12 +340,16 @@ class _ReducedStage:
         self.q_max = q_max
         self.lo = lo
         self.hi = hi
-        self.start = red.start  # cell id of the first cell of each degree
-        self.steps = len(red.log)
+        self.cells = len(red.degree)
         self._alive = {d: red.alive(d) for d in range(lo - 1, hi + 2)}
 
     def alive(self, d: int) -> list[int]:
         return self._alive[d]
+
+    def born_after(self, d: int, cells: int) -> list[int]:
+        """The degree-d survivors that came after the reduction's first `cells` cells."""
+        alive = self._alive[d]
+        return alive[bisect.bisect_left(alive, cells):]
 
     def group(self, d: int) -> HomologyGroup:
         if not (self.lo <= d <= self.hi):
@@ -375,33 +381,19 @@ class _TotalStage(_ReducedStage):
         super().__init__(MorseReduction(X.base, ranks, boundaries), q_max, lo, hi)
 
 
-def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
-    """Matrix of H_d(inclusion) between two reduced truncations.
+def _stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> list[int]:
+    """The bars of H_d that end between two stages of one reduction.
 
-    The degree-d cells of src are a prefix of those of dst, and dst's
-    reduction logged every pair of src's again, so column y is the
-    projection of the survivor y into dst: lifting y first would add only
-    upper cells, which the projection drops.  Stages of one reduction
-    share cell ids; stages with reductions of their own shift them by the
-    difference of the two degree offsets.  The projection reads dst's
-    reduction as it stands, so dst must be its latest stage.
+    These are src's degree-d survivors that dst has cancelled: the map
+    H_d(src) -> H_d(dst) kills exactly their classes and keeps the
+    others, which dst still has, so its rank is what they leave.
     """
+    if src.red is not dst.red:
+        raise ValueError("tower maps join stages of one reduction")
     if src.q_max > dst.q_max:
         raise ValueError("src truncation must sit inside dst")
-    if dst.steps != len(dst.red.log):
-        raise ValueError("dst must be the latest stage of its reduction")
-    ring = src.ring
-    rows_alive = dst.alive(d)
-    cols_alive = src.alive(d)
-    row_pos = {cell: r for r, cell in enumerate(rows_alive)}
-    shift = dst.start[d] - src.start[d]
-    entries = {}
-    for j, y in enumerate(cols_alive):
-        for cell, c in dst.red.transport_down({y + shift: ring.one}).items():
-            entries[(row_pos[cell], j)] = c
-    return ExactMatrix(
-        ring, len(rows_alive), len(cols_alive), entries, _normalized=True
-    )
+    kept = set(dst.alive(d))
+    return [y for y in src.alive(d) if y not in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +514,13 @@ class StabilizationReport:
     """Progress of one degree along a truncation (or S-) tower.
 
     stages pair the tower coordinate with the homology group found there.
-    On a truncation tower maps[i] is the induced matrix stages[i] ->
-    stages[i+1]; an S-tower report carries no maps, and the ranks of S
-    show only in `dying`.  Two certificates can settle a degree:
+    On a truncation tower bars map each surviving cell that some stage
+    saw, one class, to its (birth, death) pair of q_max values: born at
+    the first stage that has it, dead at the first later stage that does
+    not (None while it lives).  The rank of the map from one stage to a later one counts
+    the bars born by the first and alive at the second.  An S-tower
+    report carries no bars, and the ranks of S show only in `dying`.
+    Two certificates can settle a degree:
 
     "stabilized": `persistence` consecutive maps were isomorphisms, so the
     groups themselves became constant.  "stabilized-persistent": the ranks
@@ -545,7 +541,7 @@ class StabilizationReport:
     degree: int
     persistence: int
     stages: list[tuple[int, HomologyGroup]] = field(default_factory=list)
-    maps: list[ExactMatrix] = field(default_factory=list)
+    bars: dict[int, tuple[int, int | None]] = field(default_factory=dict)
     verdict: str = "not-stabilized"
     q_star: int | None = None
     value: HomologyGroup | None = None
@@ -606,35 +602,28 @@ def default_q_schedule(hi: int) -> list[int]:
     return [hi + 4 + 4 * k for k in range(6)]
 
 
-def _composite_rank(maps: list[ExactMatrix], start: int) -> int:
-    """Rank of maps[-1] * ... * maps[start], the stage-start image downstream."""
-    comp = maps[start]
-    for t in range(start + 1, len(maps)):
-        comp = maps[t] * comp
-    return rank(comp) if comp.nrows and comp.ncols else 0
+def _composite_rank(bars, src_q: int, dst_q: int) -> int:
+    """Rank of the tower map from stage src_q to stage dst_q, read off (birth, death) pairs.
+
+    It counts the bars born by src_q and still alive at dst_q.
+    """
+    return sum(1 for born, dead in bars if born <= src_q and (dead is None or dead > dst_q))
 
 
-def _persistent_rank(maps: list[ExactMatrix], h: int) -> int | None:
+def _persistent_rank(bars, qs: list[int], h: int) -> int | None:
     """Common downstream-image rank anchored at the h latest eligible stages.
 
     A class seen at stage i contributes to the newest stage exactly when
-    it lies outside the kernel of the composite maps[i] .. maps[-1]; that
-    rank counts classes from stage i still alive now.  Only anchors at
-    least h steps back are eligible, so every counted class has survived a
-    full persistence window, and the h most recent eligible anchors must
-    agree; transient truncation-edge classes (born and killed between
-    anchors) then cancel out of the count.  Returns None when the anchors
-    disagree.
+    its bar reaches it; the composite rank counts classes from stage i
+    still alive now.  Only anchors at least h steps back are eligible, so
+    every counted class has survived a full persistence window, and the h
+    most recent eligible anchors must agree; transient truncation-edge
+    classes (born and killed between anchors) then cancel out of the
+    count.  Returns None when the anchors disagree.
     """
-    n = len(maps)
-    common = None
-    for i in range(n - 2 * h + 1, n - h + 1):
-        r = _composite_rank(maps, i)
-        if common is None:
-            common = r
-        elif r != common:
-            return None
-    return common
+    n = len(qs) - 1
+    ranks = {_composite_rank(bars, qs[i], qs[n]) for i in range(n - 2 * h + 1, n - h + 1)}
+    return ranks.pop() if len(ranks) == 1 else None
 
 
 def _run_truncation_tower(
@@ -670,36 +659,40 @@ def _run_truncation_tower(
         for d in sorted(pending):
             rep = reports[d]
             rep.stages.append((Q, stage.group(d)))
-            if prev is not None:
-                M = _stage_map(prev, stage, d)
-                rep.maps.append(M)
-                src_dim = M.ncols
-                r = rank(M) if src_dim and M.nrows else 0
-                if r < src_dim:
-                    rep.dying.append(
-                        f"{src_dim - r} class(es) of H_{d} at q_max={prev.q_max} "
-                        f"die in q_max={Q}"
-                    )
-                iso = src_dim == M.nrows and r == src_dim
-                runs[d] = runs[d] + 1 if iso else 0
-                # an iso run alone can be a plateau between two deaths of a
-                # truncation-edge class; demand the base of the tower still
-                # see the full current group through the composite
-                if (
-                    runs[d] >= persistence
-                    and _composite_rank(rep.maps, 0) == rep.stages[-1][1].dimension
-                ):
-                    rep.verdict = "stabilized"
-                    rep.q_star = rep.stages[len(rep.stages) - 1 - persistence][0]
-                    rep.value = rep.stages[-1][1]
+            ended = _stage_map(prev, stage, d) if prev else []
+            born = stage.born_after(d, prev.cells if prev else 0)
+            for y in ended:
+                rep.bars[y] = (rep.bars[y][0], Q)
+            for y in born:
+                rep.bars[y] = (Q, None)
+            if prev is None:
+                continue
+            if ended:
+                rep.dying.append(
+                    f"{len(ended)} class(es) of H_{d} at q_max={prev.q_max} "
+                    f"die in q_max={Q}"
+                )
+            # a step that ends no bar and starts none is an isomorphism
+            runs[d] = runs[d] + 1 if not (ended or born) else 0
+            qs = [q for q, _ in rep.stages]
+            # an iso run alone can be a plateau between two deaths of a
+            # truncation-edge class; demand the base of the tower still
+            # see the full current group through the composite
+            if (
+                runs[d] >= persistence
+                and _composite_rank(rep.bars.values(), qs[0], Q) == rep.stages[-1][1].dimension
+            ):
+                rep.verdict = "stabilized"
+                rep.q_star = qs[-1 - persistence]
+                rep.value = rep.stages[-1][1]
+                pending.discard(d)
+            elif len(qs) >= 2 * persistence:
+                r = _persistent_rank(rep.bars.values(), qs, persistence)
+                if r is not None:
+                    rep.verdict = "stabilized-persistent"
+                    rep.q_star = qs[len(qs) - 2 * persistence]
+                    rep.value = HomologyGroup(stage.ring, r)
                     pending.discard(d)
-                elif len(rep.maps) >= 2 * persistence - 1:
-                    r = _persistent_rank(rep.maps, persistence)
-                    if r is not None:
-                        rep.verdict = "stabilized-persistent"
-                        rep.q_star = rep.stages[len(rep.maps) - 2 * persistence + 1][0]
-                        rep.value = HomologyGroup(stage.ring, r)
-                        pending.discard(d)
         prev = stage
     return reports
 
@@ -787,11 +780,11 @@ def _s_rank(stage: _MixedStage, n: int) -> int:
     """Rank of the periodicity S: HC_n -> HC_{n-2} of a reduced stage.
 
     Connes' sequence HH_n --I--> HC_n --S--> HC_{n-2} is exact, so the
-    kernel of S is the image of I, and I is the tower map from the
-    stage's Hochschild part into it: a projection, exact over every field.
+    kernel of S is the image of I.  I is the tower map from the stage's
+    Hochschild part, whose rank counts the degree-n survivors that part
+    already had, so rank S counts the others, born in the second block.
     """
-    I = _stage_map(stage.hh, stage, n)
-    return I.nrows - (rank(I) if I.nrows and I.ncols else 0)
+    return len(stage.born_after(n, stage.hh.cells))
 
 
 def sbi_S_map(

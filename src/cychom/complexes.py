@@ -6,8 +6,8 @@ H_d has dimension n_d - rank d_d - rank d_{d+1}; over Z its torsion is
 the invariant factors > 1 of the incoming differential d_{d+1}, since
 ker d_d is a direct summand of Z^{n_d}, and its free rank is what the
 two ranks leave.  Both are transform-free Smith forms; no kernel basis
-is built.  Induced maps along towers are read off `MorseReduction`
-transports, not off homology presentations.  Every module is free: a
+is built.  The maps along towers are never built: their ranks count
+`MorseReduction` survivors (see `reduction`).  Every module is free: a
 quotient such as Z/n enters as its free resolution (see `tate`).
 """
 

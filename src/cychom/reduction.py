@@ -1,30 +1,18 @@
-"""Left-looking sparse chain reduction with chain projection.
+"""Left-looking sparse chain reduction, grown in blocks and read as a barcode.
 
 Cancels invertible boundary entries (a, b) pairwise, shrinking a complex
-to a homotopy-equivalent one while recording enough data to project
-chains onto it afterwards.  Over a field a full reduction leaves the zero
-differential, so surviving cells per degree count homology; the
-projection realizes the induced maps along truncation towers without
-ever materializing a homology presentation.  Over Z the surviving cells
-form a residual complex, and `complex_homology` reads its groups from
-ranks and invariant factors.
+to a homotopy-equivalent one.  Over a field a full reduction leaves the
+zero differential, so surviving cells per degree count homology.  Over Z
+the surviving cells form a residual complex, and `complex_homology`
+reads its groups from ranks and invariant factors.
 
 Cancelling a pair (a in degree d, b in degree d+1) with unit pivot
 lam = <db, a> rewrites every other degree-(d+1) boundary as
 dy - <dy, a> lam^{-1} db and simply drops b-coordinates in degree d+2
 (forced: the dropped coordinate is determined by d o d = 0).  A log
 entry is (a, b, lam, snapshot), the snapshot being db without its a
-entry, and the projection (original -> reduced) is, per entry in log
-order,
-
-  v |-> v - v[a] lam^{-1} (db snapshot), then delete the b coordinate.
-
-A snapshot holds only lower cells of later pivots, so the projection
-clears a chain against the pivots it hits through a heap of their log
-indices, as the sweep clears a column, and then drops its upper cells.
-Nothing is kept for the way back: a lift into the original complex
-would need every pivot's row, the coefficients of the columns cleared
-against it, and no route reads one.
+entry; the sweep clears later columns against it.  No chain is ever
+projected or lifted, so no pivot row is recorded.
 
 Input.  Cells come in blocks, and ids are given in arrival order: a
 block's cells take the next ids, degree by degree in increasing order.
@@ -49,27 +37,38 @@ Filtered complexes.  When the blocks are the rows of a filtration and
 a row-q cell's boundary lands only on rows <= q (row truncations of a
 double complex), arrival order keeps row order within each degree.  A
 column then meets only cells and pivots of rows up to its own, so each
-block's sweep logs exactly the pairs and snapshots that a one-shot
-reduction of the truncation it completes would log: one reduction
-serves a whole truncation tower (Zomorodian-Carlsson, "Computing
-persistent homology", DCG 33, 2005), a stage is its state after a
-block, and a tower map is transport_down of the earlier stage's
-survivors, with no lift.
+block's sweep logs the pairs and snapshots that a sweep of the
+truncation it completes would log: one reduction serves a whole
+truncation tower, and a stage is its state after a block.  Cancelling
+each column against its newest cell is the lowest-one rule of the
+standard persistence algorithm (Zomorodian-Carlsson, "Computing
+persistent homology", DCG 33, 2005), so every log entry (a, b) is a
+persistence pair, a class born with a and killed by b, and every
+surviving cell an open bar.  A survivor of an earlier stage that a
+later one has cancelled lies in the newest block of the boundary that
+killed it, so its class there is a combination of cells no newer than
+itself, which by the same argument reach only older survivors: the
+rank of H_d(earlier stage) -> H_d(later stage) is the number of the
+later stage's degree-d survivors that the earlier stage already had.
 
 Pivot rule.  A column is cancelled against its largest row (the
 smallest row made the seed-7 benchmark reduction 4x slower).  Over F_p
 every entry is a unit.  Over Q a +-1 entry is preferred, so values stay
-Python ints and only a column without one makes a Fraction pivot.  Over
-Z only +-1 entries cancel; a column without one keeps its residual, and
-passes over the surviving non-empty columns repeat while one cancels,
-since fill-in can make units in columns already passed (they also drop
-coordinates of upper cells cancelled since).  The choice depends only
-on the current entries, so repeated runs reduce identically.
+Python ints and only a column without one makes a Fraction pivot.  The
+preferred entry must lie in the block of the largest row, or the pair
+would end an older class while a newer one lives on; without one there
+the largest row is taken.  Over Z only +-1 entries cancel; a column without
+one keeps its residual, and passes over the surviving non-empty columns
+repeat while one cancels, since fill-in can make units in columns
+already passed (they also drop coordinates of upper cells cancelled
+since).  The choice depends only on the current entries and the block
+bounds, so repeated runs reduce identically.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
 
@@ -101,8 +100,7 @@ class MorseReduction:
     degree d to the CSC arrays of the differential out of it, whose rows
     index the cells of degree d - 1.  A degree without an entry has no
     boundary.  add_cells appends a further block the same way.  Usage:
-    construct, call reduce() after each block, then read survivors /
-    project chains.
+    construct, call reduce() after each block, then read survivors.
     """
 
     def __init__(
@@ -119,6 +117,7 @@ class MorseReduction:
         # log entries: (a, b, lam, col_b items but a)
         self.log: list[tuple] = []
         self._blocks: dict[int, list[range]] = {}  # the ids of each degree, block by block
+        self._firsts: list[int] = []  # the first id of each block
         self._pending: dict[int, list] = {}  # degree -> CSC blocks the next sweep reads
         self._piv: list[int] = []  # log index of a lower cell, _UPPER, or -1
         self._negs: list = []  # -1 / lam per log entry
@@ -140,6 +139,7 @@ class MorseReduction:
             below = d - 1 in ranks or d - 1 in self.ranks
             if d not in ranks or not below or len(indptr) != ranks[d] + 1:
                 raise ValueError(f"the boundary out of degree {d} does not fit the ranks")
+        self._firsts.append(len(self.degree))
         first = {}
         for d in sorted(ranks):
             first[d], n = len(self.degree), ranks[d]
@@ -238,7 +238,11 @@ class MorseReduction:
             a = max(col)
         else:
             units = [x for x, c in col.items() if c == 1 or c == -1]
-            a = max(units) if units else (max(col) if kind == "Q" else None)
+            a = max(units) if units else None
+            if kind == "Q" and (a is None or a < self._firsts[-1]):
+                top = max(col)  # a unit older than top's block would break the elder rule
+                if a is None or a < self._firsts[bisect_right(self._firsts, top) - 1]:
+                    a = top
         if a is None:
             self._residual[b] = col
             return False
@@ -297,28 +301,6 @@ class MorseReduction:
     def is_exactly_reduced(self, degree: int | None = None) -> bool:
         """True when reduce() left no residual boundary entries (always, over a field)."""
         return self._reduced and not any(i in self._residual for i in self.alive(degree))
-
-    # -- chain projection ----------------------------------------------------
-
-    def _normal(self, v: dict) -> dict:
-        """v in the ring's normal form: over Q every value a Fraction."""
-        if self.ring.kind == "Q":
-            return {i: Fraction(c) for i, c in v.items()}
-        return v
-
-    def transport_down(self, chain: dict[int, object]) -> dict[int, object]:
-        """Image of an original chain in the reduced complex.
-
-        The chain is cleared against the pivots whose lower cells it hits,
-        in log order, as reduce() clears a column; its coordinates on upper
-        cells are then dropped.
-        """
-        piv = self._piv
-        v = {i: c for i, c in chain.items() if c != 0}
-        heap = [piv[x] for x in v if piv[x] >= 0]
-        if heap:
-            self._clear(v, heap)
-        return self._normal({x: c for x, c in v.items() if piv[x] != _UPPER})
 
 
 def residual_complex(red: MorseReduction):

@@ -6,13 +6,15 @@ reduce() sweeps the cells in id order and cancels each live cell against
 the unit entry of its boundary with the shortest row, lowest id first,
 rewriting every other column that hits the cancelled lower cell at once.
 Over Z sweeps repeat while one cancelled anything.  Survivors, residual
-boundaries and transport_down have the contract of
-`cychom.reduction.MorseReduction`, so `residual_complex` and
-`homology_via_reduction` accept both engines.  Each log entry here also
-keeps the row of its pivot, the cells whose boundary hit the lower cell,
-and transport_up replays those backward: the lift into the original
-complex, which `cychom` does not record.  Not collected by pytest; the
-tests import it.
+boundaries have the contract of `cychom.reduction.MorseReduction`, so
+`residual_complex` and `homology_via_reduction` accept both engines.
+transport_down replays the log forward: the projection of a chain onto
+the reduced complex, which `cychom` does not compute; `replayed` runs
+it on the other engine's log.  Each log entry here also keeps the row
+of its pivot, the cells whose boundary hit the lower cell, and
+transport_up replays those backward: the lift into the original
+complex, which `cychom` does not record either.  Not collected by
+pytest; the tests import it.
 """
 
 from __future__ import annotations
@@ -244,3 +246,10 @@ def dict_engine(ring: BaseRing, ranks: dict[int, int], boundaries: dict[int, tup
             if col:
                 red.set_boundary(red.start[d] + j, col)
     return red
+
+
+def replayed(red) -> MorseReduction:
+    """A dict engine holding the cells and log of red, either engine, for its transport_down."""
+    replay = MorseReduction(red.ring)
+    replay.degree, replay.log = red.degree, red.log
+    return replay

@@ -1,17 +1,20 @@
-"""The per-stage tower engine and the lifted maps that the shared reductions replaced.
+"""The per-stage tower engine and the tower maps that the barcode replaced.
 
 `bicomplex._plane_stages` keeps one reduction per tower, grows it by the
-new rows' cells at each schedule step, and `bicomplex._stage_map`
-projects a survivor into the next stage without lifting it.  Here every
-stage is built and reduced whole, as one block, and `lifted_stage_map`
-lifts a survivor in its own stage (transport_up), includes it by
-shifting its cell ids and projects it into the next stage
-(transport_down).  `bicomplex._s_rank` reads the rank of S off Connes'
-sequence; `lifted_s_map` is S itself, lifted, shifted and projected on
-the materialized first quadrant.  The lift needs an engine that records
-pivot rows, so `MorseReduction` here is the dict engine; it is looked up
-in this module, so a test may swap it.  Not collected by pytest; the
-tests import it.
+new rows' cells at each schedule step, and reads every tower rank as a
+count of survivors (`bicomplex._stage_map`, `_composite_rank`).  Here
+every stage is built and reduced whole, as one block, and the maps are
+matrices: `projected_stage_map` projects a survivor into a later stage
+by a forward replay of that stage's log, and `lifted_stage_map` lifts
+it in its own stage first (transport_up), includes it by shifting its
+cell ids and projects it.  `composite_rank` and `persistent_rank`
+multiply the matrices out and rank them, and `run_truncation_tower` is
+the walk that certified verdicts from them.  `bicomplex._s_rank`
+counts the survivors of Connes' sequence; `lifted_s_map` is S itself,
+lifted, shifted and projected on the materialized first quadrant.  The
+lift needs an engine that records pivot rows, so `MorseReduction` here
+is the dict engine; it is looked up in this module, so a test may swap
+it.  Not collected by pytest; the tests import it.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ import bisect
 import functools
 from fractions import Fraction
 
-from cychom.bicomplex import _ReducedStage
+from cychom.bicomplex import StabilizationReport, _ReducedStage
+from cychom.complexes import HomologyGroup
 from cychom.cyclic import CyclicModule
 from cychom.linalg import rank
 from cychom.matrix import ExactMatrix
 from cychom.orbits import OrbitPlane
 from cychom.reduction import csc_from_columns
-from dict_reduction import dict_engine as MorseReduction
+from dict_reduction import dict_engine as MorseReduction, replayed
 
 
 def plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
@@ -80,8 +84,8 @@ def plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
     return stage
 
 
-def lifted_stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
-    """Matrix of H_d(inclusion) between two reduced truncations, by lift and projection.
+def _shifted_map(src: _ReducedStage, dst: _ReducedStage, d: int, image) -> ExactMatrix:
+    """Matrix of H_d(inclusion) whose column y is image(y shifted into dst's cell ids).
 
     The degree-d cells of src are a prefix of those of dst, so the
     chain-level inclusion shifts cell ids by the difference of the two
@@ -89,20 +93,108 @@ def lifted_stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMat
     """
     if src.q_max > dst.q_max:
         raise ValueError("src truncation must sit inside dst")
-    ring = src.ring
     rows_alive = dst.alive(d)
     cols_alive = src.alive(d)
     row_pos = {cell: r for r, cell in enumerate(rows_alive)}
-    shift = dst.start[d] - src.start[d]
+    shift = dst.red.start[d] - src.red.start[d]
     entries = {}
     for j, y in enumerate(cols_alive):
-        lifted = src.red.transport_up({y: ring.one}, d)
-        down = dst.red.transport_down({cell + shift: c for cell, c in lifted.items()})
-        for cell, c in down.items():
+        for cell, c in image(y, shift).items():
             entries[(row_pos[cell], j)] = c
-    return ExactMatrix(
-        ring, len(rows_alive), len(cols_alive), entries, _normalized=True
+    return ExactMatrix(src.ring, len(rows_alive), len(cols_alive), entries)
+
+
+def projected_stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
+    """Matrix of H_d(inclusion) between two reduced truncations, by projection alone.
+
+    dst's reduction logged every pair of src's again, so column y is the
+    projection of the survivor y into dst: lifting y first would add
+    only upper cells, which the projection drops.  The projection
+    replays dst's log as it stands, so dst must be its latest stage.
+    """
+    if dst.cells != len(dst.red.degree):
+        raise ValueError("dst must be the latest stage of its reduction")
+    replay = replayed(dst.red)
+    return _shifted_map(
+        src, dst, d, lambda y, shift: replay.transport_down({y + shift: src.ring.one}, d)
     )
+
+
+def lifted_stage_map(src: _ReducedStage, dst: _ReducedStage, d: int) -> ExactMatrix:
+    """Matrix of H_d(inclusion) between two reduced truncations, by lift and projection."""
+
+    def image(y, shift):
+        lifted = src.red.transport_up({y: src.ring.one}, d)
+        return dst.red.transport_down({cell + shift: c for cell, c in lifted.items()}, d)
+
+    return _shifted_map(src, dst, d, image)
+
+
+def composite_rank(maps: list[ExactMatrix], start: int) -> int:
+    """Rank of maps[-1] * ... * maps[start], the stage-start image downstream."""
+    comp = maps[start]
+    for t in range(start + 1, len(maps)):
+        comp = maps[t] * comp
+    return rank(comp) if comp.nrows and comp.ncols else 0
+
+
+def persistent_rank(maps: list[ExactMatrix], h: int) -> int | None:
+    """Common downstream-image rank anchored at the h latest eligible stages, or None."""
+    n = len(maps)
+    common = None
+    for i in range(n - 2 * h + 1, n - h + 1):
+        r = composite_rank(maps, i)
+        if common is None:
+            common = r
+        elif r != common:
+            return None
+    return common
+
+
+def run_truncation_tower(
+    stages, X, degrees, q_schedule, persistence, stage_map=projected_stage_map
+) -> dict[int, StabilizationReport]:
+    """`bicomplex._run_truncation_tower` on the matrices of stage_map; reports carry no bars."""
+    lo, hi = degrees
+    schedule = list(q_schedule)
+    reports = {d: StabilizationReport(degree=d, persistence=persistence) for d in range(lo, hi + 1)}
+    maps = {d: [] for d in reports}
+    runs = {d: 0 for d in reports}
+    pending = set(reports)
+    stage_at = stages(X, lo, hi)
+    prev = None
+    for Q in schedule:
+        if not pending:
+            break
+        stage = stage_at(Q)
+        for d in sorted(pending):
+            rep = reports[d]
+            rep.stages.append((Q, stage.group(d)))
+            if prev is None:
+                continue
+            M = stage_map(prev, stage, d)
+            maps[d].append(M)
+            r = rank(M) if M.ncols and M.nrows else 0
+            if r < M.ncols:
+                rep.dying.append(
+                    f"{M.ncols - r} class(es) of H_{d} at q_max={prev.q_max} die in q_max={Q}"
+                )
+            iso = M.ncols == M.nrows and r == M.ncols
+            runs[d] = runs[d] + 1 if iso else 0
+            if runs[d] >= persistence and composite_rank(maps[d], 0) == M.nrows:
+                rep.verdict = "stabilized"
+                rep.q_star = rep.stages[len(rep.stages) - 1 - persistence][0]
+                rep.value = rep.stages[-1][1]
+                pending.discard(d)
+            elif len(maps[d]) >= 2 * persistence - 1:
+                r = persistent_rank(maps[d], persistence)
+                if r is not None:
+                    rep.verdict = "stabilized-persistent"
+                    rep.q_star = rep.stages[len(maps[d]) - 2 * persistence + 1][0]
+                    rep.value = HomologyGroup(stage.ring, r)
+                    pending.discard(d)
+        prev = stage
+    return reports
 
 
 def lifted_s_map(stage: _ReducedStage, n: int) -> ExactMatrix:
@@ -117,9 +209,9 @@ def lifted_s_map(stage: _ReducedStage, n: int) -> ExactMatrix:
     ring = stage.ring
     rows_alive = stage.alive(n - 2)
     row_pos = {cell: r for r, cell in enumerate(rows_alive)}
-    first = stage.start[n]
+    first = stage.red.start[n]
     last = first + stage.red.ranks[n - 2]
-    shift = stage.start[n - 2] - first
+    shift = stage.red.start[n - 2] - first
     entries = {}
     for j, y in enumerate(stage.alive(n)):
         lifted = stage.red.transport_up({y: ring.one}, n)

@@ -28,6 +28,7 @@ from cychom.linalg import rank
 from cychom.matrix import ExactMatrix
 from cychom.rings import GF, QQ
 from materialized_plane import truncation_inclusion
+from per_stage_towers import composite_rank, persistent_rank, projected_stage_map
 from presentation_homology import homology_map, validate_complex
 from tuple_operators import dense_complex
 
@@ -153,13 +154,14 @@ def test_stage_groups_match_direct_homology():
 
 
 def test_stage_map_matches_homology_of_inclusion():
+    # the projection oracle on stages with reductions of their own
     X = module("dual-numbers", F3)
     lo, hi = -1, 2
     src = _TotalStage(X, "plane", 2, lo, hi)
     dst = _TotalStage(X, "plane", 4, lo, hi)
     f = truncation_inclusion(X, 2, 4, (lo - 1, hi + 1))
     for d in range(lo, hi + 1):
-        reduced = _stage_map(src, dst, d)
+        reduced = projected_stage_map(src, dst, d)
         direct, Hs, Ht = homology_map(f, d)
         assert (reduced.nrows, reduced.ncols) == (Ht.dimension, Hs.dimension)
         assert rank(reduced) == rank(direct), d
@@ -170,7 +172,8 @@ def test_stage_map_of_equal_truncations_is_identity():
     stage = _TotalStage(X, "plane", 5, -2, 2)
     for d in range(-2, 3):
         n = stage.group(d).dimension
-        assert _stage_map(stage, stage, d) == ExactMatrix.identity(F5, n)
+        assert projected_stage_map(stage, stage, d) == ExactMatrix.identity(F5, n)
+        assert _stage_map(stage, stage, d) == []  # no bar ends
 
 
 def test_stage_map_refuses_shrinking_truncations():
@@ -178,24 +181,29 @@ def test_stage_map_refuses_shrinking_truncations():
     big = _TotalStage(X, "plane", 4, 0, 1)
     small = _TotalStage(X, "plane", 2, 0, 1)
     with pytest.raises(ValueError):
-        _stage_map(big, small, 0)
+        projected_stage_map(big, small, 0)
+    with pytest.raises(ValueError, match="one reduction"):
+        _stage_map(small, big, 0)  # each materialized stage has a reduction of its own
+    stage = _plane_stages(X, 0, 1)
+    first, second = stage(2), stage(4)
+    with pytest.raises(ValueError, match="inside dst"):
+        _stage_map(second, first, 0)
 
 
 def test_tower_stages_are_views_of_one_reduction():
     # a stage keeps its survivors while later rows grow the reduction under
-    # it; maps project into the latest stage only, and Q never goes back
+    # it, so maps between two stages read the same later on; Q never goes back
     X = module("dual-numbers", F2)
     stage = _plane_stages(X, -1, 2)
     first, second = stage(4), stage(6)
     assert first.red is second.red
     groups = {d: first.group(d) for d in range(-1, 3)}
-    assert len(first.red.degree) > first.steps and second.steps > first.steps
-    _stage_map(first, second, 0)
+    assert len(first.red.degree) == second.cells > first.cells
+    ended = _stage_map(first, second, 0)
     third = stage(8)
     assert {d: first.group(d) for d in range(-1, 3)} == groups
     assert third.group(0) == hp_poly(X, (-1, 2), [4, 6, 8], 2).reports[0].stages[-1][1]
-    with pytest.raises(ValueError):
-        _stage_map(first, second, 0)
+    assert _stage_map(first, second, 0) == ended
     with pytest.raises(ValueError):
         stage(7)
 
@@ -429,12 +437,18 @@ def diag(ring, entries):
     )
 
 
+# Each example is a tower of diagonal maps on stages q = 0, 1, 2, ..., given
+# as the matrices of the oracle and as the bars (birth, death) of the tower.
+
+
 def test_composite_rank_multiplies_down_the_chain():
     ring = F5
     maps = [diag(ring, [1, 1]), diag(ring, [1, 0]), diag(ring, [1, 1])]
-    assert _composite_rank(maps, 0) == 1
-    assert _composite_rank(maps, 1) == 1
-    assert _composite_rank(maps, 2) == 2
+    assert [composite_rank(maps, i) for i in range(3)] == [1, 1, 2]
+    # the second class dies at stage 2, where a new one is born
+    bars = [(0, None), (0, 2), (2, None)]
+    assert [_composite_rank(bars, i, 3) for i in range(3)] == [1, 1, 2]
+    assert _composite_rank(bars, 0, 1) == 2
 
 
 def test_persistent_rank_sees_through_plateaus():
@@ -442,14 +456,18 @@ def test_persistent_rank_sees_through_plateaus():
     # three isos in a row, but the newest stage dies later: anchored
     # composites agree on rank 0, so the persistent value is 0
     maps = [diag(ring, [1]), diag(ring, [1]), diag(ring, [1]), diag(ring, [0])]
-    assert _persistent_rank(maps, 2) == 0
+    assert persistent_rank(maps, 2) == 0
+    bars = [(0, 4), (4, None)]
+    assert _persistent_rank(bars, [0, 1, 2, 3, 4], 2) == 0
 
 
 def test_persistent_rank_withholds_on_disagreement():
     ring = F5
     maps = [diag(ring, [1, 0]), diag(ring, [1, 1]), diag(ring, [1, 1])]
     # anchor at stage 0 sees rank 1, anchor at stage 1 sees rank 2
-    assert _persistent_rank(maps, 2) is None
+    assert persistent_rank(maps, 2) is None
+    bars = [(0, None), (0, 1), (1, None)]
+    assert _persistent_rank(bars, [0, 1, 2, 3], 2) is None
 
 
 # -- conjugate-filtration bookkeeping --------------------------------------------

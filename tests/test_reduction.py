@@ -1,18 +1,21 @@
 """The chain reduction engine against the direct homology computations."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cychom.rings import ZZ, QQ, GF
 from cychom.matrix import ExactMatrix
 from cychom.complexes import ChainComplex, complex_homology
+from cychom.linalg import rank
 from cychom.reduction import (
     MorseReduction,
     csc_from_columns,
     homology_via_reduction,
     residual_complex,
 )
-from dict_reduction import MorseReduction as DictReduction
+from dict_reduction import MorseReduction as DictReduction, replayed
 from markowitz_reduction import MarkowitzReduction
 from presentation_homology import rank_kernel
 
@@ -79,11 +82,11 @@ def test_transport_down_is_chain_level_projection():
     assert red.is_exactly_reduced()
     # kernel of d1 contains (1, 2, 0) and (0, 0, 1)
     z = {ids[(1, 0)]: 1, ids[(1, 1)]: 2}
-    w = red.transport_down(z)
-    assert all(red.alive_flags[i] for i in w)
+    w = _replayed_down(red, z)
+    assert w and all(red.alive_flags[i] for i in w)
     # boundaries map to zero in the reduced complex
     img = {ids[(0, 0)]: 1, ids[(0, 1)]: 2}  # d1 applied to e_0
-    assert red.transport_down(img) == {}
+    assert _replayed_down(red, img) == {}
 
 
 def test_transport_roundtrip():
@@ -313,7 +316,7 @@ def test_projection_drops_upper_cells_that_fill_brings_back():
     red = MorseReduction(ZZ, {0: 2, 1: 3, 2: 2}, boundaries)
     red.reduce()
     assert [entry[:2] for entry in red.log] == [(a, b), (w, v), (x, y)]
-    assert red.transport_down({w: 1}) == _replayed_down(red, {w: 1}) == {}
+    assert _replayed_down(red, {w: 1}) == _replayed_down(red, {w: 1}, 1) == {}
 
 
 @settings(max_examples=30, deadline=None)
@@ -330,18 +333,15 @@ def _replayed_down(red, chain: dict, degree: int | None = None) -> dict:
 
     This is the dict engine's transport, run on another engine's log.
     """
-    replay = DictReduction(red.ring)
-    replay.degree, replay.log = red.degree, red.log
-    return replay.transport_down(chain, degree)
+    return replayed(red).transport_down(chain, degree)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_RINGS, st.data())
 def test_degree_filtered_transport_matches_full_replay(ring, data):
     # a homogeneous chain is touched only by the log entries its degree
-    # selects, so replaying that slice must give the full replay's result,
-    # and so must the heap projection, which touches only the pivots it
-    # hits; over Z too, where later sweeps drop upper cells cancelled since.
+    # selects, so replaying that slice must give the full replay's result;
+    # over Z too, where later sweeps drop upper cells cancelled since.
     # The same holds for the dict engine's lift
     C = _scrambled_complex(ring, data)
     red, oracle = _reduced(C, MorseReduction), _reduced(C, DictReduction)
@@ -352,7 +352,7 @@ def test_degree_filtered_transport_matches_full_replay(ring, data):
             continue
         picked = data.draw(st.lists(st.sampled_from(pool), max_size=4))
         chain = {i: ring.coerce(data.draw(st.integers(-3, 3))) for i in picked}
-        assert red.transport_down(chain) == _replayed_down(red, chain, d) == _replayed_down(red, chain)
+        assert _replayed_down(red, chain, d) == _replayed_down(red, chain)
         assert oracle.transport_up(chain, d) == oracle.transport_up(chain)
 
 
@@ -367,12 +367,12 @@ def _boundary_chain(C: ChainComplex, red, d: int, j: int) -> dict:
 
 
 def _cross_map(src, dst, d: int, ring) -> ExactMatrix:
-    """dst.transport_down o src.transport_up on the degree-d survivors; src lifts."""
+    """The projection into dst of src.transport_up on the degree-d survivors; src lifts."""
     rows, cols = dst.alive(d), src.alive(d)
     pos = {cell: r for r, cell in enumerate(rows)}
     entries = {}
     for j, y in enumerate(cols):
-        for cell, c in dst.transport_down(src.transport_up({y: ring.one}, d)).items():
+        for cell, c in _replayed_down(dst, src.transport_up({y: ring.one}, d)).items():
             entries[(pos[cell], j)] = c
     return ExactMatrix(ring, len(rows), len(cols), entries)
 
@@ -380,8 +380,6 @@ def _cross_map(src, dst, d: int, ring) -> ExactMatrix:
 @settings(max_examples=60, deadline=None)
 @given(_RINGS, st.data())
 def test_left_looking_sweep_matches_dict_oracle(ring, data):
-    from cychom.linalg import rank
-
     C = _scrambled_complex(ring, data)
     new, old = _reduced(C, MorseReduction), _reduced(C, DictReduction)
     old.start = new.start  # both engines number the cells degree by degree
@@ -395,9 +393,9 @@ def test_left_looking_sweep_matches_dict_oracle(ring, data):
         # the projection is a chain map: down o boundary = residual o down
         for j in range(C.ranks[d]):
             x = new.start[d] + j
-            lhs = new.transport_down(_boundary_chain(C, new, d, j))
+            lhs = _replayed_down(new, _boundary_chain(C, new, d, j))
             image = {}
-            for y, c in new.transport_down({x: ring.one}).items():
+            for y, c in _replayed_down(new, {x: ring.one}).items():
                 for z, e in residual[y].items():
                     image[z] = ring.add(image.get(z, ring.zero), ring.mul(c, e))
             assert lhs == {z: c for z, c in image.items() if c != 0}
@@ -421,8 +419,6 @@ def test_left_looking_sweep_matches_dict_oracle(ring, data):
 def test_non_unit_pivots_over_q_make_fractions():
     # no entry is +-1, so every cancellation takes a Fraction pivot; H_1 is
     # spanned by e_3 - 2 e_0
-    from fractions import Fraction
-
     half = Fraction(1, 2)
     d1 = ExactMatrix.from_rows(QQ, [[2, 3, 0, 4], [0, half, 3, 6]])
     d2 = ExactMatrix.from_rows(QQ, [[18], [-12], [2], [0]])
@@ -437,8 +433,8 @@ def test_non_unit_pivots_over_q_make_fractions():
     up = oracle.transport_up({oracle.alive(1)[0]: Fraction(1)}, 1)
     cycle = ExactMatrix(QQ, 4, 1, {(x - red.start[1], 0): c for x, c in up.items()})
     assert (d1 * cycle).is_zero()
-    down = red.transport_down({red.start[1] + 3: 1, red.start[1]: -2})
-    for chain in (down, red.transport_down(up)):
+    down = _replayed_down(red, {red.start[1] + 3: Fraction(1), red.start[1]: Fraction(-2)})
+    for chain in (down, _replayed_down(red, up)):
         assert len(chain) == 1 and chain[y] != 0
         assert all(type(c) is Fraction for c in chain.values())
 
@@ -480,6 +476,8 @@ def _filtered_complex(ring, data):
     for d, i, j, k in pairs:
         entries[d][(pos[d - 1][i], pos[d][j])] = k
     diffs = {d: ExactMatrix(ring, ranks[d - 1], ranks[d], entries[d]) for d in entries}
+    # over Q a half turns a pair's 2 into a unit on an older cell
+    mixers = [1, -1, 2] + ([Fraction(1, 2)] if ring.kind == "Q" else [])
     for _ in range(data.draw(st.integers(0, 12))):
         d = data.draw(st.integers(0, top))
         if ranks[d] < 2:
@@ -487,7 +485,7 @@ def _filtered_complex(ring, data):
         i, j = data.draw(st.lists(st.integers(0, ranks[d] - 1), min_size=2, max_size=2, unique=True))
         if rows[d][j] > rows[d][i]:
             i, j = j, i
-        c = ring.coerce(data.draw(st.sampled_from([1, -1, 2])))
+        c = ring.coerce(data.draw(st.sampled_from(mixers)))
         E = ExactMatrix.identity(ring, ranks[d]) + ExactMatrix(ring, ranks[d], ranks[d], {(j, i): c})
         E_inv = ExactMatrix.identity(ring, ranks[d]) - ExactMatrix(ring, ranks[d], ranks[d], {(j, i): c})
         if d in diffs:
@@ -499,10 +497,46 @@ def _filtered_complex(ring, data):
     return C, rows
 
 
+def _row_block(C: ChainComplex, rows: dict, r: int):
+    """Row r of a filtered complex as a block.
+
+    Returns its ranks, its CSC boundaries, the (degree, index) of each of
+    its cells in arrival order, and the number of cells of rows <= r per
+    degree.
+    """
+    below = {d: sum(1 for x in rs if x < r) for d, rs in rows.items()}
+    upto = {d: sum(1 for x in rs if x <= r) for d, rs in rows.items()}
+    ranks = {d: upto[d] - below[d] for d in rows}
+    boundaries = {
+        d: csc_from_columns(M.col(j) for j in range(below[d], upto[d])) for d, M in C.diffs.items()
+    }
+    keys = [(d, j) for d in sorted(rows) for j in range(below[d], upto[d])]
+    return ranks, boundaries, keys, upto
+
+
 def _keyed_state(red, key):
     """Log entries (a, b, lam, snapshot) and survivors, with cells renamed by key."""
     log = {(key[a], key[b]): (lam, {key[x]: c for x, c in rest}) for a, b, lam, rest in red.log}
     return log, sorted(key[i] for i in red.alive())
+
+
+def test_q_pivots_keep_the_elder_rule_across_blocks():
+    # blocks a1 | a2 | b with db = a1 + 2 a2: the unit a1 is older than
+    # a2's block, so b cancels a2, and a1 survives the third block, as its
+    # class does (a1 = -2 a2 there): rank(step 1 -> step 3) counts 1.  In
+    # one block the unit is preferred
+    a1, a2, b = range(3)
+    red = MorseReduction(QQ)
+    for ranks in ({0: 1}, {0: 1}):
+        red.add_cells(ranks, {})
+        red.reduce()
+    red.add_cells({1: 1}, {1: csc_from_columns([{a1: 1, a2: 2}])})
+    red.reduce()
+    assert [entry[:3] for entry in red.log] == [(a2, b, 2)]
+    assert red.alive(0) == [a1]
+    one = MorseReduction(QQ, {0: 2, 1: 1}, {1: csc_from_columns([{a1: 1, a2: 2}])})
+    one.reduce()
+    assert [entry[:3] for entry in one.log] == [(a1, b, 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,24 +550,74 @@ def test_row_blocks_match_one_shot_reductions(ring, data):
     key = []  # (degree, index) of each cell of the grown reduction, by id
     top = max(max(rs, default=0) for rs in rows.values())
     for r in range(top + 1):
-        below = {d: sum(1 for x in rs if x < r) for d, rs in rows.items()}
-        upto = {d: sum(1 for x in rs if x <= r) for d, rs in rows.items()}
-        ranks = {d: upto[d] - below[d] for d in rows}
-        boundaries = {
-            d: csc_from_columns(M.col(j) for j in range(below[d], upto[d])) for d, M in C.diffs.items()
-        }
+        ranks, boundaries, keys, upto = _row_block(C, rows, r)
         grown.add_cells(ranks, boundaries)
-        key += [(d, j) for d in sorted(ranks) for j in range(below[d], upto[d])]
+        key += keys
         if r < top and data.draw(st.booleans(), label="sweep later"):
             continue
         grown.reduce()
-        whole = MorseReduction(
-            ring,
-            upto,
-            {d: csc_from_columns(M.col(j) for j in range(upto[d])) for d, M in C.diffs.items()},
-        )
+        if ring.kind == "Q":
+            # the unit preference reads the row blocks, so the one-shot
+            # sweep gets the same blocks before it runs
+            whole, whole_key = MorseReduction(ring), []
+            for s in range(r + 1):
+                ranks, boundaries, keys, _ = _row_block(C, rows, s)
+                whole.add_cells(ranks, boundaries)
+                whole_key += keys
+        else:
+            whole = MorseReduction(
+                ring,
+                upto,
+                {d: csc_from_columns(M.col(j) for j in range(upto[d])) for d, M in C.diffs.items()},
+            )
+            whole_key = [(d, j) for d in sorted(upto) for j in range(upto[d])]
         whole.reduce()
-        whole_key = [(d, j) for d in sorted(upto) for j in range(upto[d])]
         assert _keyed_state(grown, key) == _keyed_state(whole, whole_key), r
         for d in rows:
             assert [key[i] for i in grown.alive(d)] == [whole_key[i] for i in whole.alive(d)]
+
+
+def _first_columns(M: ExactMatrix, ncols: int) -> ExactMatrix:
+    """The first ncols columns of M."""
+    entries = {(i, j): c for (i, j), c in M.entries.items() if j < ncols}
+    return ExactMatrix(M.ring, M.nrows, ncols, entries)
+
+
+def _inclusion_rank(C: ChainComplex, d: int, src: dict, dst: dict) -> int:
+    """rank H_d(C_src) -> H_d(C_dst) for the subcomplexes of the first src[e] / dst[e] cells.
+
+    The image is (Z_d(src) + B_d(dst)) / B_d(dst), by linear algebra on C.
+    """
+    ring, n = C.ring, C.ranks[d]
+    if d in C.diffs:
+        _, Z = rank_kernel(_first_columns(C.diff(d), src[d]))
+    else:
+        Z = ExactMatrix.identity(ring, src[d])
+    B = _first_columns(C.diff(d + 1), dst[d + 1]) if d + 1 in C.diffs else ExactMatrix(ring, n, 0, {})
+    entries = {**Z.entries, **{(i, Z.ncols + j): c for (i, j), c in B.entries.items()}}
+    both = ExactMatrix(ring, n, Z.ncols + B.ncols, entries)
+    return (rank(both) if both.ncols else 0) - (rank(B) if B.ncols else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GF(2), GF(3), GF(5), QQ]), st.data())
+def test_row_block_survivors_count_tower_ranks(ring, data):
+    # grown by rows, one reduction is a barcode: the rank of
+    # H_d(rows <= s) -> H_d(rows <= t) counts the degree-d survivors after
+    # row t among the cells that rows <= s had
+    C, rows = _filtered_complex(ring, data)
+    red = MorseReduction(ring)
+    top = max(max(rs, default=0) for rs in rows.values())
+    cells, survivors, upto = [], [], []
+    for r in range(top + 1):
+        ranks, boundaries, _, counts = _row_block(C, rows, r)
+        red.add_cells(ranks, boundaries)
+        red.reduce()
+        upto.append(counts)
+        cells.append(len(red.degree))
+        survivors.append({d: red.alive(d) for d in rows})
+    for t in range(top + 1):
+        for s in range(t + 1):
+            for d in rows:
+                counted = sum(1 for y in survivors[t][d] if y < cells[s])
+                assert counted == _inclusion_rank(C, d, upto[s], upto[t]), (s, t, d)

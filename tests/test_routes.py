@@ -59,6 +59,7 @@ def _reference(monkeypatch, fn, *args, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(bicomplex, "_plane_stages", stages)
+        m.setattr(bicomplex, "_run_truncation_tower", per_stage_towers.run_truncation_tower)
         m.setattr(bicomplex, "_first_quadrant", cyclic_first_quadrant)
         return fn(*args, **kwargs)
 
@@ -462,9 +463,10 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
     X = _module(name, base)
     top = TOP_ROW[X.rank(0)]
     d_max = FIRST_QUADRANT[X.rank(0)][0]
+    plane, left = bicomplex._plane_stages(X, -1, 2), bicomplex._plane_stages(X, -2, 1, left=True)
     new = {
-        "plane": [bicomplex._plane_stages(X, -1, 2)(Q) for Q in (top - 2, top)],
-        "left": [bicomplex._plane_stages(X, -2, 1, left=True)(Q) for Q in (top - 2, top)],
+        "plane": [plane(Q) for Q in (top - 2, top)],
+        "left": [left(Q) for Q in (top - 2, top)],
         "mixed": [bicomplex._first_quadrant(X, 0, d_max)],
         "first": [cyclic_first_quadrant(X, 0, d_max)],
     }
@@ -484,10 +486,8 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
                 assert stage.group(d) == ref.group(d), (route, d)
         if len(stages) == 2:
             for d in range(stages[0].lo, stages[0].hi + 1):
-                fast = bicomplex._stage_map(*stages, d)
-                slow = lifted_stage_map(*old[route], d)
-                assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
-                assert rank(fast) == rank(slow), (route, d)
+                counted = len(stages[0].alive(d)) - len(bicomplex._stage_map(*stages, d))
+                assert counted == rank(lifted_stage_map(*old[route], d)), (route, d)
     for n in range(2, d_max + 1):
         assert bicomplex._s_rank(new["mixed"][0], n) == lifted_s_rank(first, n), n
 
@@ -496,9 +496,11 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
 
 
 def _per_stage(monkeypatch, fn, *args):
+    """fn on stages reduced whole by the dict engine, its tower walked on lifted maps."""
+    walk = functools.partial(per_stage_towers.run_truncation_tower, stage_map=lifted_stage_map)
     with monkeypatch.context() as m:
         m.setattr(bicomplex, "_plane_stages", per_stage_towers.plane_stages)
-        m.setattr(bicomplex, "_stage_map", lifted_stage_map)
+        m.setattr(bicomplex, "_run_truncation_tower", walk)
         return fn(*args)
 
 
@@ -535,45 +537,116 @@ def test_shared_tower_reduction_matches_per_stage_towers_on_random_schedules(con
     assert _dumps(shared) == _dumps(fresh)
 
 
-def _composite_ranks(maps) -> dict:
-    """rank of maps[j] ... maps[i] for every i <= j: the tower up to isomorphism."""
-    n = len(maps)
-    return {(i, j): bicomplex._composite_rank(maps[: j + 1], i) for j in range(n) for i in range(j + 1)}
+def _lifted_ranks(stages, d: int) -> dict:
+    """rank H_d(stage i) -> H_d(stage j) for i <= j, from the lifted maps of per-stage stages."""
+    maps = [lifted_stage_map(src, dst, d) for src, dst in zip(stages, stages[1:])]
+    return _composite_ranks(stages, d, maps)
+
+
+def _composite_ranks(stages, d: int, maps) -> dict:
+    """rank H_d(stage i) -> H_d(stage j) for i <= j, from the maps between consecutive stages.
+
+    These ranks fix a tower of vector spaces up to isomorphism.
+    """
+    ranks = {(i, i): len(stage.alive(d)) for i, stage in enumerate(stages)}
+    for j in range(1, len(stages)):
+        for i in range(j):
+            ranks[(i, j)] = per_stage_towers.composite_rank(maps[:j], i)
+    return ranks
+
+
+def _counted_ranks(stages, d: int) -> dict:
+    """The same ranks on stages of one reduction, each the count _stage_map leaves.
+
+    Every stage is taken before any rank is read, so most pairs map into
+    a stage that is not the reduction's latest.
+    """
+    return {
+        (i, j): len(stages[i].alive(d)) - len(bicomplex._stage_map(stages[i], stages[j], d))
+        for j in range(len(stages))
+        for i in range(j + 1)
+    }
+
+
+def _bar_ranks(X, lo: int, hi: int, left: bool, schedule) -> dict:
+    """The same ranks from the bars of the tower walk, per degree.
+
+    A persistence longer than the schedule keeps every degree walking to
+    its end.
+    """
+    stages = functools.partial(bicomplex._plane_stages, left=left)
+    reports = bicomplex._run_truncation_tower(stages, X, (lo, hi), schedule, len(schedule) + 1)
+    n = len(schedule)
+    return {
+        d: {
+            (i, j): bicomplex._composite_rank(rep.bars.values(), schedule[i], schedule[j])
+            for j in range(n)
+            for i in range(j + 1)
+        }
+        for d, rep in reports.items()
+    }
+
+
+def _check_counted_ranks(X, lo: int, hi: int, left: bool, schedule) -> None:
+    """Counted and barcoded tower ranks against lifted composites on per-stage stages.
+
+    The shared reduction's projections, read while each stage is the
+    latest, give the same ranks too.
+    """
+    shared = bicomplex._plane_stages(X, lo, hi, left)
+    fresh = per_stage_towers.plane_stages(X, lo, hi, left)
+    now, refs, projected = [], [], {d: [] for d in range(lo, hi + 1)}
+    for Q in schedule:
+        now.append(shared(Q))
+        refs.append(fresh(Q))
+        for d in projected:
+            assert len(now[-1].alive(d)) == len(refs[-1].alive(d)), (left, Q, d)
+            if len(now) > 1:
+                projected[d].append(per_stage_towers.projected_stage_map(now[-2], now[-1], d))
+    bars = _bar_ranks(X, lo, hi, left, schedule)
+    for d in projected:
+        lifted = _lifted_ranks(refs, d)
+        assert _counted_ranks(now, d) == lifted, (left, d)
+        assert bars[d] == lifted, (left, d)
+        assert _composite_ranks(now, d, projected[d]) == lifted, (left, d)
 
 
 @pytest.mark.parametrize("name,base", CONFIGS, ids=IDS)
 def test_projected_tower_maps_equal_lifted_ones(monkeypatch, name, base):
-    # orbit stages: the shared reduction's projections against lift, shift
-    # and project on stages reduced whole by the dict engine; materialized
-    # stages, each with its own reduction: projection against lift and
-    # project on the dict engine.  The engines pick different survivors, so
-    # the towers are compared by the ranks of all composites, which fix a
-    # tower of vector spaces up to isomorphism
+    # orbit stages: the shared reduction's counts, its bars and its
+    # projections against lift, shift and project on stages reduced whole
+    # by the dict engine; materialized stages, each with its own
+    # reduction: projection against lift and project on the dict engine.
+    # The engines pick different survivors, so the towers are compared by
+    # the ranks of all composites, which fix a tower of vector spaces up
+    # to isomorphism
     X = _module(name, base)
     top = TOP_ROW[X.rank(0)]
     schedule = list(range(max(0, top - 4), top + 1))
     for left, (lo, hi) in ((False, (-1, 2)), (True, (-2, 1))):
-        shared = bicomplex._plane_stages(X, lo, hi, left)
-        fresh = per_stage_towers.plane_stages(X, lo, hi, left)
-        projected = {d: [] for d in range(lo, hi + 1)}
-        lifted = {d: [] for d in range(lo, hi + 1)}
-        prev = None
-        for Q in schedule:
-            now, ref = shared(Q), fresh(Q)
-            for d in range(lo, hi + 1):
-                assert len(now.alive(d)) == len(ref.alive(d)), (left, Q, d)
-                if prev is not None:
-                    projected[d].append(bicomplex._stage_map(prev[0], now, d))
-                    lifted[d].append(lifted_stage_map(prev[1], ref, d))
-            prev = now, ref
-        for d in projected:
-            assert _composite_ranks(projected[d]) == _composite_ranks(lifted[d]), (left, d)
+        _check_counted_ranks(X, lo, hi, left, schedule)
     for region in ("plane", "left"):
         stages = [bicomplex._TotalStage(X, region, Q, -1, 1) for Q in schedule[-3:]]
         with monkeypatch.context() as m:
             m.setattr(bicomplex, "MorseReduction", dict_engine)
             refs = [bicomplex._TotalStage(X, region, Q, -1, 1) for Q in schedule[-3:]]
         for d in range(-1, 2):
-            projected = [bicomplex._stage_map(src, dst, d) for src, dst in zip(stages, stages[1:])]
-            lifted = [lifted_stage_map(src, dst, d) for src, dst in zip(refs, refs[1:])]
-            assert _composite_ranks(projected) == _composite_ranks(lifted), (region, d)
+            maps = [
+                per_stage_towers.projected_stage_map(src, dst, d)
+                for src, dst in zip(stages, stages[1:])
+            ]
+            assert _composite_ranks(stages, d, maps) == _lifted_ranks(refs, d), (region, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CONFIGS), st.booleans(), st.data())
+def test_counted_tower_ranks_equal_lifted_composites(config, left, data):
+    # every pair of stages i <= j of a random schedule, a dst that is not
+    # the reduction's latest stage included: the survivors' count, and the
+    # bars of the walk, equal the rank of the lifted maps' composite
+    X = _module(*config)
+    lo = data.draw(st.integers(-3, 1), label="lo")
+    hi = data.draw(st.integers(lo, 2), label="hi")
+    rows = st.integers(0, DEEP_ROW[X.rank(0)])
+    schedule = sorted(data.draw(st.sets(rows, min_size=2, max_size=5), label="schedule"))
+    _check_counted_ranks(X, lo, hi, left, schedule)
