@@ -20,8 +20,11 @@ walk's terms); `CyclicModule` memoizes each operator once, as a Coo, and
 builds an ExactMatrix from it on request.  The orbit walk of `orbits`
 takes its cyclic faces from `SummandOps.face` too, on the codes of one
 batch of orbits at a time.  The identity sweep never builds the
-matrices: it runs the same engine on a bounded block of source rows at
-a time and judges the integer residuals exactly and mod several primes.
+matrices: it runs the same engine on blocks of source rows and judges
+the integer residuals exactly and mod several primes.  A block holds as
+many rows as its identities expand into `_SWEEP_BLOCK` summands: the
+identities that start with a face share blocks and their faces, every
+other identity sweeps the rows with those of its own width.
 """
 
 from __future__ import annotations
@@ -531,9 +534,11 @@ class SummandOps:
 # ---------------------------------------------------------------------------
 # identity sweep on int64 summands
 
-# summands per block of the sweep: a block takes as many source rows as the
-# widest identity of its degree can expand into this many summands
-_SWEEP_BLOCK = 1 << 18
+# summands per block of the sweep, its one memory budget: a block takes as
+# many source rows (at least one) as the widest of its identities expands
+# into this many summands.  The first-op states that a block keeps for its
+# later identities come on top.
+_SWEEP_BLOCK = 1 << 16
 
 
 def _residual(lhs: _Summands, rhs: _Summands | None, d: int, start: int, bits: int
@@ -656,18 +661,22 @@ def _run_cached(engine, state, program, first):
     return _run_program(engine, state, program)
 
 
-def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, int, int]:
-    """Degree n's identities, the bits a packed coefficient takes, and rows per block.
+def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, int, list]:
+    """Degree n's identities, the bits a packed coefficient takes, and its blocks.
 
     A face multiplies the summands per source row by at most the terms of
     a product, a degeneracy by the unit's terms, N by n+1 and 1 - t by 2;
-    a coefficient grows by at most `bound` per face or degeneracy.  Raises
-    ValueError, before anything is allocated, when a code with its packed
-    coefficient, or the sum of a key's coefficients, would not fit in 64 bits.
+    a coefficient grows by at most `bound` per face or degeneracy.  The
+    blocks are pairs (identity numbers, rows per block).  The identities
+    with a face as the first op of either side share a block, and so the
+    faces, which cost ten times a degeneracy or a rotation; each other
+    identity shares one with those of its own width.  Raises ValueError,
+    before anything is allocated, when a code with its packed coefficient,
+    or the sum of a key's coefficients, would not fit in 64 bits.
     """
     T, U = len(ops.terms), len(ops.unit)
     programs = list(identity_programs(n))
-    width, cmax, total, slots = 1, 1, 1, n + 1
+    widths, cmax, total, slots = [], 1, 1, n + 1
     for _, lhs, rhs in programs:
         summands = coefficients = 0
         for program in (lhs, rhs):
@@ -685,14 +694,23 @@ def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, int, int]:
             summands += w
             coefficients += w * ops.bound**depth
             cmax = max(cmax, ops.bound**depth)
-        width, total = max(width, summands), max(total, coefficients)
+        widths.append(summands)
+        total = max(total, coefficients)
     bits = cmax.bit_length() + 1
     key = ops.d**slots << bits
     if key >= _INT64 or total >= _INT64:
         raise ValueError(
             f"the identities at degree {n} need codes or coefficients beyond 64-bit integers"
         )
-    return programs, bits, max(1, min(_SWEEP_BLOCK // width, (_INT64 - 1) // key))
+    blocks: dict[int | None, list[int]] = {}  # None: the block of the faces
+    for k, (_, lhs, rhs) in enumerate(programs):
+        face = any(side and side[0][0] == "d" for side in (lhs, rhs))
+        blocks.setdefault(None if face else widths[k], []).append(k)
+    return programs, bits, [
+        (members, max(1, min(_SWEEP_BLOCK // max(widths[k] for k in members),
+                             (_INT64 - 1) // key)))
+        for members in blocks.values()
+    ]
 
 
 def cyclic_identity_multibase_report(
@@ -707,29 +725,31 @@ def cyclic_identity_multibase_report(
     mod-p algebra verbatim, while ``None`` asks for exact vanishing and
     settles Z and Q at once.  Returns, per modulus, the failing identities.
 
-    The source rows of each degree are swept in blocks, and within a block
-    an identity's first operator is applied once for every identity that
-    starts with it.
+    Each of `_sweep_plan`'s blocks sweeps every source row of its degree,
+    and within a block an identity's first operator is applied once for
+    every identity that starts with it.
     """
     ops = SummandOps(A)
     if ops.scale != 1:
         raise ValueError("the identity sweep needs integer structure constants")
     plans = [_sweep_plan(ops, n) for n in range(n_max + 1)]
     bad: dict[int | None, list[str]] = {m: [] for m in moduli}
-    for n, (programs, bits, step) in enumerate(plans):
+    for n, (programs, bits, blocks) in enumerate(plans):
         failing: list[set] = [set() for _ in programs]
         rows = ops.d ** (n + 1)
-        for start in range(0, rows, step):
-            x = ops.identity_state(n, start, min(rows, start + step))
-            first: dict[tuple, _Summands] = {}
-            for fails, (_, lhs_prog, rhs_prog) in zip(failing, programs):
-                if len(fails) == len(bad):
-                    continue  # fails for every modulus already
-                lhs = _run_cached(ops, x, lhs_prog, first)
-                rhs = _run_cached(ops, x, rhs_prog, first) if rhs_prog is not None else None
-                residual = _residual(lhs, rhs, ops.d, start, bits)
-                if residual.any():
-                    fails.update(m for m in bad if not m or (residual % m).any())
+        for members, step in blocks:
+            for start in range(0, rows, step):
+                x = ops.identity_state(n, start, min(rows, start + step))
+                first: dict[tuple, _Summands] = {}
+                for k in members:
+                    if len(failing[k]) == len(bad):
+                        continue  # fails for every modulus already
+                    _, lhs_prog, rhs_prog = programs[k]
+                    lhs = _run_cached(ops, x, lhs_prog, first)
+                    rhs = _run_cached(ops, x, rhs_prog, first) if rhs_prog is not None else None
+                    residual = _residual(lhs, rhs, ops.d, start, bits)
+                    if residual.any():
+                        failing[k].update(m for m in bad if not m or (residual % m).any())
         for fails, (name, _, _) in zip(failing, programs):
             for m in bad:
                 if m in fails:

@@ -610,3 +610,85 @@ def test_identity_sweep_refuses_what_64_bits_cannot_hold(monkeypatch):
     # 2^20 fits; its unit is 1 while e0 e0 = 2^20 e0, so d_0 s_0 = id fails
     assert "d_0 s_0 = id @ n=0 fails" in cyclic_identity_report(
         Algebra(ZZ, 1, ((((0, 2**20),),),), (1,)), 3)
+
+
+def _judged_rows(monkeypatch, A, moduli, n_max):
+    """The report, and per identity name the source rows `_residual` judged, block by block."""
+    import cychom.cyclic as cyc
+
+    names = {(n, tuple(lhs)): name for n in range(n_max + 1)
+             for name, lhs, _ in cyc.identity_programs(n)}
+    sides, judged = [], {}
+    run_cached, residual = cyc._run_cached, cyc._residual
+
+    def recording_run(engine, state, program, first):
+        sides.append((state, program))
+        return run_cached(engine, state, program, first)
+
+    def recording_residual(lhs, rhs, d, start, bits):
+        (state, program), *_ = sides  # the lhs runs first
+        sides.clear()
+        key = names[state.slots - 1, tuple(program)]
+        judged.setdefault(key, []).append(state.src.copy())
+        assert state.src[0] == start
+        return residual(lhs, rhs, d, start, bits)
+
+    monkeypatch.setattr(cyc, "_run_cached", recording_run)
+    monkeypatch.setattr(cyc, "_residual", recording_residual)
+    return cyclic_identity_multibase_report(A, moduli, n_max), judged
+
+
+def test_sweep_judges_every_row_once_per_identity(monkeypatch):
+    import cychom.cyclic as cyc
+
+    A, top = catalog("matrix-algebra(2)", QQ), 5
+    # 4^6 rows at the top degree: N(1-t) and (1-t)N expand a row into 12
+    # summands, so they take 341 rows a block and end on a block of 4
+    monkeypatch.setattr(cyc, "_SWEEP_BLOCK", 1 << 12)
+    programs, _, blocks = cyc._sweep_plan(SummandOps(A), top)
+    steps = {programs[k][0]: step for members, step in blocks for k in members}
+    assert steps[f"N(1-t) = 0 @ n={top}"] == steps[f"(1-t)N = 0 @ n={top}"] == 341
+    assert steps[f"d_0 d_1 = d_0 d_0 @ n={top}"] == 512  # two faces of two terms a side
+    report, judged = _judged_rows(monkeypatch, A, (2, 3, None), top)
+    assert report == {m: [] for m in (2, 3, None)}
+    for n in range(top + 1):
+        for name, _, _ in cyc.identity_programs(n):
+            rows = np.concatenate(judged.pop(name))
+            assert np.array_equal(np.sort(rows), np.arange(A.dim ** (n + 1))), name
+    assert not judged
+
+
+def test_sweep_finds_a_fault_on_the_last_row(monkeypatch):
+    import cychom.cyclic as cyc
+
+    A, top = catalog("matrix-algebra(2)", QQ), 5
+    last = A.dim ** (top + 1) - 1
+    cyclic = cyc.SummandOps.cyclic
+
+    def faulty(self, s):
+        out = cyclic(self, s)
+        if s.slots == top + 1:
+            out.coeff = np.where(s.src == last, 2 * out.coeff, out.coeff)
+        return out
+
+    monkeypatch.setattr(cyc, "_SWEEP_BLOCK", 1 << 12)
+    monkeypatch.setattr(cyc.SummandOps, "cyclic", faulty)
+    report = cyclic_identity_multibase_report(A, (3, None), top)
+    for m in (3, None):
+        assert f"N(1-t) = 0 @ n={top} fails" in report[m]
+        assert not any(f"@ n={top - 1} " in line for line in report[m])
+
+
+def test_identity_sweep_stays_within_its_memory_budget():
+    import tracemalloc
+
+    A = catalog("truncated-poly(3)", QQ)
+    tracemalloc.start()
+    try:
+        report = cyclic_identity_multibase_report(A, (2, 3, 5, None), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == {m: [] for m in (2, 3, 5, None)}
+    # a block of 2^16 summands, the first-op states it keeps and the residual's sort
+    assert peak <= 16 * 2**20, peak / 2**20
