@@ -8,11 +8,12 @@ its standard error and its standard output; a JSON report loses its
 command whose result differs, then a summary; the exit status is 1 on
 any difference and 0 otherwise.
 
-Without --commands the built-in list runs (about 200 commands, under a
+Without --commands the built-in list runs (about 210 commands, under a
 minute per tree on a 2-core machine): `tate` on every named module,
 orders 1..8, over Z, F3 and Q; `check-5-1` and `check-5-3` for orders
 0..7; `verify --suite all`; `hp-poly` (rows 2..12) and `hc-minus-poly`
-(rows 2..10) on every catalog algebra over F2, F3 and F5; the
+(rows 2..10) on every catalog algebra over F2, F3 and F5;
+`hc-minus-poly` in degrees up to 2..4 on nine configurations; the
 benchmark's orbit-towers and chain-reduction jobs on catalog algebras;
 a few `hh`, `hc` and `hp` runs; and `--out` paths that cannot be
 written.  --commands FILE replaces that list with one command line per
@@ -79,6 +80,21 @@ def default_commands() -> list[list[str]]:
     ):
         argv = ["hp-poly", "--algebra", name, *_fp(p), "--degrees", degrees]
         out.append(argv + (["--q-schedule", schedule] if schedule else []))
+    # hc-minus-poly in positive degrees: edge rows up to degree + 1 and
+    # zig-zags cut at edge rows >= 1
+    for name, base, degrees, schedule in (
+        ("dual-numbers", _fp("2"), "-2..4", _rows(0, 10)),
+        ("dual-numbers", _fp("3"), "-2..4", _rows(0, 10)),
+        ("dual-numbers", ["--base", "Q"], "-2..4", _rows(0, 10, 2)),
+        ("truncated-poly(3)", _fp("2"), "-1..3", _rows(0, 8)),
+        ("group-algebra(3)", _fp("3"), "-1..2", _rows(0, 8)),
+        ("matrix-algebra(2)", _fp("2"), "-1..2", _rows(0, 6)),
+        ("field-extension(1,1)", _fp("2"), "-1..3", _rows(0, 10, 2)),
+        ("ground-field", _fp("5"), "-2..4", _rows(0, 10)),
+        ("ground-field", ["--base", "Q"], "-2..4", _rows(0, 10, 2)),
+    ):
+        out.append(["hc-minus-poly", "--algebra", name, *base, "--degrees", degrees,
+                    "--q-schedule", schedule])
     # the chain-reduction jobs and a few more exact routes
     out += [
         ["hc", "--algebra", "matrix-algebra(2)", *_fp("3"), "--degrees", "0..7"],

@@ -47,10 +47,11 @@ and their boundary takes b's Coo.  The materialized regions
 references the reduced routes are tested against.
 
 Every stage is a finite complex handed to the left-looking engine of
-`reduction` as per-degree CSC arrays: on the orbit routes from the
-zig-zag boundaries, on the others assembled in numpy from operator Coo
-placed at the offsets of a degree's summands.  Over a field the engine
-cancels everything cancellable, so surviving cells count homology.
+`reduction` as per-degree CSC arrays, built by `_csc`: on the orbit
+routes from each row's zig-zag boundaries placed at its cells' offsets,
+on the others from operator Coo placed at the offsets of a degree's
+summands.  Over a field the engine cancels everything cancellable, so
+surviving cells count homology.
 
 A truncation tower is one filtered complex, so its stages are views of
 one reduction.  Each schedule step hands the engine only the cells of
@@ -85,7 +86,7 @@ from .complexes import ChainComplex, ComplexReport, HomologyGroup
 from .cyclic import Coo, CyclicModule, NormalizedBarModule, normalized
 from .matrix import ExactMatrix
 from .orbits import OrbitPlane
-from .reduction import MorseReduction, csc_from_columns, homology_via_reduction
+from .reduction import MorseReduction, homology_via_reduction
 from .rings import BaseRing
 
 
@@ -94,6 +95,7 @@ class WindowError(ValueError):
 
 
 _REGIONS = ("plane", "left", "first")
+_HH_MARGIN = 2  # the top HH degrees that must vanish for conjugate_dimension_check
 
 
 def _check_region(region: str) -> None:
@@ -404,52 +406,46 @@ def _plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
 
     The stages are views of one reduction: each call, with Q no smaller
     than the last, adds the cells of the rows above the last Q as a block
-    and sweeps only them.  A degree lists its cells in row order.  On the
-    plane it has one per surviving orbit (q, x) of rows 0..Q.  On the
-    left region p <= 0, degree d has the edge cells (d, x, k) of row d at
-    column 0 when 0 < d <= Q (row 0 has none), then the survivors of rows
-    q > d.
+    and sweeps only them.  A degree lists its cells row by row, from the
+    offset of each row there: on the plane row q's survivors, and on the
+    left region p <= 0, in degree d, none of rows q < d, row d's edge
+    cells at column 0 (row 0 has none) and the survivors of rows q > d.
     """
     plane = OrbitPlane(X.algebra)
     red = MorseReduction(X.base)
     degrees = range(lo - 1, hi + 2)
-    index: dict[int, dict] = {d: {} for d in degrees}  # cell key -> index in its degree
+    offsets: dict[int, list[int]] = {d: [] for d in degrees}  # degree -> row -> first id
     top = -1  # the last row added
-
-    def edge_columns(d: int) -> list[dict]:
-        """pi_edge b on the edge cells of row d, as columns on those of row d - 1.
-
-        Row d - 1's edge cells lead their degree, so their indices there
-        are their places in the edge row.
-        """
-        b = X.coo("b", d)
-        rows, cols, vals = plane.edge_boundary(d, b)
-        columns: list[dict] = [{} for _ in plane.edge_row(d)[0]]
-        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            columns[j][i] = v if b.den == 1 else Fraction(v, b.den)
-        return columns
 
     def stage(Q: int) -> _ReducedStage:
         nonlocal top
         if Q < top:
             raise ValueError("the stages of one tower come in increasing Q")
-        new = [(q, x) for q in range(top + 1, Q + 1) for x in plane.survivors(q)]
-        ranks, boundaries = {}, {}
+        rows = {q: len(plane.survivors(q)) for q in range(top + 1, Q + 1)}
+        counts, ranks, cells = {}, {}, {}
         for d in degrees:
-            edges = plane.edge_row(d)[0] if left and max(top, 0) < d <= Q else []
-            survivors = [key for key in new if key[0] > d] if left else new
-            for key in edges + survivors:
-                index[d][key] = len(index[d])
-            ranks[d] = len(edges) + len(survivors)
-            if d >= lo:
-                below = index[d - 1]
-                boundaries[d] = csc_from_columns([
-                    *(edge_columns(d) if edges else []),
-                    *(
-                        {below[key]: c for key, c in plane.boundary(d - q, q, x, left).items()}
-                        for q, x in survivors
-                    ),
-                ])
+            counts[d] = rows
+            if left:  # no cells of rows q < d, and row d's edge cells
+                counts[d] = {q: n if q > d else 0 for q, n in rows.items()}
+                if d in rows:
+                    counts[d][d] = len(plane.edge_row(d)[0])
+            at = np.cumsum([red.ranks.get(d, 0), *counts[d].values()]).tolist()
+            offsets[d] += at[:-1]
+            ranks[d], cells[d] = at[-1] - at[0], at[-1]
+        boundaries = {}
+        for d in range(lo, hi + 2):
+            below, pieces = np.array(offsets[d - 1]), []
+            for q, n in counts[d].items():
+                if not n:
+                    continue
+                if left and q == d:  # pi_edge b, onto the edge cells of row d - 1
+                    b = X.coo("b", d)
+                    (t, s, v), r, den = plane.edge_boundary(d, b), d - 1, b.den
+                else:
+                    (s, r, t, v), den = plane.boundary(d - q, q, left).T, 1
+                col = offsets[d][q] - red.ranks.get(d, 0)
+                pieces.append((0, col, Coo(X.base, cells[d - 1], n, below[r] + t, s, v, den)))
+            boundaries[d] = _csc(ranks[d], pieces)
         top = Q
         red.add_cells(ranks, boundaries)
         return _ReducedStage(red, Q, lo, hi)
@@ -918,7 +914,6 @@ def conjugate_dimension_check(
     degrees: tuple[int, int],
     q_schedule=None,
     persistence: int = 3,
-    hh_margin: int = 2,
     hp_table: HomologyTable | None = None,
 ) -> ConjugateReport:
     """Compare stabilized HP^poly dimensions with folded Hochschild ones.
@@ -927,7 +922,7 @@ def conjugate_dimension_check(
     dimensions, so for bounded HH the prediction in degree d is
     sum_i dim HH_{d+2i}.  HH dimensions come from a Morse reduction of the
     normalized Hochschild complex; boundedness is checked empirically: the
-    top `hh_margin` computed degrees must vanish, otherwise the check
+    top `_HH_MARGIN` computed degrees must vanish, otherwise the check
     refuses rather than folding a possibly infinite sum.
 
     A caller who already ran the tower for this algebra can pass its table
@@ -936,11 +931,11 @@ def conjugate_dimension_check(
     if not A.base.is_field or A.base.characteristic == 0:
         raise ValueError("the comparison is a positive-characteristic statement")
     lo, hi = degrees
-    q_check = max(hi, 0) + hh_margin + 2
+    q_check = max(hi, 0) + _HH_MARGIN + 2
     hh_dims = {q: g.dimension for q, g in hh(normalized(A), (0, q_check)).groups.items()}
     nonzero = [q for q, v in hh_dims.items() if v]
     bound = max(nonzero) if nonzero else -1
-    if bound > q_check - hh_margin:
+    if bound > q_check - _HH_MARGIN:
         return ConjugateReport(
             refused=True,
             reason=(

@@ -40,10 +40,12 @@ row truncations of the reduced complex, and its inclusions induce the
 truncation tower's maps on homology.
 
 Everything above depends on a column only through its parity, so the
-reduced complex is stored as one boundary per (parity, survivor), keyed
-by (q, x).  The zig-zag Z(f_k) of an orbit is a sum of survivors of the
-form base + inc_0 + ... + inc_{k-1} + [k = m - 1] last, kept as terms
-(start, survivor, coefficient) that count towards Z(f_k) for k >= start.
+reduced complex is stored as one boundary array per (row, parity).  A
+cell is (row, place): its place among its row's survivors or, on the
+edge row of a cut walk (below), among that row's edge cells.  The
+zig-zag Z(f_k) of an orbit is a sum of cells base + inc_0 + ... +
+inc_{k-1} + [k = m - 1] last, kept as terms (start, cell packed in an
+int64, coefficient) that count towards Z(f_k) for k >= start.
 A level is one (row, parity); the first request for a row's boundaries
 walks the levels below it twice, in numpy on integer codes.  Top down,
 the vertical faces of the previous level's orbits give the orbits the
@@ -58,8 +60,8 @@ summed by `cyclic._sum_by`.
 
 The left region p <= 0, which carries negative cyclic homology, has the
 same rows cut at column 0, where nothing comes in.  There a row's
-homology is ker N, with a basis of edge cells (q, x, k) per orbit: f_k
-for 0 <= k < m on survivor and twisted orbits, where N = 0, and f_k - f_0
+homology is ker N, with a basis of edge cells per orbit: f_k for
+0 <= k < m on survivor and twisted orbits, where N = 0, and f_k - f_0
 for 1 <= k < m on free ones.  The retraction onto it is
 pi_edge = 1 - h N, with h the plane's h from column -1, so pi_edge(f_k) =
 f_k - f_0 on free orbits and f_k elsewhere; h = 0 out of column 0.  A
@@ -83,6 +85,8 @@ from .cyclic import SummandOps, _sum_by, _Summands
 
 # face entries per numpy batch: bounds the memory of one batch
 _BATCH = 1 << 18
+# a cell (row, place) packs into the int64 row << _PLACE | place
+_PLACE = 32
 
 
 def _distinct(a: np.ndarray, *carry: np.ndarray) -> list[np.ndarray]:
@@ -145,8 +149,8 @@ class _Level:
 class OrbitPlane:
     """Survivors and reduced boundaries of the 2-periodic plane of A over F_p.
 
-    A cell is a pair (q, x): a surviving orbit with representative code x
-    in row q.  In total degree d it sits in column d - q.  The faces come
+    A survivor of row q is named by its place in survivors(q); in total
+    degree d it sits in column d - q.  The faces come
     from `SummandOps`, built on the first walk; over Q, and for primes
     that leave no survivor, nothing is walked and the structure constants
     are never read.  Codes are int64, so a row with dim^(q+1) >= 2^63
@@ -165,10 +169,8 @@ class OrbitPlane:
         self._survivors: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
         # keyed (row, parity, edge row of the cut or None)
         self._levels: dict[tuple, _Level] = {}
-        self._boundary: dict[tuple, dict[int, dict]] = {}
+        self._boundary: dict[tuple, np.ndarray] = {}
         self._edges: dict[int, tuple] = {}
-        self._cells: list[tuple] = []  # cells (q, x) and (q, x, k) met in zig-zags
-        self._cell_ids: dict[tuple, int] = {}
 
     # -- codes and orbits -----------------------------------------------------
 
@@ -362,26 +364,17 @@ class OrbitPlane:
         g, term = g[keep], term[keep]
         return src[h][g], k[g], lower.cell[term], c[g] * lower.value[term] % p
 
-    def _cell(self, key: tuple) -> int:
-        i = self._cell_ids.get(key)
-        if i is None:
-            i = self._cell_ids[key] = len(self._cells)
-            self._cells.append(key)
-        return i
-
     def _edge_terms(self, q: int, x: np.ndarray, m: np.ndarray, free: np.ndarray):
         """Z at the cut, in column 0, where h = 0 and the zig-zag ends.
 
-        Z(f_k) = pi_edge(f_k) is the edge cell (q, x, k), or 0 for k = 0 on
-        a free orbit.  Terms count towards Z(f_j) for j >= start, so cell k
+        Z(f_k) = pi_edge(f_k) is the edge cell f_k, or 0 for k = 0 on a
+        free orbit.  Terms count towards Z(f_j) for j >= start, so cell k
         enters at start k and leaves again at start k + 1.
         """
-        o, k = _ranges(m)
+        o, k, code = self._rotations(q, x, m)
         keep = ~free[o] | (k > 0)
         o, k = o[keep], k[keep]
-        cell = np.array(
-            [self._cell((q, y, j)) for y, j in zip(x[o].tolist(), k.tolist())], dtype=np.int64
-        )
+        cell = (q << _PLACE) | self.edge_row(q)[1][code[keep]]
         more = k < m[o] - 1
         one = np.ones(len(o), dtype=np.int64)
         return [o, o[more]], [k, k[more] + 1], [cell, cell[more]], [one, (self.p - 1) * one[more]]
@@ -399,7 +392,7 @@ class OrbitPlane:
             sv = np.flatnonzero(survivor)
             orbit = [sv]
             start = [np.zeros(len(sv), dtype=np.int64) if parity == 0 else m[sv] - 1]
-            cell = [np.array([self._cell((q, y)) for y in x[sv].tolist()], dtype=np.int64)]
+            cell = [(q << _PLACE) | np.searchsorted(self._survivor_row(q)[1], x[sv])]
             value = [np.ones(len(sv), dtype=np.int64)]
         if q - 1 >= self._floor(cut):  # never at the cut itself
             o, k, c, v = self._below(q, parity, x, self._needed(q, parity, m), cut)
@@ -451,40 +444,16 @@ class OrbitPlane:
 
     # -- the reduced complex --------------------------------------------------
 
-    def _row_boundaries(self, q: int, parity: int, cut: int | None) -> dict[int, dict]:
-        """Reduced boundaries of every row-q survivor in columns of this parity."""
-        p, floor = self.p, self._floor(cut)
-        xs, x, m = self._survivor_row(q)
-        out: dict[int, dict] = {y: {} for y in xs}
-        if not xs or q - 1 < floor:
-            return out
-        # i(x) = x in even columns and f_0 + ... + f_{m-1} in odd ones; its
-        # vertical faces lie one row down in the same column, where the
-        # orbits at (q, 1 - parity) send theirs
-        counts = np.ones_like(m) if parity == 0 else m
-        levels = []
-        r, par, y = q, 1 - parity, x
-        while len(y) and r - 1 >= floor:
-            y, ym = self._new_orbits(r, par, y, cut)
-            r, par = r - 1, 1 - par
-            levels.append((r, par, y, ym))
-            y = y[self._needed(r, par, ym) > 0]
-        for level in reversed(levels):
-            self._evaluate(*level, cut)
-        o, _, cell, val = self._below(q, 1 - parity, x, counts, cut)
-        (o, cell), val = _sum_by(p, val, o, cell)
-        for i, c, v in zip(o.tolist(), cell.tolist(), val.tolist()):
-            out[xs[i]][self._cells[c]] = v
-        return out
+    def boundary(self, column: int, q: int, left: bool = False) -> np.ndarray:
+        """Reduced boundaries of all row-q survivors in the given column.
 
-    def boundary(self, column: int, q: int, x: int, left: bool = False) -> dict:
-        """Reduced boundary of survivor (q, x) in the given column: {cell: coeff}.
-
-        Cells are survivors (r, y) and, with left, edge cells (r, y, k).
-        With left the boundary is the left region's, for a column <= -1: the
-        zig-zags are cut at column 0, on the edge row column + q - 1.  The
-        first call for a row, column parity and cut computes the boundaries
-        of all the row's survivors; x must be one of them.
+        Returns an (nnz, 4) int64 array, sorted, with one entry (survivor
+        place, target row, target place, coefficient) per nonzero
+        coefficient.  Places are in survivors(row), except that with left
+        a target on the edge row column + q - 1 is an edge cell, placed in
+        edge_row(row).  With left the boundaries are the left region's,
+        for a column <= -1: the zig-zags are cut at column 0, on that edge
+        row.  Memoized per column parity, row and cut.
         """
         self._check_row(q)
         if left and column >= 0:
@@ -492,21 +461,40 @@ class OrbitPlane:
         parity = column % 2
         # an edge row <= 0 meets no edge cell: the plane walk is the cut one
         cut = column + q - 1 if left and column + q > 1 else None
-        key = (parity, q, cut)
-        row = self._boundary.get(key)
-        if row is None:
-            row = self._boundary[key] = self._row_boundaries(q, parity, cut)
-        return row[x]
+        hit = self._boundary.get((parity, q, cut))
+        if hit is not None:
+            return hit
+        _, x, m = self._survivor_row(q)
+        # i(x) = x in even columns and f_0 + ... + f_{m-1} in odd ones; its
+        # vertical faces lie one row down in the same column, where the
+        # orbits at (q, 1 - parity) send theirs
+        counts = np.ones_like(m) if parity == 0 else m
+        levels = []
+        r, par, y = q, 1 - parity, x
+        while len(y) and r - 1 >= self._floor(cut):
+            y, ym = self._new_orbits(r, par, y, cut)
+            r, par = r - 1, 1 - par
+            levels.append((r, par, y, ym))
+            y = y[self._needed(r, par, ym) > 0]
+        for level in reversed(levels):
+            self._evaluate(*level, cut)
+        o, _, cell, val = self._below(q, 1 - parity, x, counts, cut)
+        (o, cell), val = _sum_by(self.p, val, o, cell)
+        hit = np.stack([o, cell >> _PLACE, cell & ((1 << _PLACE) - 1), val], axis=1)
+        self._boundary[parity, q, cut] = hit
+        return hit
 
     def edge_row(self, q: int):
         """The edge cells of row q and pi_edge on its codes, memoized.
 
-        Returns (cells, owner, sign, base).  cells lists the keys (q, x, k),
-        sorted.  Code z of the row is sign[z] f_j of its orbit; pi_edge
-        sends it to sign[z] times the cell cells[owner[z]], or to 0 where
-        owner[z] = -1.  base[z] is the orbit's f_0 = x where the orbit is
-        free and -1 elsewhere, so the cell owner[z] is the chain
-        sign[z] z - x on a free orbit and sign[z] z on the others.
+        Returns (cells, owner, sign, base).  An edge cell f_k of the orbit
+        of x is named by its place in cells, which lists the codes
+        tau^k x of the edge cells sorted by (x, k).  Code z of the row is
+        sign[z] f_j of its orbit; pi_edge sends it to sign[z] times the
+        cell owner[z], or to 0 where owner[z] = -1.  base[z] is the
+        orbit's f_0 = x where the orbit is free and -1 elsewhere, so the
+        cell owner[z] is the chain sign[z] z - x on a free orbit and
+        sign[z] z on the others.
         """
         hit = self._edges.get(q)
         if hit is None:
@@ -519,9 +507,8 @@ class OrbitPlane:
             idx = idx[np.lexsort((j[idx], x[idx]))]
             owner = np.full(len(z), -1, dtype=np.int64)
             owner[idx] = np.arange(len(idx))
-            cells = [(q, y, k) for y, k in zip(x[idx].tolist(), j[idx].tolist())]
             sign = 1 - 2 * ((q * j) % 2)
-            hit = self._edges[q] = (cells, owner, sign, np.where(free, x, -1))
+            hit = self._edges[q] = (idx, owner, sign, np.where(free, x, -1))
         return hit
 
     def edge_boundary(self, q: int, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -81,18 +81,6 @@ from .rings import BaseRing
 _UPPER = -2  # pivot-table mark of a cell cancelled as an upper cell
 
 
-def csc_from_columns(columns) -> tuple[list, list, list]:
-    """CSC arrays (indptr, rows, values) of {row: value} columns, zeros dropped."""
-    indptr, rows, values = [0], [], []
-    for col in columns:
-        for i, c in col.items():
-            if c != 0:
-                rows.append(i)
-                values.append(c)
-        indptr.append(len(rows))
-    return indptr, rows, values
-
-
 class MorseReduction:
     """Reduction state for a chain complex that may grow in blocks.
 

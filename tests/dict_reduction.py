@@ -231,6 +231,18 @@ class MorseReduction:
         return v
 
 
+def csc_from_columns(columns) -> tuple[list, list, list]:
+    """CSC arrays (indptr, rows, values) of {row: value} columns, zeros dropped."""
+    indptr, rows, values = [0], [], []
+    for col in columns:
+        for i, c in col.items():
+            if c != 0:
+                rows.append(i)
+                values.append(c)
+        indptr.append(len(rows))
+    return indptr, rows, values
+
+
 def dict_engine(ring: BaseRing, ranks: dict[int, int], boundaries: dict[int, tuple]) -> MorseReduction:
     """The dict engine on `cychom`'s one-block input (ranks, CSC boundaries), same cell ids."""
     red = MorseReduction(ring)

@@ -14,7 +14,9 @@ counts the survivors of Connes' sequence; `lifted_s_map` is S itself,
 lifted, shifted and projected on the materialized first quadrant.  The
 lift needs an engine that records pivot rows, so `MorseReduction` here
 is the dict engine; it is looked up in this module, so a test may swap
-it.  Not collected by pytest; the tests import it.
+it.  `keyed_plane_stages` is the tuple-keyed assembly of the shared
+reduction's blocks that `bicomplex._plane_stages` replaced, on the
+left-looking engine.  Not collected by pytest; the tests import it.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ import bisect
 import functools
 from fractions import Fraction
 
+from cychom import reduction
 from cychom.bicomplex import StabilizationReport, _ReducedStage
 from cychom.complexes import HomologyGroup
 from cychom.cyclic import CyclicModule
 from cychom.linalg import rank
 from cychom.matrix import ExactMatrix
 from cychom.orbits import OrbitPlane
-from cychom.reduction import csc_from_columns
-from dict_reduction import dict_engine as MorseReduction, replayed
+from dict_reduction import csc_from_columns, dict_engine as MorseReduction, replayed
+from scalar_orbits import edge_cells, keyed_boundary
 
 
 def plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
@@ -58,7 +61,7 @@ def plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
         index = {key: i for i, key in enumerate(survivors)}
         degrees = range(lo - 1, hi + 2)
         edged = range(1, Q + 1) if left else range(0)
-        edges = {d: plane.edge_row(d)[0] if d in edged else [] for d in degrees}
+        edges = {d: edge_cells(plane, d) if d in edged else [] for d in degrees}
         # the survivors of rows q <= d that the left region leaves out of degree d
         skip = {d: bisect.bisect_left(survivors, (d + 1,)) if left else 0 for d in degrees}
 
@@ -73,13 +76,74 @@ def plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
             d: csc_from_columns([
                 *(edge_columns(d) if d in edged else []),
                 *(
-                    {place(key, d - 1): c for key, c in plane.boundary(d - q, q, x, left).items()}
+                    {
+                        place(key, d - 1): c
+                        for key, c in keyed_boundary(plane, d - q, q, x, left).items()
+                    }
                     for q, x in survivors[skip[d]:]
                 ),
             ])
             for d in range(lo, hi + 2)
         }
         return _ReducedStage(MorseReduction(X.base, ranks, boundaries), Q, lo, hi)
+
+    return stage
+
+
+def keyed_plane_stages(X: CyclicModule, lo: int, hi: int, left: bool = False):
+    """`bicomplex._plane_stages` as it was, on cells keyed (q, x) and (q, x, k).
+
+    The stages are views of one reduction: each call, with Q no smaller
+    than the last, adds the cells of the rows above the last Q as a block
+    and sweeps only them.  A degree lists its cells in row order.  On the
+    plane it has one per surviving orbit (q, x) of rows 0..Q.  On the
+    left region p <= 0, degree d has the edge cells (d, x, k) of row d at
+    column 0 when 0 < d <= Q (row 0 has none), then the survivors of rows
+    q > d.
+    """
+    plane = OrbitPlane(X.algebra)
+    red = reduction.MorseReduction(X.base)
+    degrees = range(lo - 1, hi + 2)
+    index: dict[int, dict] = {d: {} for d in degrees}  # cell key -> index in its degree
+    top = -1  # the last row added
+
+    def edge_columns(d: int) -> list[dict]:
+        """pi_edge b on the edge cells of row d, as columns on those of row d - 1.
+
+        Row d - 1's edge cells lead their degree, so their indices there
+        are their places in the edge row.
+        """
+        b = X.coo("b", d)
+        rows, cols, vals = plane.edge_boundary(d, b)
+        columns: list[dict] = [{} for _ in plane.edge_row(d)[0]]
+        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            columns[j][i] = v if b.den == 1 else Fraction(v, b.den)
+        return columns
+
+    def stage(Q: int) -> _ReducedStage:
+        nonlocal top
+        if Q < top:
+            raise ValueError("the stages of one tower come in increasing Q")
+        new = [(q, x) for q in range(top + 1, Q + 1) for x in plane.survivors(q)]
+        ranks, boundaries = {}, {}
+        for d in degrees:
+            edges = edge_cells(plane, d) if left and max(top, 0) < d <= Q else []
+            survivors = [key for key in new if key[0] > d] if left else new
+            for key in edges + survivors:
+                index[d][key] = len(index[d])
+            ranks[d] = len(edges) + len(survivors)
+            if d >= lo:
+                below = index[d - 1]
+                boundaries[d] = csc_from_columns([
+                    *(edge_columns(d) if edges else []),
+                    *(
+                        {below[key]: c for key, c in keyed_boundary(plane, d - q, q, x, left).items()}
+                        for q, x in survivors
+                    ),
+                ])
+        top = Q
+        red.add_cells(ranks, boundaries)
+        return _ReducedStage(red, Q, lo, hi)
 
     return stage
 

@@ -5,7 +5,8 @@ orbit-reduced plane one code at a time, memoized per (row, parity,
 orbit), straight from the formulas in the `cychom.orbits` docstring.
 The tests compare `OrbitPlane` against it and use its helpers
 (`_orbit`, `_rotations`, `_vertical`, `_kind`) to write the contraction
-h out term by term.
+h out term by term.  `keyed_boundary` and `edge_cells` name
+`OrbitPlane`'s cells (row, place) by the oracle's keys.
 """
 
 from __future__ import annotations
@@ -224,3 +225,29 @@ class ScalarOrbitPlane:
                 hit = self._zigzag_of_chain(q - 1, parity, chain)
             self._boundary[key] = hit
         return hit
+
+
+# -- OrbitPlane's cells as keys ---------------------------------------------
+
+
+def edge_cells(plane, q: int) -> list[tuple]:
+    """The edge cells of row q of an `OrbitPlane` as keys (q, x, k), in their places."""
+    x, k, _ = plane._least(q, plane.edge_row(q)[0])
+    return [(q, y, j) for y, j in zip(x.tolist(), k.tolist())]
+
+
+def keyed_boundary(plane, column: int, q: int, x: int, left: bool = False) -> dict:
+    """`OrbitPlane.boundary` of the row-q survivor x alone, as {key: coeff}.
+
+    A target (row, place) becomes the key (r, y) of the survivor y, or,
+    with left on the edge row column + q - 1, the key (r, y, k) of the
+    edge cell f_k of the orbit of y.
+    """
+    entries = plane.boundary(column, q, left).tolist()
+    place, edge = plane.survivors(q).index(x), column + q - 1
+    edges = edge_cells(plane, edge) if left and edge > 0 else []
+    return {
+        edges[t] if left and r == edge else (r, plane.survivors(r)[t]): c
+        for s, r, t, c in entries
+        if s == place
+    }

@@ -385,16 +385,21 @@ def test_verdicts_agree_with_closed_forms(theory, name, base, degrees, schedule,
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: the default schedule's step 4 -> 8 adds no survivor row "
-    "over F5, and the certificates count its identity map",
+    reason="ROADMAP item 1: the default schedule's step 4 -> 8 (degrees up to 0) or "
+    "9 -> 13 (up to 1) adds no survivor row over F5, and the certificates count its "
+    "identity map",
 )
-def test_steps_without_survivor_rows_do_not_change_tables():
+@pytest.mark.parametrize(
+    "theory,degrees,dropped", [(hc_minus_poly, (-2, 0), 8), (hp_poly, (0, 1), 13)]
+)
+def test_steps_without_survivor_rows_do_not_change_tables(theory, degrees, dropped):
     # over F5 survivors sit in rows 4, 9, 14, ...: dropping row 8 from the
-    # default schedule 4, 8, ..., 24 drops a step that adds none
+    # default schedule 4, 8, ..., 24, or row 13 from 5, 9, ..., 25, drops a
+    # step that adds none
     X = module("dual-numbers", F5)
-    default = hc_minus_poly(X, (-2, 0))
-    without_8 = hc_minus_poly(X, (-2, 0), [4, 12, 16, 20, 24])
-    assert dim_row(default, -2, 0) == dim_row(without_8, -2, 0)
+    default = theory(X, degrees)
+    schedule = [q for q in default_q_schedule(degrees[1]) if q != dropped]
+    assert dim_row(default, *degrees) == dim_row(theory(X, degrees, schedule), *degrees)
 
 
 def test_tower_schedule_guards():

@@ -9,13 +9,8 @@ from cychom.rings import ZZ, QQ, GF
 from cychom.matrix import ExactMatrix
 from cychom.complexes import ChainComplex, complex_homology
 from cychom.linalg import rank
-from cychom.reduction import (
-    MorseReduction,
-    csc_from_columns,
-    homology_via_reduction,
-    residual_complex,
-)
-from dict_reduction import MorseReduction as DictReduction, replayed
+from cychom.reduction import MorseReduction, homology_via_reduction, residual_complex
+from dict_reduction import MorseReduction as DictReduction, csc_from_columns, replayed
 from markowitz_reduction import MarkowitzReduction
 from presentation_homology import rank_kernel
 

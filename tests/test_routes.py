@@ -25,7 +25,7 @@ from dict_reduction import MorseReduction as DictReduction, dict_engine
 from materialized_plane import cyclic_first_quadrant, materialized_stages
 import per_stage_towers
 from per_stage_towers import lifted_s_rank, lifted_stage_map
-from scalar_orbits import ScalarOrbitPlane
+from scalar_orbits import ScalarOrbitPlane, edge_cells, keyed_boundary
 
 BASES = (GF(2), GF(3), GF(5), QQ)
 # top truncation row by algebra dimension; row 4 is the first to carry
@@ -331,7 +331,7 @@ def test_orbit_plane_inclusion_is_a_chain_map(name, base, top):
             for x in plane.survivors(q):
                 lhs = _total_boundary(X, d, _included(scalar, d - q, q, x))
                 rhs: dict = {}
-                for (r, y), c in plane.boundary(d - q, q, x).items():
+                for (r, y), c in keyed_boundary(plane, d - q, q, x).items():
                     for key, e in _included(scalar, d - 1 - r, r, y).items():
                         rhs[key] = (rhs.get(key, 0) + c * e) % base.p
                 assert lhs == {k: v for k, v in rhs.items() if v}, (d, q, x)
@@ -379,14 +379,14 @@ def test_left_region_inclusion_is_a_chain_map(name, base, top):
     for d in range(5):
         images = []
         if 0 < d <= top:
-            cells, targets = plane.edge_row(d)[0], plane.edge_row(d - 1)[0]
+            cells, targets = edge_cells(plane, d), edge_cells(plane, d - 1)
             image = {cell: {} for cell in cells}
             for i, j, c in zip(*(a.tolist() for a in plane.edge_boundary(d, X.coo("b", d)))):
                 image[cells[j]][targets[i]] = c
             images += image.items()
         for q in range(d + 1, top + 1):
             for x in plane.survivors(q):
-                images.append(((q, x), plane.boundary(d - q, q, x, left=True)))
+                images.append(((q, x), keyed_boundary(plane, d - q, q, x, left=True)))
         for cell, image in images:
             lhs = _total_boundary(X, d, included(cell, d))
             rhs: dict = {}
@@ -401,7 +401,7 @@ def test_left_region_inclusion_is_a_chain_map(name, base, top):
     assert checked["edge"] and checked["cut"], checked
     q, x = next((q, x) for q in range(top + 1) for x in plane.survivors(q))
     with pytest.raises(ValueError, match="columns <= -1"):
-        plane.boundary(0, q, x, left=True)  # column 0 holds edge cells instead
+        keyed_boundary(plane, 0, q, x, left=True)  # column 0 holds edge cells instead
 
 
 @pytest.mark.parametrize(
@@ -427,7 +427,7 @@ def test_orbit_plane_matches_scalar_recursion(name, base, top):
         assert plane.survivors(q) == scalar.survivors(q), q
         for column in (1, 0):
             for x in plane.survivors(q):
-                assert plane.boundary(column, q, x) == scalar.boundary(column, q, x), (
+                assert keyed_boundary(plane, column, q, x) == scalar.boundary(column, q, x), (
                     q, column, x,
                 )
                 compared += 1
@@ -448,7 +448,7 @@ def test_orbit_plane_refuses_rows_beyond_64_bit_codes(name, q):
     # dim^(q+1) >= 2^63: refused before anything is enumerated or allocated
     plane = OrbitPlane(catalog(name, GF(2)))
     dim = plane.dim
-    for call in (lambda: plane.survivors(q), lambda: plane.boundary(0, q, 0)):
+    for call in (lambda: plane.survivors(q), lambda: plane.boundary(0, q)):
         with pytest.raises(ValueError, match=rf"row {q} .* {dim}-dimensional"):
             call()
 
@@ -490,6 +490,26 @@ def test_stages_match_on_the_dict_engine(monkeypatch, name, base):
                 assert counted == rank(lifted_stage_map(*old[route], d)), (route, d)
     for n in range(2, d_max + 1):
         assert bicomplex._s_rank(new["mixed"][0], n) == lifted_s_rank(first, n), n
+
+
+@pytest.mark.parametrize("name,base", CONFIGS, ids=IDS)
+def test_plane_stages_match_the_keyed_assembly(name, base):
+    # the blocks placed by (row, place) against the tuple-keyed assembly
+    # they replaced, each on a reduction of its own: the same cells, pairs
+    # and survivors after every stage.  The left window (-1, 2) holds the
+    # edge rows 1..3 and walks cut at edge rows 1 and 2
+    X = _module(name, base)
+    schedule = list(range(0, TOP_ROW[X.rank(0)] + 1, 2))
+    for left, (lo, hi) in ((False, (-1, 2)), (True, (-2, 0)), (True, (-1, 2))):
+        new = bicomplex._plane_stages(X, lo, hi, left)
+        old = per_stage_towers.keyed_plane_stages(X, lo, hi, left)
+        for Q in schedule:
+            a, b = new(Q), old(Q)
+            where = (left, lo, hi, Q)
+            assert a.red.degree == b.red.degree, where
+            assert [e[:3] for e in a.red.log] == [e[:3] for e in b.red.log], where
+            for d in range(lo - 1, hi + 2):
+                assert a.alive(d) == b.alive(d), (where, d)
 
 
 # -- one reduction per tower against the per-stage engine it replaced -------------
