@@ -8,15 +8,15 @@ its standard error and its standard output; a JSON report loses its
 command whose result differs, then a summary; the exit status is 1 on
 any difference and 0 otherwise.
 
-Without --commands the built-in list runs (about 210 commands, under a
+Without --commands the built-in list runs (215 commands, under a
 minute per tree on a 2-core machine): `tate` on every named module,
 orders 1..8, over Z, F3 and Q; `check-5-1` and `check-5-3` for orders
 0..7; `verify --suite all`; `hp-poly` (rows 2..12) and `hc-minus-poly`
 (rows 2..10) on every catalog algebra over F2, F3 and F5;
 `hc-minus-poly` in degrees up to 2..4 on nine configurations; the
 benchmark's orbit-towers and chain-reduction jobs on catalog algebras;
-a few `hh`, `hc` and `hp` runs; and `--out` paths that cannot be
-written.  --commands FILE replaces that list with one command line per
+a few `hh`, `hc`, `hp` and `conjugate-check` runs; and `--out` paths
+that cannot be written.  --commands FILE replaces that list with one command line per
 line of FILE, split as a shell would, without the leading `cychom`;
 blank lines and lines starting with # are skipped.
 
@@ -103,6 +103,13 @@ def default_commands() -> list[list[str]]:
         ["hp", "--algebra", "field-extension(1,0,1)", *_fp("2"), "--degrees", "-2..4"],
         ["hp", "--algebra", "truncated-poly(3)", *_fp("2"), "--degrees", "-4..6"],
         ["hp", "--algebra", "ground-field", "--base", "Q", "--degrees", "-4..6"],
+        ["hp", "--algebra", "dual-numbers", *_fp("3"), "--degrees", "-3..3"],
+        ["hp", "--algebra", "matrix-algebra(2)", *_fp("3"), "--degrees", "0..1"],
+        ["hp", "--algebra", "group-algebra(3)", "--base", "Q", "--degrees", "-2..2"],
+        ["conjugate-check", "--algebra", "ground-field", *_fp("5"), "--degrees", "0..3"],
+        ["conjugate-check", "--algebra", "field-extension(1,1)", *_fp("2"), "--degrees", "-2..2",
+         "--q-schedule", _rows(0, 14, 2)],
+        ["conjugate-check", "--algebra", "dual-numbers", *_fp("3"), "--degrees", "0..1"],
         ["hc-minus-poly", "--algebra", "field-extension(1,1)", *_fp("2"), "--degrees", "-4..0",
          "--q-schedule", _rows(0, 10, 2)],
         ["hc-minus-poly", "--algebra", "dual-numbers", *_fp("3"), "--degrees", "-2..0",

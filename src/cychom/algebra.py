@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrix import ExactMatrix
-from .rings import BaseRing, Scalar, ZZ, GF, ring_from_name
-from .linalg import rank
+from .rings import BaseRing, Scalar, ring_from_name
+from .linalg import integer_solve, rank
+from .snf import smith_normal_form
 
 
 class AlgebraError(ValueError):
@@ -133,11 +134,12 @@ class Algebra:
     def with_unit_first(self) -> "Algebra":
         """Equivalent algebra whose zeroth basis vector is the unit.
 
-        Over Z this is always possible: the unit's coordinate gcd is 1
-        (if 1 = c*v with v integral then v = c*v^2 forces c = 1), so some
-        coordinate is +-1 after a change absorbing the rest.  Here we only
-        need the simple case of a unit coordinate in the base ring's units,
-        which every catalog and JSON algebra satisfies after scaling.
+        A unit coordinate invertible in the base swaps the unit in for its
+        basis vector.  Over Z there may be none, as in (3, -3, 2), but the
+        coordinate gcd c is 1: write 1 = c*v with v integral and primitive,
+        then v = c*v^2, so c divides every coordinate of v.  The unit column
+        u then has Smith form U u V = e_0, and P = V[0][0] * U^{-1} is
+        unimodular with first column u.
         """
         if self.unit_is_basis_zero:
             return self
@@ -147,9 +149,12 @@ class Algebra:
             if c != 0 and base.is_unit(c):
                 pivot = i
                 break
-        if pivot is None:
-            raise AlgebraError("unit has no invertible coordinate; cannot rebase")
         dim = self.dim
+        if pivot is None:
+            u = ExactMatrix(base, dim, 1, {(i, 0): c for i, c in enumerate(self.unit)})
+            U, _, V = smith_normal_form(u)
+            P = integer_solve(U, ExactMatrix.identity(base, dim).scale(V.entry(0, 0)))
+            return self.rebased(P)
         # new basis: f_0 = 1, f_j = e_{j'} for the other indices in order
         others = [i for i in range(dim) if i != pivot]
         entries = {}
@@ -160,22 +165,6 @@ class Algebra:
             entries[(i, col)] = base.one
         P = ExactMatrix(self.base, dim, dim, entries)
         return self.rebased(P)
-
-    def base_changed_mod_p(self, p: int) -> "Algebra":
-        """Reduce a Z-algebra's structure constants mod p."""
-        if self.base != ZZ:
-            raise AlgebraError("base change mod p starts from a Z-algebra")
-        F = GF(p)
-        dim = self.dim
-        dense = [
-            [[0] * dim for _ in range(dim)]
-            for _ in range(dim)
-        ]
-        for i in range(dim):
-            for j in range(dim):
-                for k, c in self.structure[i][j]:
-                    dense[i][j][k] = c
-        return Algebra.from_structure_constants(F, dim, dense, list(self.unit))
 
     # -- invariants ------------------------------------------------------------
 
@@ -199,14 +188,6 @@ class Algebra:
         M = ExactMatrix(self.base, self.dim, col, entries)
         return self.dim - (rank(M) if col else 0)
 
-    def is_commutative(self) -> bool:
-        one = self.base.one
-        return all(
-            self.multiply({i: one}, {j: one}) == self.multiply({j: one}, {i: one})
-            for i in range(self.dim)
-            for j in range(i)
-        )
-
 
 # ---------------------------------------------------------------------------
 # catalog
@@ -219,7 +200,6 @@ def _poly_is_irreducible(tail: list[int], p: int) -> bool:
     Degrees above 4 are outside the catalog's scale.
     """
     k = len(tail)
-    F = GF(p)
 
     def evaluate(x: int) -> int:
         acc = pow(x, k, p)

@@ -801,43 +801,28 @@ def sbi_S_map(
     return ExactMatrix(stage.ring, tgt.dimension, src.dimension, S), src, tgt
 
 
-def _check_tower_depth(d: int, K: int, persistence: int) -> None:
-    if K < persistence:
-        raise ValueError("K must be at least the persistence horizon")
-    if d + 2 * (K - persistence) < 0:
-        # groups below the quadrant are zero and their maps vacuous isos;
-        # a persistence run must not be allowed to live down there
-        raise ValueError("K too small: deepest persistence maps leave the quadrant")
-
-
 def _s_tower_run(
-    stage: _ReducedStage,
-    d: int,
-    K: int,
-    persistence: int,
-    s_ranks: dict[int, int],
+    stage: _ReducedStage, d: int, depth: int, persistence: int
 ) -> StabilizationReport:
-    """Walk HC_{d+2K} -> ... -> HC_d on a prepared stage, deepest map first.
+    """Walk HC_{d+2*depth} -> ... -> HC_d on a prepared stage, deepest map first.
 
     The limit along the tower is determined by its tail, so the verdict
     demands the deepest `persistence` maps be isomorphisms and reports the
-    deep group as the value.  `s_ranks` memoizes the ranks of S across
-    degrees that share the stage.
+    deep group as the value.  Groups below degree 0 are zero.
     """
     rep = StabilizationReport(degree=d, persistence=persistence)
 
     def group_at(m: int) -> HomologyGroup:
         return stage.group(m) if m >= 0 else HomologyGroup(stage.ring, 0)
 
-    for j in range(K, -1, -1):
+    for j in range(depth, -1, -1):
         rep.stages.append((d + 2 * j, group_at(d + 2 * j)))
     run = 0
     run_alive = True
-    for j in range(K, 0, -1):
+    for j in range(depth, 0, -1):
         n = d + 2 * j
-        if n not in s_ranks:
-            s_ranks[n] = _s_rank(stage, n) if n >= 2 else 0
-        src_dim, tgt_dim, r = group_at(n).dimension, group_at(n - 2).dimension, s_ranks[n]
+        r = _s_rank(stage, n) if n >= 2 else 0
+        src_dim, tgt_dim = group_at(n).dimension, group_at(n - 2).dimension
         if r < src_dim:
             rep.dying.append(
                 f"{src_dim - r} class(es) die along S: HC_{n} -> HC_{n - 2}"
@@ -847,7 +832,7 @@ def _s_tower_run(
             run += 1
             if run == persistence:
                 rep.verdict = "stabilized"
-                rep.q_star = d + 2 * K
+                rep.q_star = d + 2 * depth
                 rep.value = rep.stages[0][1]
         elif run_alive and not iso:
             run_alive = False
@@ -855,33 +840,21 @@ def _s_tower_run(
 
 
 def hp_s_tower_table(
-    X: CyclicModule,
-    degrees: tuple[int, int],
-    K: int | None = None,
-    persistence: int = 3,
+    X: CyclicModule, degrees: tuple[int, int], persistence: int = 3
 ) -> HomologyTable:
     """S-tower limits over a degree range, sharing one reduced complex.
 
-    With K=None each degree gets the shallowest depth whose persistence
-    run stays inside the first quadrant.  All towers read groups and the
-    ranks of S off a single Morse-reduced first-quadrant complex, and
-    degrees that share an S-map rank it once.
+    Degree d walks depth k = persistence + max(0, -floor(d/2)), the
+    shallowest whose persistence run d + 2(k - persistence) >= 0 stays
+    inside the first quadrant.  All towers read groups and the ranks of S
+    off a single Morse-reduced first-quadrant complex.
     """
     lo_d, hi_d = degrees
     if lo_d > hi_d:
         raise ValueError("empty degree interval")
-    depths = {}
-    for d in range(lo_d, hi_d + 1):
-        k = K if K is not None else persistence + max(0, -(d // 2))
-        _check_tower_depth(d, k, persistence)
-        depths[d] = k
-    n_max = max(d + 2 * depths[d] for d in depths)
-    stage = _first_quadrant(X, 0, n_max)
-    cache: dict[int, int] = {}
-    reports = {
-        d: _s_tower_run(stage, d, depths[d], persistence, cache)
-        for d in range(lo_d, hi_d + 1)
-    }
+    depths = {d: persistence + max(0, -(d // 2)) for d in range(lo_d, hi_d + 1)}
+    stage = _first_quadrant(X, 0, max(d + 2 * k for d, k in depths.items()))
+    reports = {d: _s_tower_run(stage, d, k, persistence) for d, k in depths.items()}
     return _table_from_reports("HP", X.base, reports)
 
 

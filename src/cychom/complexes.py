@@ -85,10 +85,6 @@ class ChainComplex:
             if M.ring != ring:
                 raise ValueError("differential over wrong ring")
 
-    @property
-    def degrees(self) -> list[int]:
-        return sorted(self.ranks)
-
     def rank(self, d: int) -> int:
         return self.ranks.get(d, 0)
 

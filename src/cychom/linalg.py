@@ -8,7 +8,7 @@ set to zero).  Integer computations reduce to the Smith normal form.
 from __future__ import annotations
 
 from .matrix import ExactMatrix
-from .rings import BaseRing, Scalar, ZZ
+from .rings import Scalar, ZZ
 from .snf import smith_normal_form
 
 
@@ -87,17 +87,6 @@ def lands_in_span(M: ExactMatrix, rel: ExactMatrix | None) -> bool:
         return True
     except ValueError:
         return False
-
-
-def is_invertible(A: ExactMatrix) -> bool:
-    """Invertibility over the base: full-rank square (fields) or |det| = 1 (Z)."""
-    if A.nrows != A.ncols:
-        return False
-    if A.ring.is_field:
-        return rank(A) == A.nrows
-    from .snf import det_bareiss
-
-    return det_bareiss(A) in (1, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -179,21 +179,6 @@ class ExactMatrix:
         out = {(j, i): v for (i, j), v in self.entries.items()}
         return ExactMatrix(self.ring, self.ncols, self.nrows, out, _normalized=True)
 
-    def apply(self, vec: Mapping[int, Scalar]) -> dict[int, Scalar]:
-        """Apply to a sparse column vector {index: value}."""
-        ring = self.ring
-        out: dict[int, Scalar] = {}
-        if self._cols is None:
-            self.col(0)  # force column cache
-        for j, w in vec.items():
-            for i, v in self._cols.get(j, {}).items():
-                s = ring.add(out.get(i, 0), ring.mul(v, w))
-                if s == 0:
-                    out.pop(i, None)
-                else:
-                    out[i] = s
-        return out
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring or self.nrows != other.nrows:
             raise ValueError("hstack shape mismatch")

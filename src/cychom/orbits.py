@@ -255,16 +255,11 @@ class OrbitPlane:
 
     def _primitive_necklaces(self, m: int) -> np.ndarray:
         """Codes of length-m words that are their own least rotation, of period m."""
-        d, top = self.dim, self.dim ** (m - 1)
         out = []
-        for chunk in range(0, d**m, _BATCH):
-            w = np.arange(chunk, min(chunk + _BATCH, d**m), dtype=np.int64)
-            ok = np.ones(len(w), dtype=bool)
-            y = w
-            for _ in range(m - 1):
-                y = (y % d) * top + y // d
-                ok &= y > w
-            out.append(w[ok])
+        for chunk in range(0, self.dim**m, _BATCH):
+            w = np.arange(chunk, min(chunk + _BATCH, self.dim**m), dtype=np.int64)
+            x, _, period = self._least(m - 1, w)
+            out.append(w[(x == w) & (period == m)])
         return np.concatenate(out)
 
     def survivors(self, q: int) -> list[int]:

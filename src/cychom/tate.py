@@ -92,9 +92,6 @@ class GModuleComplex:
             return ExactMatrix.zero(self.base, self.rank(i - 1), self.rank(i))
         return M
 
-    def sigma_inverse(self, i: int) -> ExactMatrix:
-        return _matrix_power(self.sigma(i), self.order - 1) if self.rank(i) else self.sigma(i)
-
     def norm(self, i: int) -> ExactMatrix:
         out = ExactMatrix.identity(self.base, self.rank(i))
         power = out
@@ -220,6 +217,15 @@ class TateComplex:
 
 
 def tate_complex(M: GModuleComplex, window: tuple[int, int]) -> TateComplex:
+    """The untwisted Tate complex of M in the total degrees of a window.
+
+    Summand i of degree d, a copy of M_i, maps by M's differential into
+    summand i - 1 and by the resolution differential of degree d - i,
+    with the Koszul sign of i, into summand i: sigma^{-1} - 1 (sigma^{-1}
+    is sigma^{n-1}) when d - i is even and N when it is odd.  No entry is
+    placed twice, and the differential depends on d only through its
+    parity, so the window shares two matrices.
+    """
     lo, hi = window
     if hi - lo < 2:
         raise TateError("window too narrow for any interior degree")
@@ -231,33 +237,25 @@ def tate_complex(M: GModuleComplex, window: tuple[int, int]) -> TateComplex:
     for i in degs:
         offsets[i] = total
         total += M.rank(i)
-    ranks = {d: total for d in range(lo, hi + 1)}
-    diffs: dict[int, ExactMatrix] = {}
-    for d in range(lo + 1, hi + 1):
+    horizontal = {}
+    for i in degs:
+        ops = (
+            _matrix_power(M.sigma(i), M.order - 1) - ExactMatrix.identity(M.base, M.rank(i)),
+            M.norm(i),
+        )
+        horizontal[i] = tuple(-op for op in ops) if i % 2 else ops
+    by_parity = []
+    for parity in (0, 1):
         entries = {}
         for i in degs:
-            # vertical part: the differential of M, no sign
-            dmat = M.diff(i)
             if M.rank(i - 1):
-                for (r, c), v in dmat.entries.items():
+                for (r, c), v in M.diff(i).entries.items():
                     entries[(offsets[i - 1] + r, offsets[i] + c)] = v
-            # horizontal part: resolution differential in degree d - i,
-            # untwisted, with the Koszul sign of the M-degree
-            j = d - i
-            if j % 2 == 0:
-                op = M.sigma_inverse(i) - ExactMatrix.identity(M.base, M.rank(i))
-            else:
-                op = M.norm(i)
-            if i % 2:
-                op = -op
-            for (r, c), v in op.entries.items():
-                key = (offsets[i] + r, offsets[i] + c)
-                s = M.base.add(entries.get(key, 0), v)
-                if s == 0:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
-        diffs[d] = ExactMatrix(M.base, total, total, entries)
+            for (r, c), v in horizontal[i][(parity - i) % 2].entries.items():
+                entries[(offsets[i] + r, offsets[i] + c)] = v
+        by_parity.append(ExactMatrix(M.base, total, total, entries))
+    ranks = {d: total for d in range(lo, hi + 1)}
+    diffs = {d: by_parity[d % 2] for d in range(lo + 1, hi + 1)}
     return TateComplex(M.base, M.order, (lo, hi), ranks, diffs)
 
 

@@ -85,7 +85,7 @@ def test_s_tower_is_additive_on_products(pair):
     # settles exactly when both factors' do, on the sum of their values
     A, B = pair
     tables = [
-        hp_s_tower_table(cyclic_bar_module(X), (0, 1), K=2, persistence=2)
+        hp_s_tower_table(cyclic_bar_module(X), (0, 1), persistence=2)
         for X in (product(A, B), A, B)
     ]
     for d in (0, 1):

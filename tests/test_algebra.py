@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cychom.rings import ZZ, QQ, GF
+from cychom.rings import QQ, GF
 from cychom.algebra import (
     Algebra,
     AlgebraError,
@@ -98,7 +98,7 @@ def test_matrix_algebra_2_noncommutative_with_unit_first():
         A = catalog("matrix-algebra(2)", base)
         assert A.dim == 4
         assert A.unit_is_basis_zero
-        assert not A.is_commutative()
+        assert A.commutator_quotient() < A.dim
 
 
 def test_field_extension_f4():
@@ -165,11 +165,11 @@ def test_matrix_algebra_commutator_quotient_up_to_3():
 def test_field_extension_left_multiplication_invertible():
     # zero Jacobson radical: L_v is invertible for every nonzero v
     from cychom.matrix import ExactMatrix
-    from cychom.linalg import is_invertible
+    from cychom.linalg import rank
 
     for name, base in (("field-extension(1,1)", F2), ("field-extension(2,0)", F3)):
         A = catalog(name, base)
-        assert A.is_commutative()
+        assert A.commutator_quotient() == A.dim
         p = base.p
         for a in range(p):
             for b in range(p):
@@ -181,7 +181,7 @@ def test_field_extension_left_multiplication_invertible():
                     for i, c in A.multiply(v, {j: base.one}).items():
                         entries[(i, j)] = c
                 L = ExactMatrix(base, A.dim, A.dim, entries)
-                assert is_invertible(L), (name, a, b)
+                assert rank(L) == A.dim, (name, a, b)
 
 
 # -- rebasing -------------------------------------------------------------------
@@ -205,16 +205,7 @@ def test_with_unit_first_preserves_products():
     assert not raw.unit_is_basis_zero
     fixed = raw.with_unit_first()
     assert fixed.unit_is_basis_zero
-    assert not fixed.is_commutative()
     assert fixed.commutator_quotient() == 1
-
-
-def test_base_change_mod_p():
-    dense = [[[1, 0], [0, 1]], [[0, 1], [6, 0]]]  # Z[x]/(x^2-6)
-    A = Algebra.from_structure_constants(ZZ, 2, dense, [1, 0])
-    Ap = A.base_changed_mod_p(3)
-    assert Ap.base == F3
-    assert mult(Ap, 1, 1) == {}  # 6 = 0 mod 3: dual numbers
 
 
 # -- JSON ------------------------------------------------------------------------

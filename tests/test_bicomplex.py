@@ -240,7 +240,7 @@ def test_hc_over_q_does_not_depend_on_a_fractional_basis():
     assert SummandOps(B).scale > 1
     X, Y = cyclic_bar_module(A), cyclic_bar_module(B)
     assert hc(Y, 5).to_json() == hc(X, 5).to_json()
-    assert hp_s_tower_table(Y, (0, 1), None, 2).to_json() == hp_s_tower_table(X, (0, 1), None, 2).to_json()
+    assert hp_s_tower_table(Y, (0, 1), 2).to_json() == hp_s_tower_table(X, (0, 1), 2).to_json()
     for d in (0, 1):
         assert rank(sbi_S_map(Y, d, 1)[0]) == rank(sbi_S_map(X, d, 1)[0])
     # ranks cannot see a lost denominator (b-bar scaled alone gives an
@@ -281,7 +281,7 @@ def test_rational_ground_field_gap():
     assert dim_row(table, -2, 2) == [0, 0, 0, 0, 0]
     for d in range(-2, 3):
         assert table.reports[d].verdict == "stabilized"
-    tower = hp_s_tower_table(X, (0, 0), 4)
+    tower = hp_s_tower_table(X, (0, 0))
     assert tower.reports[0].verdict == "stabilized"
     assert tower.dimension(0) == 1
 
@@ -291,18 +291,22 @@ def test_s_tower_table_matches_single_degree_route():
     table = hp_s_tower_table(X, (-3, 3))
     assert dim_row(table, -3, 3) == [0, 1, 0, 1, 0, 1, 0]
     for d in (-3, 0, 2):
-        K = 3 + max(0, -(d // 2))
-        single = hp_s_tower_table(X, (d, d), K)
+        single = hp_s_tower_table(X, (d, d))
         assert single.dimension(d) == table.dimension(d)
         assert single.reports[d].to_json() == table.reports[d].to_json()
 
 
 def test_s_tower_depth_guards():
+    # every degree walks depth + 1 stages, and the deepest persistence run
+    # ends in degree >= 0: below the quadrant the groups are zero and their
+    # maps vacuous isomorphisms
     X = module("ground-field", QQ)
-    with pytest.raises(ValueError):
-        hp_s_tower_table(X, (0, 0), 2, persistence=3)
-    with pytest.raises(ValueError):
-        hp_s_tower_table(X, (-4, -4), 3, persistence=3)  # run would leave the quadrant
+    for persistence in (2, 3, 4):
+        table = hp_s_tower_table(X, (-8, 8), persistence)
+        for d, rep in table.reports.items():
+            depth = persistence + max(0, -(d // 2))
+            assert [n for n, _ in rep.stages] == [d + 2 * j for j in range(depth, -1, -1)]
+            assert rep.stages[persistence][0] >= 0, (persistence, d)
     with pytest.raises(ValueError):
         hp_s_tower_table(X, (2, -2))
 

@@ -16,7 +16,6 @@ from cychom.snf import det_bareiss, invariant_factors, smith_normal_form
 from cychom.linalg import (
     integer_kernel_basis,
     integer_solve,
-    is_invertible,
     rank,
     rref,
     solve_field,
@@ -87,7 +86,6 @@ def test_matrix_zero_entries_dropped():
 
 def test_matrix_apply_and_stack():
     A = ExactMatrix.from_rows(ZZ, [[1, 2], [3, 4]])
-    assert A.apply({0: 1, 1: 1}) == {0: 3, 1: 7}
     H = A.hstack(ExactMatrix.identity(ZZ, 2))
     assert H.ncols == 4 and H.entry(0, 2) == 1
     V = A.vstack(ExactMatrix.identity(ZZ, 2))
@@ -204,14 +202,6 @@ def test_solve_field_inconsistent():
     B = ExactMatrix.from_rows(QQ, [[1], [0]])
     with pytest.raises(ValueError):
         solve_field(A, B)
-
-
-def test_is_invertible():
-    assert is_invertible(ExactMatrix.from_rows(QQ, [[1, 1], [0, 1]]))
-    assert not is_invertible(ExactMatrix.from_rows(QQ, [[1, 1], [1, 1]]))
-    # over Z only determinant +-1 counts
-    assert is_invertible(ExactMatrix.from_rows(ZZ, [[1, 1], [0, 1]]))
-    assert not is_invertible(ExactMatrix.from_rows(ZZ, [[2, 0], [0, 1]]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -42,6 +42,18 @@ def test_hh_matches_dense_homology(A, raw, lo, top):
     assert table.groups == {d: dense.homology(d) for d in range(lo, top + 1)}
 
 
+@pytest.mark.parametrize("name", ["truncated-poly(3)", "group-algebra(3)"])
+def test_unit_without_a_unit_coordinate_is_rebased(name):
+    # a unimodular change of basis can leave the unit with no coordinate
+    # +-1; normalizing must still put it first, without changing HH
+    A = catalog(name, ZZ)
+    P = ExactMatrix.from_rows(ZZ, [[1, 0, -1], [-2, 0, 3], [1, 1, 0]])
+    B = A.rebased(P)
+    assert B.unit == (3, -3, 2)
+    assert B.with_unit_first().unit_is_basis_zero
+    assert hh(normalized(B), (0, 3)).groups == hh(normalized(A), (0, 3)).groups
+
+
 @pytest.mark.parametrize("base", [GF(2), GF(3), QQ, ZZ], ids=lambda b: b.label())
 def test_hh_is_morita_invariant(base):
     # HH(M_2(k)) = HH(k): k in degree 0 and nothing above, raw or normalized;

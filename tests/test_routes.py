@@ -144,26 +144,24 @@ def test_hc_minus_poly_matches_hp_poly_in_degrees_up_to_zero(config, data):
         assert minus["verdicts"][str(d)] == plane["verdicts"][str(d)], d
 
 
-# HC and S-tower depth by algebra dimension: (d_max, degrees, K, persistence)
+# HC and S-tower depth by algebra dimension: (d_max, degrees, persistence)
 FIRST_QUADRANT = {
-    1: (10, (-4, 6), None, 3),
-    2: (5, (-1, 2), None, 2),
-    3: (4, (0, 0), 2, 2),
-    4: (3, (0, 0), 2, 2),
+    1: (10, (-4, 6), 3),
+    2: (5, (-1, 2), 2),
+    3: (4, (0, 0), 2),
+    4: (3, (0, 0), 2),
 }
 
 
 @pytest.mark.parametrize("name,base", CONFIGS, ids=IDS)
 def test_hc_and_s_tower_match_cyclic_bicomplex(monkeypatch, name, base):
     X = _module(name, base)
-    d_max, degrees, K, persistence = FIRST_QUADRANT[X.rank(0)]
+    d_max, degrees, persistence = FIRST_QUADRANT[X.rank(0)]
     fast = bicomplex.hc(X, d_max)
     slow = _lifted_reference(monkeypatch, bicomplex.hc, X, d_max)
     assert _dumps(fast) == _dumps(slow)
-    fast = bicomplex.hp_s_tower_table(X, degrees, K, persistence)
-    slow = _lifted_reference(
-        monkeypatch, bicomplex.hp_s_tower_table, X, degrees, K, persistence
-    )
+    fast = bicomplex.hp_s_tower_table(X, degrees, persistence)
+    slow = _lifted_reference(monkeypatch, bicomplex.hp_s_tower_table, X, degrees, persistence)
     assert _dumps(fast) == _dumps(slow)
     for d, k in ((0, 1), (1, 1), (0, 2))[: 3 if X.rank(0) <= 2 else 2]:
         S, src, tgt = bicomplex.sbi_S_map(X, d, k)
@@ -221,6 +219,30 @@ def test_orbit_plane_survivor_counts():
     counts = {q: len(plane.survivors(q)) for q in range(9)}
     assert counts == {0: 0, 1: 0, 2: 4, 3: 0, 4: 0, 5: 6, 6: 0, 7: 0, 8: 24}
     assert OrbitPlane(catalog("matrix-algebra(2)", QQ)).survivors(8) == []
+
+
+def _mobius(n):
+    out, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if n > 1 else out
+
+
+def test_primitive_necklaces_are_counted_by_the_lyndon_formula():
+    # words of length m over d letters with least rotation themselves and
+    # period m are Lyndon words: (1/m) sum over k | m of mu(k) d^(m/k)
+    names = ("ground-field", "dual-numbers", "truncated-poly(3)", "matrix-algebra(2)")
+    for d, name in enumerate(names, start=1):
+        plane = OrbitPlane(catalog(name, GF(3)))
+        assert plane.dim == d
+        for m in range(1, 9):
+            lyndon = sum(_mobius(k) * d ** (m // k) for k in range(1, m + 1) if m % k == 0) // m
+            assert len(plane._primitive_necklaces(m)) == lyndon, (d, m)
 
 
 def _contract(plane, r, parity, chain):
