@@ -8,15 +8,16 @@ its standard error and its standard output; a JSON report loses its
 command whose result differs, then a summary; the exit status is 1 on
 any difference and 0 otherwise.
 
-Without --commands the built-in list runs (215 commands, under a
+Without --commands the built-in list runs (221 commands, under a
 minute per tree on a 2-core machine): `tate` on every named module,
-orders 1..8, over Z, F3 and Q; `check-5-1` and `check-5-3` for orders
-0..7; `verify --suite all`; `hp-poly` (rows 2..12) and `hc-minus-poly`
-(rows 2..10) on every catalog algebra over F2, F3 and F5;
-`hc-minus-poly` in degrees up to 2..4 on nine configurations; the
-benchmark's orbit-towers and chain-reduction jobs on catalog algebras;
-a few `hh`, `hc`, `hp` and `conjugate-check` runs; and `--out` paths
-that cannot be written.  --commands FILE replaces that list with one command line per
+orders 1..8, over Z, F3 and Q, and once as CSV; `check-5-1` and
+`check-5-3` for orders 0..7; `verify --suite all`, and a suite with an
+unknown criterion; `hp-poly` (rows 2..12) and `hc-minus-poly` (rows
+2..10) on every catalog algebra over F2, F3 and F5; `hc-minus-poly` in
+degrees up to 2..4 on nine configurations; the benchmark's orbit-towers
+and chain-reduction jobs on catalog algebras; a few `hh`, `hc`, `hp`
+and `conjugate-check` runs, among them two quartic field extensions and
+`--p` without `--base Fp`; and `--out` paths that cannot be written.  --commands FILE replaces that list with one command line per
 line of FILE, split as a shell would, without the leading `cychom`;
 blank lines and lines starting with # are skipped.
 
@@ -122,6 +123,14 @@ def default_commands() -> list[list[str]]:
         ["hh", "--algebra", "dual-numbers", "--base", "Q", "--degrees", "0..1",
          "--out", "/nonexistent/dir/x.json"],
         ["hh", "--algebra", "dual-numbers", "--base", "Q", "--degrees", "0..1", "--out", "."],
+        ["hh", "--algebra", "group-algebra(3)", "--base", "Z", "--degrees", "0..5"],
+        # an irreducible quartic, and (x^2 + x + 1)^2, which is refused
+        ["hh", "--algebra", "field-extension(1,1,0,0)", *_fp("2"), "--degrees", "0..2"],
+        ["hh", "--algebra", "field-extension(1,0,1,0)", *_fp("2"), "--degrees", "0..1"],
+        ["hh", "--algebra", "dual-numbers", "--base", "Z", "--p", "3", "--degrees", "0..1"],
+        ["verify", "--suite", "morita,bogus"],
+        ["tate", "--group-order", "4", "--degrees", "-3..3", "--module", "two-term",
+         "--base", "Z", "--format", "csv"],
     ]
     return out
 

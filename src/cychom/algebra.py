@@ -10,6 +10,7 @@ their bases by "no unit in interior slots".
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,42 +197,25 @@ class Algebra:
 def _poly_is_irreducible(tail: list[int], p: int) -> bool:
     """Whether x^k - (tail_{k-1} x^{k-1} + ... + tail_0) is irreducible over F_p.
 
-    Brute force: no roots for k <= 3 plus, for k in {4}, no quadratic factors.
-    Degrees above 4 are outside the catalog's scale.
+    It is reducible exactly when a monic polynomial of degree 1..k//2
+    divides it, so every such polynomial is tried.  Degrees above 4 are
+    outside the catalog's scale.
     """
     k = len(tail)
-
-    def evaluate(x: int) -> int:
-        acc = pow(x, k, p)
-        for i, c in enumerate(tail):
-            acc = (acc - c * pow(x, i, p)) % p
-        return acc % p
-
-    if k == 1:
-        return True
-    if any(evaluate(x) == 0 for x in range(p)):
-        return False
-    if k <= 3:
-        return True
-    if k == 4:
-        # check divisibility by each monic irreducible quadratic
-        coeffs = [(-tail[i]) % p for i in range(4)] + [1]  # ascending, monic
-        for b in range(p):
-            for c in range(p):
-                if any((x * x + b * x + c) % p == 0 for x in range(p)):
-                    continue
-                # divide coeffs by x^2 + b x + c and check remainder
-                rem = list(coeffs)
-                for i in range(4, 1, -1):
-                    f = rem[i] % p
-                    if f:
-                        rem[i] = 0
-                        rem[i - 1] = (rem[i - 1] - f * b) % p
-                        rem[i - 2] = (rem[i - 2] - f * c) % p
-                if rem[0] % p == 0 and rem[1] % p == 0:
-                    return False
-        return True
-    raise AlgebraError("min-poly degrees above 4 are not supported")
+    if k > 4:
+        raise AlgebraError("min-poly degrees above 4 are not supported")
+    f = [(-c) % p for c in tail] + [1]  # ascending coefficients
+    for m in range(1, k // 2 + 1):
+        for low in itertools.product(range(p), repeat=m):
+            g = [*low, 1]
+            rem = list(f)
+            for top in range(k, m - 1, -1):  # subtract rem[top] x^(top - m) g
+                c = rem[top]
+                for j in range(m + 1):
+                    rem[top - m + j] = (rem[top - m + j] - c * g[j]) % p
+            if not any(rem[:m]):
+                return False
+    return True
 
 
 def catalog(name: str, base: BaseRing) -> Algebra:

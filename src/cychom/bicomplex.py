@@ -5,11 +5,11 @@ Layout conventions, fixed here and relied on everywhere below:
   The horizontal differential lowers p: out of even columns it is the norm
   N_q, out of odd columns 1 - t_q.  The vertical differential lowers q:
   b on even columns, -b' on odd ones.  `_plane_operator` names these
-  once, the windows and the materialized stages both read it, and the
-  signs inside each operator are fixed once, in `cyclic`.  The three
-  square-zero and anticommutation identities tie these choices together;
-  build_window checks them and a deliberately wrong sign is caught as a
-  failing square.
+  once, the materialized complexes read it, and the signs inside each
+  operator are fixed once, in `cyclic`.  The three square-zero and
+  anticommutation identities tie these choices together; the square of
+  a row-truncated total complex checks them, and a deliberately wrong
+  sign is caught as a failing square.
 
 Three column regions of the plane carry the theories:
   "plane" (all p)  - direct-sum totalization, the 2-periodic theory;
@@ -44,7 +44,8 @@ Only the edge rows, the rows d <= top degree + 1 that meet column 0, are
 still enumerated tuple by tuple: their edge cells are a basis of ker N,
 and their boundary takes b's Coo.  The materialized regions
 (row_truncated_total, _TotalStage) run no theory; they are the
-references the reduced routes are tested against.
+references the reduced routes are tested against, and criterion 3
+checks the plane's identities on row_truncated_total.
 
 Every stage is a finite complex handed to the left-looking engine of
 `reduction` as per-degree CSC arrays, built by `_csc`: on the orbit
@@ -82,16 +83,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import ChainComplex, ComplexReport, HomologyGroup
+from .complexes import ChainComplex, HomologyGroup
 from .cyclic import Coo, CyclicModule, NormalizedBarModule, normalized
 from .matrix import ExactMatrix
 from .orbits import OrbitPlane
 from .reduction import MorseReduction, homology_via_reduction
 from .rings import BaseRing
-
-
-class WindowError(ValueError):
-    """A constructed window violates one of the three plane identities."""
 
 
 _REGIONS = ("plane", "left", "first")
@@ -149,108 +146,11 @@ def _columns(csc: tuple, start: int, stop: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# windows
-
-class PeriodicBicomplexWindow:
-    """A finite rectangle p_lo <= p <= p_hi, 0 <= q <= q_max of the plane.
-
-    flip_bprime_sign replaces -b' by +b' on odd columns; it exists as a
-    negative control, since validation must catch exactly this mistake.
-    """
-
-    def __init__(
-        self,
-        X: CyclicModule,
-        p_lo: int,
-        p_hi: int,
-        q_max: int,
-        *,
-        flip_bprime_sign: bool = False,
-    ):
-        if p_lo > p_hi:
-            raise ValueError("empty column interval")
-        if q_max < 0:
-            raise ValueError("q_max must be >= 0")
-        self.X = X
-        self.ring = X.base
-        self.p_lo = p_lo
-        self.p_hi = p_hi
-        self.q_max = q_max
-        self.flip_bprime_sign = flip_bprime_sign
-
-    def _check_inside(self, p: int, q: int) -> None:
-        if not (self.p_lo <= p <= self.p_hi and 0 <= q <= self.q_max):
-            raise ValueError(f"({p}, {q}) is outside the window")
-
-    def entry_rank(self, p: int, q: int) -> int:
-        self._check_inside(p, q)
-        return self.X.rank(q)
-
-    def d_h(self, p: int, q: int) -> ExactMatrix:
-        self._check_inside(p, q)
-        return self.X.coo(_plane_operator(p, False), q).matrix()
-
-    def d_v(self, p: int, q: int) -> ExactMatrix:
-        self._check_inside(p, q)
-        if q < 1:
-            raise ValueError("vertical differentials start at q = 1")
-        kind = _plane_operator(p, True)
-        if self.flip_bprime_sign and kind == "-b'":
-            kind = "b'"
-        return self.X.coo(kind, q).matrix()
-
-    def validate(self) -> ComplexReport:
-        """Check d_h^2 = 0, d_v^2 = 0 and d_h d_v + d_v d_h = 0 squarewise.
-
-        The composites only depend on the parity of p, so each is computed
-        once per (parity, q) and failures are then listed for every column
-        of that parity inside the window.
-        """
-        problems: list[str] = []
-        parities = sorted({p % 2 for p in range(self.p_lo, self.p_hi + 1)})
-
-        def columns(par: int, need_left: int) -> list[int]:
-            lo = self.p_lo + need_left
-            return [p for p in range(lo, self.p_hi + 1) if p % 2 == par]
-
-        squares = (  # (name, lowest q, columns needed on the left, composite at (p0, q))
-            ("d_h d_h", 0, 1, lambda p0, q: self.d_h(p0 - 1, q) * self.d_h(p0, q)),
-            ("d_v d_v", 2, 0, lambda p0, q: self.d_v(p0, q - 1) * self.d_v(p0, q)),
-            ("d_h d_v + d_v d_h", 1, 1, lambda p0, q: (self.d_h(p0, q - 1) * self.d_v(p0, q))
-             .add(self.d_v(p0 - 1, q) * self.d_h(p0, q))),
-        )
-        for name, q_lo, need_left, square in squares:
-            for q in range(q_lo, self.q_max + 1):
-                for par in parities:
-                    ps = columns(par, need_left)
-                    if ps and not square(ps[0], q).is_zero():
-                        problems += [f"{name} != 0 at (p={p}, q={q})" for p in ps]
-        return ComplexReport(ok=not problems, problems=sorted(problems))
-
-
-def build_window(
-    X: CyclicModule,
-    p_lo: int,
-    p_hi: int,
-    q_max: int,
-    *,
-    flip_bprime_sign: bool = False,
-) -> PeriodicBicomplexWindow:
-    """Materialize a window and verify the three identities on it."""
-    w = PeriodicBicomplexWindow(X, p_lo, p_hi, q_max, flip_bprime_sign=flip_bprime_sign)
-    report = w.validate()
-    if not report.ok:
-        raise WindowError(
-            "window validation failed:\n" + "\n".join(report.problems[:12])
-        )
-    return w
-
-
-# ---------------------------------------------------------------------------
 # row-truncated total complexes (materialized form)
 #
 # No theory runs on these; they are the references of the reduced routes.
-# They stay here rather than in the tests' oracle module because the
+# They stay here rather than in the tests' oracle module because criterion
+# 3 validates the plane's identities on row_truncated_total, and the
 # benchmark uses them: perfbench/checks.py imports row_truncated_total, and
 # perfbench/spans.py wraps _TotalStage.__init__.
 
@@ -279,15 +179,22 @@ def _degree_boundary(
     d: int,
     layout: "_Layout",
     layout_below: "_Layout",
+    *,
+    flip_bprime_sign: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSC of the total differential from degree d to d - 1."""
+    """CSC of the total differential from degree d to d - 1.
+
+    flip_bprime_sign replaces -b' by +b' on odd columns, a negative
+    control: validation must catch exactly this mistake.
+    """
     pieces = []
     for q in layout.qs:
         if region != "first" or d - q > 0:
             op = X.coo(_plane_operator(d - q, False), q)
             pieces.append((layout_below.offsets[q], layout.offsets[q], op))
         if q >= 1:
-            op = X.coo(_plane_operator(d - q, True), q)
+            kind = _plane_operator(d - q, True)
+            op = X.coo("b'" if flip_bprime_sign and kind == "-b'" else kind, q)
             pieces.append((layout_below.offsets[q - 1], layout.offsets[q], op))
     return _csc(layout.total, pieces)
 
@@ -297,11 +204,16 @@ def row_truncated_total(
     q_max: int,
     degrees: tuple[int, int],
     region: str = "plane",
+    *,
+    flip_bprime_sign: bool = False,
 ) -> ChainComplex:
     """The total complex of rows q <= q_max of a region, in a degree band.
 
     The differential out of the lowest requested degree is dropped (a hard
     truncation), so homology is only meaningful strictly inside the band.
+    Its square vanishes exactly when the three plane identities hold on
+    the rows: a defect of d_h d_h, d_h d_v + d_v d_h or d_v d_v lands
+    zero, one or two rows down, so no two of them can cancel.
     """
     _check_region(region)
     lo, hi = degrees
@@ -311,7 +223,9 @@ def row_truncated_total(
     ranks = {d: layouts[d].total for d in layouts}
     diffs: dict[int, ExactMatrix] = {}
     for d in range(lo + 1, hi + 1):
-        indptr, rows, vals = _degree_boundary(X, region, d, layouts[d], layouts[d - 1])
+        indptr, rows, vals = _degree_boundary(
+            X, region, d, layouts[d], layouts[d - 1], flip_bprime_sign=flip_bprime_sign
+        )
         cols = np.repeat(np.arange(ranks[d], dtype=np.int64), np.diff(indptr))
         diffs[d] = Coo(X.base, ranks[d - 1], ranks[d], rows, cols, vals).matrix()
     return ChainComplex(X.base, ranks, diffs)

@@ -3,8 +3,7 @@
 Commands compute one theory or run one check and emit a ReportDocument
 as JSON (full fidelity) or CSV (dimensions only).  Exit codes: 0 when
 every check passed and nothing errored, 1 when a check failed, 2 for an
-invalid run configuration, 3 when a computed object failed its own
-validation or the computation raised unexpectedly.
+invalid run configuration, 3 when the computation raised unexpectedly.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 from .algebra import Algebra, AlgebraError, algebra_from_json, catalog
 from .bicomplex import (
-    WindowError,
     conjugate_dimension_check,
     hc,
     hc_minus_poly,
@@ -71,6 +69,8 @@ class RunConfig:
             raise SpecError("persistence must be >= 2")
         if self.base == "Fp" and self.p is None:
             raise SpecError("--base Fp needs --p")
+        if self.base != "Fp" and self.p is not None:
+            raise SpecError(f"--p only applies to --base Fp, not --base {self.base}")
         if self.normalized not in ("on", "off"):
             raise SpecError("--normalized takes on or off")
         # refuse an unwritable report path before a long run, not after it
@@ -303,31 +303,15 @@ def _cmd_conjugate_check(cfg: RunConfig) -> ReportDocument:
     return doc
 
 
-def verify_suite(selection=None) -> ReportDocument:
-    """Run the named acceptance criteria; empty selection passes trivially."""
-    results = run_suite(selection)
-    cfg = {"command": "verify", "suite": sorted(r.name for r in results)}
-    doc = ReportDocument(config=cfg)
-    for r in results:
-        entry = r.to_json()
-        doc.checks.append(entry)
-        doc.timings[r.name] = round(r.seconds, 3)
-    return doc
-
-
 def _cmd_verify(cfg: RunConfig) -> ReportDocument:
-    if cfg.suite is None or cfg.suite == ["all"]:
-        selection = None
-    else:
-        selection = cfg.suite
-        unknown = [s for s in selection if s not in CRITERION_NAMES]
-        if unknown:
-            raise SpecError(f"unknown criteria: {', '.join(sorted(unknown))}")
-    doc = verify_suite(selection)
-    doc.config.update(cfg.to_json())
-    for line in (r for r in doc.checks):
-        flag = "PASS" if line["ok"] else "FAIL"
-        print(f"[{flag}] {line['number']:2d} {line['name']}: {line['summary']}", file=sys.stderr)
+    # run_suite refuses unknown criteria before it runs any
+    results = run_suite(None if cfg.suite in (None, ["all"]) else cfg.suite)
+    doc = ReportDocument(config={"suite": sorted(r.name for r in results), **cfg.to_json()})
+    for r in results:
+        doc.checks.append(r.to_json())
+        doc.timings[r.name] = round(r.seconds, 3)
+        flag = "PASS" if r.ok else "FAIL"
+        print(f"[{flag}] {r.number:2d} {r.name}: {r.summary}", file=sys.stderr)
     return doc
 
 
@@ -469,9 +453,6 @@ def main(argv=None) -> int:
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except WindowError as err:
-        print(f"internal validation failure: {err}", file=sys.stderr)
-        return 3
     except (AlgebraError, TateError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

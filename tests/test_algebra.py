@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from cychom.algebra import (
     AlgebraError,
     algebra_from_json,
     algebra_to_json,
+    _poly_is_irreducible,
     catalog,
 )
 
@@ -122,6 +124,20 @@ def test_field_extension_rejects_reducible():
         catalog("field-extension(0,0)", F2)  # x^2 = 0 has the root 0
     with pytest.raises(AlgebraError, match="reducible"):
         catalog("field-extension(1,0)", F3)  # x^2 = 1 has roots 1, 2
+
+
+def test_min_poly_irreducibility_matches_sympy():
+    # x^k - (tail_{k-1} x^{k-1} + ... + tail_0) for every tail with k <= 4
+    from sympy import Poly, symbols
+
+    x = symbols("x")
+    for p in (2, 3, 5):
+        for k in range(1, 5):
+            for tail in itertools.product(range(p), repeat=k):
+                f = Poly([1] + [-c for c in reversed(tail)], x, modulus=p)
+                assert _poly_is_irreducible(list(tail), p) == f.is_irreducible, (p, tail)
+    with pytest.raises(AlgebraError, match="above 4"):
+        _poly_is_irreducible([1, 0, 0, 0, 0], 2)
 
 
 @given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))

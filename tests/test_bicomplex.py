@@ -2,17 +2,16 @@ import json
 
 import pytest
 
-from cychom.algebra import CATALOG_NAMES, catalog
+from cychom.algebra import CATALOG_NAMES, AlgebraError, catalog
 from cychom.bicomplex import (
-    PeriodicBicomplexWindow,
-    WindowError,
     _composite_rank,
     _csc,
+    _Layout,
     _persistent_rank,
+    _plane_operator,
     _plane_stages,
     _stage_map,
     _TotalStage,
-    build_window,
     conjugate_dimension_check,
     default_q_schedule,
     hc,
@@ -43,56 +42,68 @@ def dim_row(table, lo, hi):
     return [table.dimension(d) for d in range(lo, hi + 1)]
 
 
-# -- windows and the sign conventions -------------------------------------------
+# -- the plane's sign conventions ------------------------------------------------
 
 
-def test_window_identities_hold_on_catalog_algebras():
-    for name, base in (("dual-numbers", F3), ("field-extension(1,1)", F2),
-                       ("matrix-algebra(2)", QQ)):
-        w = build_window(module(name, base), -2, 3, 4)
-        assert w.validate().ok
+def catalog_modules(bases):
+    for base in bases:
+        for name in CATALOG_NAMES:
+            try:
+                yield name, base, module(name, base)
+            except AlgebraError:  # this algebra does not exist over this base
+                pass
 
 
-def test_window_entry_ranks_are_row_ranks():
+def test_truncated_total_identities_hold_on_catalog_algebras():
+    # D^2 = 0 on a row truncation is the three plane identities on its rows
+    built = 0
+    for name, base, X in catalog_modules((F2, F3, F5, QQ)):
+        report = row_truncated_total(X, 4, (-2, 3)).validate()
+        assert report.ok, (name, base.label(), report.problems)
+        built += 1
+    assert built == 4 * len(CATALOG_NAMES) - 2  # field-extension(1,1) needs F2 or F3
+
+
+def test_plane_operator_alternates_with_column_parity():
     X = module("dual-numbers", F3)
-    w = build_window(X, -1, 2, 3)
-    assert w.entry_rank(0, 2) == X.rank(2) == 8
-    assert w.entry_rank(-1, 2) == 8
-    with pytest.raises(ValueError):
-        w.entry_rank(4, 0)
-
-
-def test_window_horizontal_operator_alternates_with_column_parity():
-    X = module("dual-numbers", F3)
-    w = build_window(X, -2, 2, 2)
-    q = 1
-    N = X.norm(q)
+    q = 2
+    kinds = {(p % 2, vertical): _plane_operator(p, vertical)
+             for p in range(-2, 3) for vertical in (False, True)}
+    assert kinds == {(0, False): "N", (1, False): "1-t", (0, True): "b", (1, True): "-b'"}
     one_minus_t = ExactMatrix.identity(F3, X.rank(q)).sub(X.cyclic(q))
-    for p in (-2, 0, 2):
-        assert w.d_h(p, q) == N
-    for p in (-1, 1):
-        assert w.d_h(p, q) == one_minus_t
+    expected = {"N": X.norm(q), "1-t": one_minus_t,
+                "b": X.hochschild_boundary(q), "-b'": -X.bar_boundary(q)}
+    for kind, M in expected.items():
+        assert X.coo(kind, q).matrix() == M, kind
+
+
+def flipped_plane(X):
+    return row_truncated_total(X, 3, (-1, 2), flip_bprime_sign=True)
 
 
 def test_flipped_bprime_sign_is_caught():
-    # dual numbers over F3: over F2, or for commutative separable algebras,
-    # the flipped square can accidentally still vanish, which would make
-    # this control vacuous
-    X = module("dual-numbers", F3)
-    with pytest.raises(WindowError):
-        build_window(X, -2, 2, 3, flip_bprime_sign=True)
-    report = PeriodicBicomplexWindow(X, -2, 2, 3, flip_bprime_sign=True).validate()
-    assert not report.ok
-    assert any("d_h d_v + d_v d_h" in msg for msg in report.problems)
+    # over F2, or for commutative separable algebras, the flipped square
+    # can accidentally still vanish, which would make this control vacuous
+    for name in ("dual-numbers", "matrix-algebra(2)"):
+        report = flipped_plane(module(name, F3)).validate()
+        assert not report.ok, name
+        assert report.problems == ["d o d != 0 from degree 1", "d o d != 0 from degree 2"]
 
 
 def test_flipped_sign_only_breaks_anticommutation():
-    # the two square-zero identities do not involve the vertical sign,
-    # so only the anticommutation squares may appear among the problems
-    X = module("dual-numbers", F3)
-    report = PeriodicBicomplexWindow(X, -2, 2, 3, flip_bprime_sign=True).validate()
-    assert all("d_h d_h" not in msg and "d_v d_v" not in msg
-               for msg in report.problems)
+    # d_h d_h stays in its row and d_v d_v goes two rows down, and neither
+    # involves the vertical sign; so every defect goes exactly one row down
+    def row_of(layout, index):
+        return max(q for q in layout.qs if layout.offsets[q] <= index)
+
+    for name in ("dual-numbers", "matrix-algebra(2)"):
+        X = module(name, F3)
+        C = flipped_plane(X)
+        for d in (0, 1):
+            source, target = _Layout(X, "plane", d + 1, 3), _Layout(X, "plane", d - 1, 3)
+            entries = (C.diff(d) * C.diff(d + 1)).entries
+            assert entries, (name, d)
+            assert all(row_of(target, r) == row_of(source, c) - 1 for r, c in entries), (name, d)
 
 
 # -- row-truncated totals --------------------------------------------------------

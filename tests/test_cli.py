@@ -273,6 +273,34 @@ def test_unwritable_out_exits_two_before_computing(capsys, monkeypatch, tmp_path
     assert ran == []
 
 
+def test_prime_without_fp_base_exits_two_before_computing(capsys, monkeypatch):
+    import cychom.cli as cli
+
+    ran = []
+    monkeypatch.setitem(cli._COMMANDS, "hh", ran.append)
+    monkeypatch.setitem(cli._COMMANDS, "tate", ran.append)
+    for argv in (
+        ["hh", "--algebra", "dual-numbers", "--base", "Z", "--p", "3", "--degrees", "0..1"],
+        ["hh", "--algebra", "dual-numbers", "--base", "Q", "--p", "3", "--degrees", "0..1"],
+        ["tate", "--group-order", "3", "--degrees", "-2..2", "--base", "Z", "--p", "3"],
+    ):
+        code = main(argv)
+        assert code == 2, argv
+        assert capsys.readouterr().err.startswith("error: --p only applies to --base Fp"), argv
+    assert ran == []
+
+
+def test_verify_refuses_unknown_criteria_before_running_any(capsys, monkeypatch):
+    import cychom.verify as verify
+
+    ran = []
+    monkeypatch.setattr(verify, "run_criterion", lambda *args: ran.append(args))
+    code = main(["verify", "--suite", "morita,bogus"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown criteria: bogus\n"
+    assert ran == []
+
+
 def test_missing_algebra_file_exits_two(capsys, tmp_path):
     code = main(["hc", "--algebra", str(tmp_path / "absent.json"), "--degrees", "0..2"])
     capsys.readouterr()
