@@ -34,13 +34,11 @@ from .bicomplex import (
 from .tate import (
     CheckReport,
     GModuleComplex,
-    MixedComplex,
     TateComplex,
     TateError,
     construction_5_1_check,
     corollary_5_3_check,
     direct_sum_modules,
-    mixed_complex_from_display,
     named_module,
     norm_oracle,
     tate_complex,
@@ -71,8 +69,6 @@ __all__ = [
     "algebra_to_json",
     "CyclicModule",
     "NormalizedBarModule",
-    "MixedComplex",
-    "mixed_complex_from_display",
     "cyclic_bar_module",
     "normalized",
     "cyclic_identity_report",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from .algebra import Algebra, AlgebraError, algebra_from_json, catalog
 from .bicomplex import (
     conjugate_dimension_check,
+    default_q_schedule,
     hc,
     hc_minus_poly,
     hh,
@@ -195,21 +196,6 @@ def _need_order(cfg: RunConfig, least: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tower tables
-
-def _tower_table_json(cfg: RunConfig, theory: str) -> dict:
-    """One stabilization table; every degree reads the same shared stages."""
-    lo, hi = _need_degrees(cfg)
-    schedule = cfg.q_schedule
-    X = cyclic_bar_module(_load_algebra(cfg))
-    if theory == "hp-poly":
-        return hp_poly(X, (lo, hi), schedule, cfg.persistence).to_json()
-    if theory == "hc-minus-poly":
-        return hc_minus_poly(X, (lo, hi), schedule, cfg.persistence).to_json()
-    return hp_s_tower_table(X, (lo, hi), persistence=cfg.persistence).to_json()
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -238,16 +224,23 @@ def _cmd_hc(cfg: RunConfig) -> ReportDocument:
 
 
 def _cmd_tower(cfg: RunConfig) -> ReportDocument:
+    """One stabilization table; every degree reads the same shared stages."""
+    lo, hi = _need_degrees(cfg)
+    X = cyclic_bar_module(_load_algebra(cfg))
+    if cfg.command == "hp-poly":
+        table = hp_poly(X, (lo, hi), cfg.q_schedule, cfg.persistence)
+    elif cfg.command == "hc-minus-poly":
+        table = hc_minus_poly(X, (lo, hi), cfg.q_schedule, cfg.persistence)
+    else:
+        table = hp_s_tower_table(X, (lo, hi), persistence=cfg.persistence)
+    t = table.to_json()
     doc = ReportDocument(config=cfg.to_json())
-    t = _tower_table_json(cfg, cfg.command)
     # verdicts are schedule-dependent heuristics, so the resolved defaults
     # always go into the report
     if cfg.command == "hp":
         doc.config["depth"] = "persistence + max(0, -floor(d/2)) periodicity steps"
     elif cfg.q_schedule is None:
-        from .bicomplex import default_q_schedule
-
-        doc.config["q_schedule"] = default_q_schedule(_need_degrees(cfg)[1])
+        doc.config["q_schedule"] = default_q_schedule(hi)
     doc.tables[t["theory"]] = t
     return doc
 

@@ -1,12 +1,13 @@
 """Chain complexes over exact rings and their homology groups.
 
 A ChainComplex stores finitely many degrees with a differential that
-lowers degree by one.  Homology is read from ranks alone: over a field
-H_d has dimension n_d - rank d_d - rank d_{d+1}; over Z its torsion is
-the invariant factors > 1 of the incoming differential d_{d+1}, since
-ker d_d is a direct summand of Z^{n_d}, and its free rank is what the
-two ranks leave.  Both are transform-free Smith forms; no kernel basis
-is built.  The maps along towers are never built: their ranks count
+lowers degree by one.  Homology is read from the factors of the two
+differentials at a degree, each factored once per complex: `rank` ones
+over a field, the invariant factors over Z.  H_d has rank n_d less the
+number of factors of d_d and of d_{d+1}; over Z its torsion is the
+factors > 1 of the incoming d_{d+1}, since ker d_d is a direct summand
+of Z^{n_d}.  The Smith forms are transform-free; no kernel basis is
+built.  The maps along towers are never built: their ranks count
 `MorseReduction` survivors (see `reduction`).  Every module is free: a
 quotient such as Z/n enters as its free resolution (see `tate`).
 """
@@ -84,6 +85,7 @@ class ChainComplex:
         for d, M in self.diffs.items():
             if M.ring != ring:
                 raise ValueError("differential over wrong ring")
+        self._factors: dict[int, list[int]] = {}
 
     def rank(self, d: int) -> int:
         return self.ranks.get(d, 0)
@@ -109,6 +111,12 @@ class ChainComplex:
                         problems.append(f"d o d != 0 from degree {d + 1}")
         return ComplexReport(ok=not problems, problems=problems)
 
+    def factors(self, d: int) -> list[int]:
+        """The factors of the differential out of degree d, computed once."""
+        if d not in self._factors:
+            self._factors[d] = factors(self.diff(d)) if self.rank(d) and self.rank(d - 1) else []
+        return self._factors[d]
+
     def homology(self, d: int) -> HomologyGroup:
         return complex_homology(self, d)
 
@@ -119,12 +127,16 @@ class ComplexReport:
     problems: list[str] = field(default_factory=list)
 
 
+def factors(D: ExactMatrix) -> list[int]:
+    """rank D ones over a field; over Z the invariant factors of D, 1s included."""
+    return [1] * rank(D) if D.ring.is_field else invariant_factors(D)
+
+
+def group_from_factors(ring: BaseRing, n: int, out: list[int], into: list[int]) -> HomologyGroup:
+    """H at a degree of rank n from the factors of its outgoing and incoming differentials."""
+    return HomologyGroup(ring, n - len(out) - len(into), tuple(e for e in into if e > 1))
+
+
 def complex_homology(C: ChainComplex, d: int) -> HomologyGroup:
     """H_d(C) as a HomologyGroup (dimension over fields, invariant factors over Z)."""
-    n = C.rank(d)
-    rank_out = rank(C.diff(d)) if C.rank(d - 1) and n else 0
-    if C.ring.is_field:
-        rank_in = rank(C.diff(d + 1)) if C.rank(d + 1) and n else 0
-        return HomologyGroup(C.ring, n - rank_out - rank_in)
-    factors = invariant_factors(C.diff(d + 1)) if C.rank(d + 1) and n else []
-    return HomologyGroup(ZZ, n - rank_out - len(factors), tuple(e for e in factors if e > 1))
+    return group_from_factors(C.ring, C.rank(d), C.factors(d), C.factors(d + 1))

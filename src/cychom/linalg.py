@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .matrix import ExactMatrix
 from .rings import Scalar, ZZ
-from .snf import smith_normal_form
+from .snf import diagonal_of, invariant_factors, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +48,7 @@ def rref(A: ExactMatrix) -> tuple[list[list[Scalar]], list[int]]:
 def rank(A: ExactMatrix) -> int:
     if A.ring.is_field:
         return len(rref(A)[1])
-    _, D, _ = smith_normal_form(A, left=False, right=False)
-    return len([i for i in range(min(D.nrows, D.ncols)) if D.entry(i, i) != 0])
+    return len(invariant_factors(A))
 
 
 def solve_field(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
@@ -73,22 +72,6 @@ def solve_field(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(ring, n, B.ncols, entries, _normalized=True)
 
 
-def lands_in_span(M: ExactMatrix, rel: ExactMatrix | None) -> bool:
-    """True when every column of M is a combination of rel's columns."""
-    if M.is_zero():
-        return True
-    if rel is None or rel.ncols == 0:
-        return False
-    try:
-        if M.ring.is_field:
-            solve_field(rel, M)
-        else:
-            integer_solve(rel, M)
-        return True
-    except ValueError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # integers
 
@@ -102,7 +85,7 @@ def integer_kernel_basis(A: ExactMatrix) -> ExactMatrix:
     if A.ring != ZZ:
         raise ValueError("integer kernel requires base Z")
     _, D, V = smith_normal_form(A, left=False)
-    r = len([i for i in range(min(D.nrows, D.ncols)) if D.entry(i, i) != 0])
+    r = len(diagonal_of(D))
     cols = list(range(r, A.ncols))
     return V.submatrix(list(range(A.ncols)), cols)
 
@@ -116,7 +99,7 @@ def integer_solve(K: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     if K.ring != ZZ or B.ring != ZZ:
         raise ValueError("integer_solve requires base Z")
     U, D, V = smith_normal_form(K)
-    r = len([i for i in range(min(D.nrows, D.ncols)) if D.entry(i, i) != 0])
+    r = len(diagonal_of(D))
     if r != K.ncols:
         raise ValueError("columns are not independent")
     UB = U * B

@@ -9,7 +9,7 @@ matrices.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .rings import BaseRing, Scalar
 
@@ -84,10 +84,6 @@ class ExactMatrix:
                 cols.setdefault(jj, {})[i] = v
             self._cols = cols
         return dict(self._cols.get(j, {}))
-
-    def columns(self) -> Iterator[tuple[int, dict[int, Scalar]]]:
-        for j in range(self.ncols):
-            yield j, self.col(j)
 
     def to_rows(self) -> list[list[Scalar]]:
         zero = self.ring.zero

@@ -17,7 +17,6 @@ from cychom.cyclic import (
     cyclic_identity_multibase_report,
     normalized,
 )
-from cychom.tate import mixed_complex_from_display
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -352,26 +351,6 @@ def test_normalized_h0_dual_numbers():
     Xb = normalized(catalog("dual-numbers", F3))
     C = oracle.dense_complex(Xb, 2, Xb.boundary)
     assert C.homology(0).dimension == 2
-
-
-# -- the comparison display --------------------------------------------------------
-
-
-def test_display_shapes():
-    src, tgt, f = mixed_complex_from_display(6)
-    assert src.validate() == []
-    assert tgt.validate() == []
-    assert src.B_at(-1).entry(0, 0) == 6
-    assert tgt.relations[0].entry(0, 0) == 6
-    assert f.component(0) == ExactMatrix.identity(ZZ, 1)
-    # B-compatibility: f_0 B_src lands in the relation submodule n*Z
-    comp = f.component(0).mul(src.B_at(-1))
-    assert comp.entry(0, 0) % 6 == 0
-
-
-def test_display_rejects_bad_order():
-    with pytest.raises(ValueError):
-        mixed_complex_from_display(0)
 
 
 def test_multibase_sweep_matches_per_base_reports():

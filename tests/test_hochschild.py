@@ -71,3 +71,22 @@ def test_hh_refuses_negative_or_empty_degrees():
     for degrees in ((-1, 2), (3, 2)):
         with pytest.raises(ValueError):
             hh(X, degrees)
+
+
+def test_raw_hh_over_z_factors_each_differential_once(monkeypatch):
+    # degrees 0..5 read the differentials d_1..d_6 of one residual complex;
+    # each is put in Smith form once, however many degrees read it
+    from cychom import linalg, snf
+
+    calls = []
+    original = snf.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].nrows)
+        return original(*args, **kwargs)
+
+    for owner in (snf, linalg):
+        monkeypatch.setattr(owner, "smith_normal_form", counted)
+    table = hh(cyclic_bar_module(catalog("group-algebra(3)", ZZ)), (0, 5))
+    assert sorted(table.groups) == list(range(6))
+    assert len(calls) <= 6, calls
