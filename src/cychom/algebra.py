@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .matrix import ExactMatrix
 from .rings import BaseRing, Scalar, ring_from_name
-from .linalg import integer_solve, rank
+from .linalg import integer_solve, rank, solve_field
 from .snf import smith_normal_form
 
 
@@ -105,8 +105,6 @@ class Algebra:
     def rebased(self, P: ExactMatrix) -> "Algebra":
         """Algebra in the basis f_j = sum_i P[i][j] e_i (P invertible)."""
         base = self.base
-        from .linalg import solve_field, integer_solve
-
         dim = self.dim
         dense = [[[base.zero] * dim for _ in range(dim)] for _ in range(dim)]
         # products f_a f_b in old coordinates, then solved back through P

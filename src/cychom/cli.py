@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
-from .algebra import Algebra, AlgebraError, algebra_from_json, catalog
+from .algebra import Algebra, algebra_from_json, catalog
 from .bicomplex import (
     conjugate_dimension_check,
     default_q_schedule,
@@ -28,7 +28,6 @@ from .bicomplex import (
 from .cyclic import cyclic_bar_module, normalized
 from .rings import BaseRing, ring_from_name
 from .tate import (
-    TateError,
     construction_5_1_check,
     corollary_5_3_check,
     named_module,
@@ -443,10 +442,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         doc = run(args.command, cfg)
-    except SpecError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (AlgebraError, TateError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:  # SpecError, AlgebraError, TateError, bad JSON
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # anything else is a computation failure

@@ -12,19 +12,19 @@ Conventions, fixed once for the whole package:
 
 One numpy engine, `SummandOps`, applies every operator: from A's integer
 structure table, to flat int64 arrays of nonzero summands (source tuple,
-output code, coefficient).  The homology pipelines read the operators as
-Coo arrays, which `CyclicModule` and `NormalizedBarModule` assemble by
-running it on every basis tuple of a degree at once and summing the
-duplicate entries by a sort (`_sum_by`, which also sums the orbit
-walk's terms); `CyclicModule` memoizes each operator once, as a Coo, and
-builds an ExactMatrix from it on request.  The orbit walk of `orbits`
-takes its cyclic faces from `SummandOps.face` too, on the codes of one
-batch of orbits at a time.  The identity sweep never builds the
-matrices: it runs the same engine on blocks of source rows and judges
-the integer residuals exactly and mod several primes.  A block holds as
-many rows as its identities expand into `_SWEEP_BLOCK` summands: the
-identities that start with a face share blocks and their faces, every
-other identity sweeps the rows with those of its own width.
+output code, coefficient), and one sort, `_sum_by`, sums the summands
+that meet in one entry.  `CyclicModule` and `NormalizedBarModule` run
+the engine on every basis tuple of a degree at once and read the sums
+as Coo arrays; `CyclicModule` memoizes each operator once, as a Coo,
+and builds an ExactMatrix from it on request.  The orbit walk of
+`orbits` runs `SummandOps.face` and `_sum_by` on the codes of one batch
+of orbits at a time.  The identity sweep never builds the matrices: it
+runs programs of the same operators on blocks of source rows, sums
+lhs - rhs per row and output tuple, and judges the sums exactly and mod
+several primes.  A block holds as many rows as its identities expand
+into `_SWEEP_BLOCK` summands: the identities that start with a face
+share blocks and their faces, every other identity sweeps the rows with
+those of its own width.
 """
 
 from __future__ import annotations
@@ -105,15 +105,18 @@ def _empty(base: BaseRing, ncols: int) -> Coo:
 # The operators that are sums of faces, out of X_n: b = sum (-1)^i d_i, b'
 # without the last face, -b' as it sits on the odd columns of the plane.
 # The rotations t = (-1)^n tau, 1 - t and N = sum t^k, whose t^k =
-# (-1)^{nk} tau^k also gives B-bar on the normalized module, by the
-# SummandOps method that applies each.
+# (-1)^{nk} tau^k also gives B-bar on the normalized module.  `_METHODS`
+# names the SummandOps method that applies each single operator, for `coo`
+# and the identity programs alike; d, s and scale take an argument.
 _FACE_SIGNS = {
     "b": lambda n: {i: (-1) ** i for i in range(n + 1)},
     "b'": lambda n: {i: (-1) ** i for i in range(n)},
     "-b'": lambda n: {i: -((-1) ** i) for i in range(n)},
 }
-_ROTATIONS = {"t": "cyclic", "1-t": "one_minus_cyclic", "N": "norm"}
+_ROTATIONS = ("t", "1-t", "N")
 _KINDS = ("d", "s", *_FACE_SIGNS, *_ROTATIONS)
+_METHODS = {"d": "face", "s": "degeneracy", "t": "cyclic", "1-t": "one_minus_cyclic",
+            "N": "norm", "scale": "scaled"}
 
 
 def _check_operator(kinds, kind: str, n: int, i: int | None) -> None:
@@ -436,12 +439,10 @@ class SummandOps:
 
     def apply(self, kind: str, s: _Summands, i: int | None = None) -> _Summands:
         """The operator `kind` of `CyclicModule.coo` applied to s."""
-        if kind == "s":
-            return self.degeneracy(s, i)
-        if kind in _ROTATIONS:
-            return getattr(self, _ROTATIONS[kind])(s)
-        signs = {i: 1} if kind == "d" else _FACE_SIGNS[kind](s.slots - 1)
-        return _join(s.slots - 1, [self.scaled(self.face(s, k), c) for k, c in signs.items()])
+        if kind in _FACE_SIGNS:
+            signs = _FACE_SIGNS[kind](s.slots - 1)
+            return _join(s.slots - 1, [self.scaled(self.face(s, k), c) for k, c in signs.items()])
+        return _run_program(self, s, [(kind, i)])
 
     def identity_state(self, n: int, start: int = 0, stop: int | None = None) -> _Summands:
         """The basis tuples of X_n coded start..stop-1, each its own image."""
@@ -541,42 +542,23 @@ class SummandOps:
 _SWEEP_BLOCK = 1 << 16
 
 
-def _residual(lhs: _Summands, rhs: _Summands | None, d: int, start: int, bits: int
-              ) -> np.ndarray:
-    """Coefficient sums of lhs - rhs per (source row, output tuple).
+def _residual(lhs: _Summands, rhs: _Summands | None, d: int, start: int) -> np.ndarray:
+    """The nonzero coefficient sums of lhs - rhs per (source row, output tuple).
 
-    lhs = rhs exactly iff every sum is 0, and mod p iff every sum is
-    divisible by p; the array is empty when the sides agree summand for
-    summand.  Otherwise the summands of both sides are sorted once, by the
-    key (src - start) * d^slots + code with the coefficient plus
-    2^(bits-1) packed into the low `bits` bits, and a key's sum is the
-    difference of the prefix sums at its last summand and the previous
-    key's.  That difference is exact even where a prefix sum wraps in
-    int64, because every key's sum fits.
+    lhs = rhs exactly iff there are none, and mod p iff each is divisible
+    by p; they are not computed when the sides agree summand for summand.
+    Both sides land in the same degree, so one int64 key,
+    (src - start) * d^slots + code, names a row's output tuple.
     """
     if rhs is not None and all(np.array_equal(a, b) for a, b in (
             (lhs.code, rhs.code), (lhs.src, rhs.src), (lhs.coeff, rhs.coeff))):
         return lhs.coeff[:0]
-    sides = [(lhs, lhs.coeff)] if rhs is None else [(lhs, lhs.coeff), (rhs, -rhs.coeff)]
-    bias = 1 << (bits - 1)
-    packed = np.empty(sum(len(coeff) for _, coeff in sides), dtype=np.int64)
-    at = 0
-    for s, coeff in sides:
-        out = packed[at:at + len(coeff)]
-        at += len(coeff)
-        np.subtract(s.src, start, out=out)
-        out *= d**s.slots
-        out += s.code
-        out <<= bits
-        out += bias
-        out += coeff
-    packed.sort()
-    key = packed >> bits
-    sums = np.cumsum((packed & ((1 << bits) - 1)) - bias)
-    last = np.empty(len(key), dtype=bool)
-    last[-1:] = True
-    np.not_equal(key[1:], key[:-1], out=last[:-1])
-    return np.diff(sums[last], prepend=0)
+    sides = [lhs] if rhs is None else [lhs, rhs]
+    key = np.concatenate([s.src for s in sides]) - start
+    key *= d**lhs.slots
+    key += np.concatenate([s.code for s in sides])
+    coeff = lhs.coeff if rhs is None else np.concatenate([lhs.coeff, -rhs.coeff])
+    return _sum_by(0, coeff, key)[1]
 
 
 # Identity programs.  A program is a list of op codes applied left to right
@@ -627,26 +609,14 @@ def identity_programs(n: int):
             [("t", None), ("s", 0)],
             [("s", n), ("t", None), ("t", None), ("scale", 1 if n % 2 == 0 else -1)],
         )
-    yield (f"N(1-t) = 0 @ n={n}", [("omt", None), ("N", None)], None)
-    yield (f"(1-t)N = 0 @ n={n}", [("N", None), ("omt", None)], None)
+    yield (f"N(1-t) = 0 @ n={n}", [("1-t", None), ("N", None)], None)
+    yield (f"(1-t)N = 0 @ n={n}", [("N", None), ("1-t", None)], None)
 
 
 def _run_program(engine, state, program):
     for op, arg in program:
-        if op == "d":
-            state = engine.face(state, arg)
-        elif op == "s":
-            state = engine.degeneracy(state, arg)
-        elif op == "t":
-            state = engine.cyclic(state)
-        elif op == "N":
-            state = engine.norm(state)
-        elif op == "omt":
-            state = engine.one_minus_cyclic(state)
-        elif op == "scale":
-            state = engine.scaled(state, arg)
-        else:  # pragma: no cover - program lists are internal
-            raise ValueError(f"unknown op {op!r}")
+        method = getattr(engine, _METHODS[op])
+        state = method(state) if arg is None else method(state, arg)
     return state
 
 
@@ -661,8 +631,8 @@ def _run_cached(engine, state, program, first):
     return _run_program(engine, state, program)
 
 
-def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, int, list]:
-    """Degree n's identities, the bits a packed coefficient takes, and its blocks.
+def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, list]:
+    """Degree n's identities and their blocks.
 
     A face multiplies the summands per source row by at most the terms of
     a product, a degeneracy by the unit's terms, N by n+1 and 1 - t by 2;
@@ -671,12 +641,12 @@ def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, int, list]:
     with a face as the first op of either side share a block, and so the
     faces, which cost ten times a degeneracy or a rotation; each other
     identity shares one with those of its own width.  Raises ValueError,
-    before anything is allocated, when a code with its packed coefficient,
-    or the sum of a key's coefficients, would not fit in 64 bits.
+    before anything is allocated, when a code, or the sum of a key's
+    coefficients, would not fit in 64 bits.
     """
     T, U = len(ops.terms), len(ops.unit)
     programs = list(identity_programs(n))
-    widths, cmax, total, slots = [], 1, 1, n + 1
+    widths, total, slots = [], 1, n + 1
     for _, lhs, rhs in programs:
         summands = coefficients = 0
         for program in (lhs, rhs):
@@ -688,16 +658,14 @@ def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, int, list]:
                     w, depth, k = w * T, depth + 1, k - 1
                 elif op == "s":
                     w, depth, k = w * U, depth + 1, k + 1
-                elif op in ("N", "omt"):
+                elif op in ("N", "1-t"):
                     w *= n + 1 if op == "N" else 2
                 slots = max(slots, k)
             summands += w
             coefficients += w * ops.bound**depth
-            cmax = max(cmax, ops.bound**depth)
         widths.append(summands)
         total = max(total, coefficients)
-    bits = cmax.bit_length() + 1
-    key = ops.d**slots << bits
+    key = ops.d**slots
     if key >= _INT64 or total >= _INT64:
         raise ValueError(
             f"the identities at degree {n} need codes or coefficients beyond 64-bit integers"
@@ -706,7 +674,7 @@ def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, int, list]:
     for k, (_, lhs, rhs) in enumerate(programs):
         face = any(side and side[0][0] == "d" for side in (lhs, rhs))
         blocks.setdefault(None if face else widths[k], []).append(k)
-    return programs, bits, [
+    return programs, [
         (members, max(1, min(_SWEEP_BLOCK // max(widths[k] for k in members),
                              (_INT64 - 1) // key)))
         for members in blocks.values()
@@ -734,7 +702,7 @@ def cyclic_identity_multibase_report(
         raise ValueError("the identity sweep needs integer structure constants")
     plans = [_sweep_plan(ops, n) for n in range(n_max + 1)]
     bad: dict[int | None, list[str]] = {m: [] for m in moduli}
-    for n, (programs, bits, blocks) in enumerate(plans):
+    for n, (programs, blocks) in enumerate(plans):
         failing: list[set] = [set() for _ in programs]
         rows = ops.d ** (n + 1)
         for members, step in blocks:
@@ -747,8 +715,8 @@ def cyclic_identity_multibase_report(
                     _, lhs_prog, rhs_prog = programs[k]
                     lhs = _run_cached(ops, x, lhs_prog, first)
                     rhs = _run_cached(ops, x, rhs_prog, first) if rhs_prog is not None else None
-                    residual = _residual(lhs, rhs, ops.d, start, bits)
-                    if residual.any():
+                    residual = _residual(lhs, rhs, ops.d, start)
+                    if len(residual):
                         failing[k].update(m for m in bad if not m or (residual % m).any())
         for fails, (name, _, _) in zip(failing, programs):
             for m in bad:

@@ -604,13 +604,13 @@ def _judged_rows(monkeypatch, A, moduli, n_max):
         sides.append((state, program))
         return run_cached(engine, state, program, first)
 
-    def recording_residual(lhs, rhs, d, start, bits):
+    def recording_residual(lhs, rhs, d, start):
         (state, program), *_ = sides  # the lhs runs first
         sides.clear()
         key = names[state.slots - 1, tuple(program)]
         judged.setdefault(key, []).append(state.src.copy())
         assert state.src[0] == start
-        return residual(lhs, rhs, d, start, bits)
+        return residual(lhs, rhs, d, start)
 
     monkeypatch.setattr(cyc, "_run_cached", recording_run)
     monkeypatch.setattr(cyc, "_residual", recording_residual)
@@ -624,7 +624,7 @@ def test_sweep_judges_every_row_once_per_identity(monkeypatch):
     # 4^6 rows at the top degree: N(1-t) and (1-t)N expand a row into 12
     # summands, so they take 341 rows a block and end on a block of 4
     monkeypatch.setattr(cyc, "_SWEEP_BLOCK", 1 << 12)
-    programs, _, blocks = cyc._sweep_plan(SummandOps(A), top)
+    programs, blocks = cyc._sweep_plan(SummandOps(A), top)
     steps = {programs[k][0]: step for members, step in blocks for k in members}
     assert steps[f"N(1-t) = 0 @ n={top}"] == steps[f"(1-t)N = 0 @ n={top}"] == 341
     assert steps[f"d_0 d_1 = d_0 d_0 @ n={top}"] == 512  # two faces of two terms a side
@@ -652,9 +652,11 @@ def test_sweep_finds_a_fault_on_the_last_row(monkeypatch):
 
     monkeypatch.setattr(cyc, "_SWEEP_BLOCK", 1 << 12)
     monkeypatch.setattr(cyc.SummandOps, "cyclic", faulty)
-    report = cyclic_identity_multibase_report(A, (3, None), top)
-    for m in (3, None):
-        assert f"N(1-t) = 0 @ n={top} fails" in report[m]
+    report = cyclic_identity_multibase_report(A, (2, 3, 5, 7, None), top)
+    # t^6, N(1-t) and (1-t)N leave 1 - 2^6 = -63 = -3^2 * 7 on the last row
+    for m in (2, 3, 5, 7, None):
+        for name in ("t^6 = id", "N(1-t) = 0", "(1-t)N = 0"):
+            assert (f"{name} @ n={top} fails" in report[m]) == (m not in (3, 7)), (name, m)
         assert not any(f"@ n={top - 1} " in line for line in report[m])
 
 

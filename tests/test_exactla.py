@@ -169,6 +169,30 @@ def test_snf_properties(m, n, data):
         assert d >= 0
 
 
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide and square integer matrices, of rank below min(m, n) when k is.
+
+    Each is an m x k times a k x n matrix of small entries.
+    """
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    k = draw(st.integers(1, max(m, n)))
+    entry = st.integers(-12, 12)
+    L = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    R = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    return [[sum(L[i][t] * R[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_invariant_factors_match_sympy(rows):
+    from sympy import Matrix, ZZ as SZZ
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    want = [abs(int(f)) for f in sympy_factors(Matrix(rows), domain=SZZ) if f]
+    assert invariant_factors(ExactMatrix.from_rows(ZZ, rows)) == want
+
+
 # ---------------------------------------------------------------------------
 # field linear algebra
 
