@@ -8,7 +8,7 @@ its standard error and its standard output; a JSON report loses its
 command whose result differs, then a summary; the exit status is 1 on
 any difference and 0 otherwise.
 
-Without --commands the built-in list runs (231 commands, under a
+Without --commands the built-in list runs (233 commands, under a
 minute per tree on a 2-core machine): `tate` on every named module,
 orders 1..8, over Z, F3 and Q, and once as CSV; `check-5-1` and
 `check-5-3` for orders 0..7, and `check-5-1` for order 12 and once as
@@ -19,10 +19,10 @@ with an unknown criterion; `hp-poly` (rows 2..12) and `hc-minus-poly`
 benchmark's orbit-towers and chain-reduction jobs on catalog algebras;
 a few `hh`, `hc`, `hp` and `conjugate-check` runs, among them two
 quartic field extensions and `--p` without `--base Fp`; `--out` paths
-that cannot be written; and raw and normalized `hh` over Z in degrees
-0..6 on group-algebra(3), truncated-poly(3) and dual-numbers, which
-read invariant factors of residual complexes.  --commands FILE replaces that
-list with one command line per line of FILE, split as a shell would,
+that cannot be written; two `hh` degrees refused for 64-bit codes; and
+raw and normalized `hh` over Z in degrees 0..6 on group-algebra(3),
+truncated-poly(3) and dual-numbers, which read invariant factors of
+residual complexes.  --commands FILE replaces that list with one command line per line of FILE, split as a shell would,
 without the leading `cychom`; blank lines and lines starting with # are
 skipped.
 
@@ -141,6 +141,10 @@ def default_commands() -> list[list[str]]:
         ["verify", "--suite", "construction-5-1,corollary-5-3,tate-suite"],
         ["hh", "--algebra", "matrix-algebra(2)", "--base", "Z", "--degrees", "0..3",
          "--normalized", "off"],
+        # refused before anything is allocated: b's codes leave int64
+        ["hh", "--algebra", "matrix-algebra(2)", *_fp("3"), "--degrees", "31..31",
+         "--normalized", "off"],
+        ["hh", "--algebra", "matrix-algebra(2)", *_fp("3"), "--degrees", "40..40"],
     ]
     # raw and normalized hh over Z: invariant factors of residual complexes
     for name in ("group-algebra(3)", "truncated-poly(3)", "dual-numbers"):

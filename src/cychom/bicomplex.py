@@ -50,9 +50,9 @@ checks the plane's identities on row_truncated_total.
 Every stage is a finite complex handed to the left-looking engine of
 `reduction` as per-degree CSC arrays, built by `_csc`: on the orbit
 routes from each row's zig-zag boundaries placed at its cells' offsets,
-on the others from operator Coo placed at the offsets of a degree's
-summands.  Over a field the engine cancels everything cancellable, so
-surviving cells count homology.
+on the others by `_total`, from each degree's summands in order and the
+operator Coo between them.  Over a field the engine cancels everything
+cancellable, so surviving cells count homology.
 
 A truncation tower is one filtered complex, so its stages are views of
 one reduction.  Each schedule step hands the engine only the cells of
@@ -80,6 +80,7 @@ import bisect
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -93,11 +94,6 @@ from .rings import BaseRing
 
 _REGIONS = ("plane", "left", "first")
 _HH_MARGIN = 2  # the top HH degrees that must vanish for conjugate_dimension_check
-
-
-def _check_region(region: str) -> None:
-    if region not in _REGIONS:
-        raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +134,27 @@ def _csc(ncols: int, pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, rows[order], vals[order]
 
 
+def _total(sizes: dict[int, dict], ops) -> tuple[dict[int, int], dict[int, tuple]]:
+    """Ranks and CSC boundaries of a total complex.
+
+    sizes maps each degree to its summands, in order, with their ranks;
+    a summand's cells start where the earlier ones' end.  ops(d, s)
+    lists the pieces (target summand in degree d - 1, Coo) of the
+    differential out of summand s of degree d.  Every degree but the
+    lowest has a boundary.
+    """
+    starts, ranks = {}, {}
+    for d, summands in sizes.items():
+        at = list(accumulate(summands.values(), initial=0))
+        starts[d], ranks[d] = dict(zip(summands, at)), at[-1]
+    boundaries = {
+        d: _csc(ranks[d], [(starts[d - 1][t], starts[d][s], c)
+                           for s in summands for t, c in ops(d, s)])
+        for d, summands in sizes.items() if d - 1 in sizes
+    }
+    return ranks, boundaries
+
+
 def _columns(csc: tuple, start: int, stop: int) -> tuple:
     """The columns start..stop - 1 of CSC arrays."""
     indptr, rows, vals = csc
@@ -149,54 +166,35 @@ def _columns(csc: tuple, start: int, stop: int) -> tuple:
 # row-truncated total complexes (materialized form)
 #
 # No theory runs on these; they are the references of the reduced routes.
-# They stay here rather than in the tests' oracle module because criterion
-# 3 validates the plane's identities on row_truncated_total, and the
-# benchmark uses them: perfbench/checks.py imports row_truncated_total, and
-# perfbench/spans.py wraps _TotalStage.__init__.
+# A degree's summands are its rows, from _plane_rows, and _plane_total
+# hands them to _total.  They stay here rather than in the tests' oracle
+# module because criterion 3 validates the plane's identities on
+# row_truncated_total, and the benchmark uses them: perfbench/checks.py
+# imports row_truncated_total, and perfbench/spans.py wraps
+# _TotalStage.__init__.
 
-def _row_range(region: str, d: int, q_max: int) -> range:
+def _plane_rows(X: CyclicModule, region: str, d: int, q_max: int) -> dict[int, int]:
+    """The rows q <= q_max of a region in total degree d, in increasing q, with their ranks."""
+    if region not in _REGIONS:
+        raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
     lo = max(0, d) if region == "left" else 0
     hi = min(q_max, d) if region == "first" else q_max
-    return range(lo, hi + 1)
+    return {q: X.rank(q) for q in range(lo, hi + 1)}
 
 
-class _Layout:
-    """Summand bookkeeping for one total degree: rows q and their offsets."""
+def _plane_total(X: CyclicModule, region: str, q_max: int, degrees: range,
+                 flip_bprime_sign: bool = False):
+    """_total of a region's rows q <= q_max in the given degrees.  flip_bprime_sign
+    puts +b' for -b' on odd columns, a negative control that validation must catch."""
 
-    def __init__(self, X: CyclicModule, region: str, d: int, q_max: int):
-        self.qs = list(_row_range(region, d, q_max))
-        self.offsets: dict[int, int] = {}
-        start = 0
-        for q in self.qs:
-            self.offsets[q] = start
-            start += X.rank(q)
-        self.total = start
-
-
-def _degree_boundary(
-    X: CyclicModule,
-    region: str,
-    d: int,
-    layout: "_Layout",
-    layout_below: "_Layout",
-    *,
-    flip_bprime_sign: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSC of the total differential from degree d to d - 1.
-
-    flip_bprime_sign replaces -b' by +b' on odd columns, a negative
-    control: validation must catch exactly this mistake.
-    """
-    pieces = []
-    for q in layout.qs:
+    def ops(d: int, q: int):
         if region != "first" or d - q > 0:
-            op = X.coo(_plane_operator(d - q, False), q)
-            pieces.append((layout_below.offsets[q], layout.offsets[q], op))
+            yield q, X.coo(_plane_operator(d - q, False), q)
         if q >= 1:
             kind = _plane_operator(d - q, True)
-            op = X.coo("b'" if flip_bprime_sign and kind == "-b'" else kind, q)
-            pieces.append((layout_below.offsets[q - 1], layout.offsets[q], op))
-    return _csc(layout.total, pieces)
+            yield q - 1, X.coo("b'" if flip_bprime_sign and kind == "-b'" else kind, q)
+
+    return _total({d: _plane_rows(X, region, d, q_max) for d in degrees}, ops)
 
 
 def row_truncated_total(
@@ -215,17 +213,12 @@ def row_truncated_total(
     the rows: a defect of d_h d_h, d_h d_v + d_v d_h or d_v d_v lands
     zero, one or two rows down, so no two of them can cancel.
     """
-    _check_region(region)
     lo, hi = degrees
     if lo > hi:
         raise ValueError("empty degree interval")
-    layouts = {d: _Layout(X, region, d, q_max) for d in range(lo, hi + 1)}
-    ranks = {d: layouts[d].total for d in layouts}
+    ranks, boundaries = _plane_total(X, region, q_max, range(lo, hi + 1), flip_bprime_sign)
     diffs: dict[int, ExactMatrix] = {}
-    for d in range(lo + 1, hi + 1):
-        indptr, rows, vals = _degree_boundary(
-            X, region, d, layouts[d], layouts[d - 1], flip_bprime_sign=flip_bprime_sign
-        )
+    for d, (indptr, rows, vals) in boundaries.items():
         cols = np.repeat(np.arange(ranks[d], dtype=np.int64), np.diff(indptr))
         diffs[d] = Coo(X.base, ranks[d - 1], ranks[d], rows, cols, vals).matrix()
     return ChainComplex(X.base, ranks, diffs)
@@ -276,24 +269,14 @@ class _ReducedStage:
 class _TotalStage(_ReducedStage):
     """One row truncation of a region of the plane, materialized and reduced.
 
-    The cells of a degree are its row layout's basis tuples, rows in
-    increasing q, and each degree's CSC places the row operators' Coo at
-    the layout offsets.  Each stage has a reduction of its own.  This is
-    the reference route that the orbit-reduced regions and the normalized
-    first quadrant are tested against.
+    The cells of a degree are the basis tuples of its rows, in
+    increasing q, from `_plane_total`.  Each stage has a reduction of its
+    own.  This is the reference route that the orbit-reduced regions and
+    the normalized first quadrant are tested against.
     """
 
     def __init__(self, X: CyclicModule, region: str, q_max: int, lo: int, hi: int):
-        self.X = X
-        self.region = region
-        degs = range(lo - 1, hi + 2)
-        self.layouts = {d: _Layout(X, region, d, q_max) for d in degs}
-        ranks = {d: self.layouts[d].total for d in degs}
-        boundaries = {
-            d: _degree_boundary(X, region, d, self.layouts[d], self.layouts[d - 1])
-            for d in degs
-            if d > lo - 1
-        }
+        ranks, boundaries = _plane_total(X, region, q_max, range(lo - 1, hi + 2))
         super().__init__(MorseReduction(X.base, ranks, boundaries), q_max, lo, hi)
 
 
@@ -383,22 +366,16 @@ class _MixedStage(_ReducedStage):
     def __init__(self, nb: NormalizedBarModule, lo: int, hi: int):
         b = {m: nb.coo("b", m) for m in range(1, hi + 2)}
         B = {m: nb.coo("B", m) for m in range(hi)}
-        offsets = {}  # degree -> start of each summand k
-        ranks = {}
-        for n in range(lo - 1, hi + 2):
-            sizes = [nb.rank(n - 2 * k) for k in range(n // 2 + 1)]
-            offsets[n] = np.cumsum([0] + sizes[:-1]).tolist() if sizes else []
-            ranks[n] = sum(sizes)
-        boundaries = {}
-        for n in range(lo, hi + 2):
-            pieces = []
-            for k, at in enumerate(offsets[n]):
-                m = n - 2 * k
-                if m:
-                    pieces.append((offsets[n - 1][k], at, b[m]))
-                if k:
-                    pieces.append((offsets[n - 1][k - 1], at, B[m]))
-            boundaries[n] = _csc(ranks[n], pieces)
+
+        def ops(n: int, k: int):  # b-bar keeps k, B-bar lowers it
+            if n - 2 * k:
+                yield k, b[n - 2 * k]
+            if k:
+                yield k - 1, B[n - 2 * k]
+
+        sizes = {n: {k: nb.rank(n - 2 * k) for k in range(n // 2 + 1)}
+                 for n in range(lo - 1, hi + 2)}
+        ranks, boundaries = _total(sizes, ops)
         head = {n: nb.rank(n) for n in ranks}  # the summand k = 0
         red = MorseReduction(nb.base)
         red.add_cells(head, {n: _columns(csc, 0, head[n]) for n, csc in boundaries.items()})
@@ -673,11 +650,8 @@ def hh(
     lo, hi = degrees
     if lo < 0 or lo > hi:
         raise ValueError("Hochschild degrees form an interval starting at 0 or above")
-    ranks = {n: module.rank(n) for n in range(max(lo - 1, 0), hi + 2)}
-    boundaries = {
-        n: _csc(ranks[n], [(0, 0, module.coo("b", n))]) for n in range(max(lo, 1), hi + 2)
-    }
-    red = MorseReduction(module.base, ranks, boundaries)
+    sizes = {n: {0: module.rank(n)} for n in range(max(lo - 1, 0), hi + 2)}
+    red = MorseReduction(module.base, *_total(sizes, lambda n, _: [(0, module.coo("b", n))]))
     red.reduce()
     groups = homology_via_reduction(red, range(lo, hi + 1))
     return HomologyTable(theory="HH", base=module.base, groups=groups)

@@ -46,6 +46,17 @@ from .rings import BaseRing
 _INT64 = 2**63
 
 
+def _refuse(d: int, slots: int, total: int, message: str) -> None:
+    """Raise ValueError(message) unless d**slots and total are below 2^63."""
+    if d**slots >= _INT64 or total >= _INT64:
+        raise ValueError(message)
+
+
+def _operator_refusal(kind: str, n: int) -> str:
+    return (f"the operator {kind} out of degree {n} needs codes or coefficients"
+            " beyond 64-bit integers")
+
+
 @dataclass(frozen=True)
 class Coo:
     """An operator's nonzero entries vals / den at (rows, cols), by column, then row.
@@ -171,7 +182,8 @@ class CyclicModule:
         if hit is None:
             _check_operator(_KINDS, kind, n, i)
             ops = self._ops
-            ops.refuse_beyond_64_bits(kind, n, n + 2 if kind == "s" else n + 1)
+            slots = n + 2 if kind == "s" else n + 1
+            _refuse(ops.d, slots, ops.width(kind, n) * ops.bound, _operator_refusal(kind, n))
             out = n + 1 if kind == "s" else n if kind in _ROTATIONS else n - 1
             if out < 0:  # the faces are 0 on X_0
                 hit = _empty(self.base, self.rank(n))
@@ -303,7 +315,7 @@ class NormalizedBarModule:
         _check_operator(("b", "B"), kind, n, None)
         ops, d = self._ops, self.algebra.dim
         op, out = ("b", n - 1) if kind == "b" else ("N", n + 1)
-        ops.refuse_beyond_64_bits(op, n, max(n, out) + 1)
+        _refuse(d, max(n, out) + 1, ops.width(op, n) * ops.bound, _operator_refusal(op, n))
         if out < 0:  # b-bar is 0 on X-bar_0
             return _empty(self.base, self.rank(n))
         src = np.arange(self.rank(n), dtype=np.int64)
@@ -318,7 +330,7 @@ class NormalizedBarModule:
     def inclusion(self, n: int) -> ExactMatrix:
         """Section X-bar_n -> X_n picking the non-degenerate basis tuples."""
         d = self.algebra.dim
-        self._ops.refuse_beyond_64_bits("t", n, n + 1)  # one summand per tuple, like t
+        _refuse(d, n + 1, 1, _operator_refusal("inclusion", n))  # coefficients 1
         cols = np.arange(self.rank(n), dtype=np.int64)
         rows = _raw_codes(d, n, cols)
         return Coo(self.base, d ** (n + 1), len(cols), rows, cols, np.ones_like(cols)).matrix()
@@ -326,7 +338,7 @@ class NormalizedBarModule:
     def projection(self, n: int) -> ExactMatrix:
         """Quotient map X_n -> X-bar_n killing degenerate basis tuples."""
         d = self.algebra.dim
-        self._ops.refuse_beyond_64_bits("t", n, n + 1)
+        _refuse(d, n + 1, 1, _operator_refusal("projection", n))
         rows, keep = _normalized_index(d, n + 1, np.arange(d ** (n + 1), dtype=np.int64))
         cols = np.flatnonzero(keep)
         return Coo(self.base, self.rank(n), d ** (n + 1), rows[keep], cols,
@@ -416,26 +428,12 @@ class SummandOps:
         self.later = (C[:, 1:] != 0).any(axis=1)
         self.unit = [(u, int(c * scale)) for u, c in enumerate(A.unit) if c != 0]
 
-    def refuse_beyond_64_bits(self, kind: str, n: int, slots: int) -> None:
-        """Raise ValueError, before anything is allocated, if operator `kind`
-        out of X_n would overflow int64.
-
-        Its summands carry codes of `slots` slots, and at most `width` of
-        them, each coefficient up to `bound`, meet in one entry: a face
-        sends a tuple to one summand per term of a product, a degeneracy
-        or a rotation to one.
-        """
-        if kind == "s":
-            width = 1
-        elif kind in _ROTATIONS:
-            width = {"t": 1, "1-t": 2, "N": n + 1}[kind]
-        else:
-            width = len(self.terms) * (1 if kind == "d" else len(_FACE_SIGNS[kind](n)))
-        if self.d**slots >= _INT64 or width * self.bound >= _INT64:
-            raise ValueError(
-                f"the operator {kind} out of degree {n} needs codes or coefficients"
-                " beyond 64-bit integers"
-            )
+    def width(self, op: str, n: int) -> int:
+        """The most summands op makes of one tuple of X_n: one per term of each
+        face and of the unit, 2 for 1 - t, n + 1 for N, 1 for t and scale."""
+        if op in _FACE_SIGNS:
+            return len(_FACE_SIGNS[op](n)) * len(self.terms)
+        return {"d": len(self.terms), "s": len(self.unit), "1-t": 2, "N": n + 1}.get(op, 1)
 
     def apply(self, kind: str, s: _Summands, i: int | None = None) -> _Summands:
         """The operator `kind` of `CyclicModule.coo` applied to s."""
@@ -510,7 +508,9 @@ class SummandOps:
             raise ValueError(f"degeneracy index {j} outside 0..{s.slots - 1}")
         p = self.d ** (s.slots - 1 - j)  # weight of the slots after j
         head = s.code + (s.code // p) * (p * (self.d - 1))  # slot j+1 opened, holding 0
-        parts = [_Summands(s.slots + 1, s.src, head + u * p, s.coeff * c) for u, c in self.unit]
+        # a unit term (0, 1) keeps head and the coefficients; no op writes into either
+        parts = [_Summands(s.slots + 1, s.src, head + u * p if u else head,
+                           s.coeff * c if c != 1 else s.coeff) for u, c in self.unit]
         return _join(s.slots + 1, parts)
 
     def cyclic(self, s: _Summands) -> _Summands:
@@ -634,17 +634,15 @@ def _run_cached(engine, state, program, first):
 def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, list]:
     """Degree n's identities and their blocks.
 
-    A face multiplies the summands per source row by at most the terms of
-    a product, a degeneracy by the unit's terms, N by n+1 and 1 - t by 2;
-    a coefficient grows by at most `bound` per face or degeneracy.  The
-    blocks are pairs (identity numbers, rows per block).  The identities
-    with a face as the first op of either side share a block, and so the
-    faces, which cost ten times a degeneracy or a rotation; each other
-    identity shares one with those of its own width.  Raises ValueError,
-    before anything is allocated, when a code, or the sum of a key's
-    coefficients, would not fit in 64 bits.
+    Each op multiplies the summands per source row by at most its
+    `SummandOps.width`, and a coefficient grows by at most `bound` per
+    face or degeneracy.  The blocks are pairs (identity numbers, rows per
+    block).  The identities with a face as the first op of either side
+    share a block, and so the faces, which cost ten times a degeneracy or
+    a rotation; each other identity shares one with those of its own
+    width.  `_refuse` checks the codes and each key's coefficient sum
+    before anything is allocated.
     """
-    T, U = len(ops.terms), len(ops.unit)
     programs = list(identity_programs(n))
     widths, total, slots = [], 1, n + 1
     for _, lhs, rhs in programs:
@@ -652,24 +650,20 @@ def _sweep_plan(ops: SummandOps, n: int) -> tuple[list, list]:
         for program in (lhs, rhs):
             if program is None:
                 continue
-            w, depth, k = 1, 0, n + 1
+            w, c, m = 1, 1, n  # summands, coefficient bound and degree so far
             for op, _ in program:
-                if op == "d":
-                    w, depth, k = w * T, depth + 1, k - 1
-                elif op == "s":
-                    w, depth, k = w * U, depth + 1, k + 1
-                elif op in ("N", "1-t"):
-                    w *= n + 1 if op == "N" else 2
-                slots = max(slots, k)
+                w *= ops.width(op, m)
+                if op in ("d", "s"):
+                    c *= ops.bound
+                    m += 1 if op == "s" else -1
+                    slots = max(slots, m + 1)
             summands += w
-            coefficients += w * ops.bound**depth
+            coefficients += w * c
         widths.append(summands)
         total = max(total, coefficients)
+    _refuse(ops.d, slots, total,
+            f"the identities at degree {n} need codes or coefficients beyond 64-bit integers")
     key = ops.d**slots
-    if key >= _INT64 or total >= _INT64:
-        raise ValueError(
-            f"the identities at degree {n} need codes or coefficients beyond 64-bit integers"
-        )
     blocks: dict[int | None, list[int]] = {}  # None: the block of the faces
     for k, (_, lhs, rhs) in enumerate(programs):
         face = any(side and side[0][0] == "d" for side in (lhs, rhs))

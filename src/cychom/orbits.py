@@ -81,7 +81,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import Algebra
-from .cyclic import SummandOps, _sum_by, _Summands
+from .cyclic import SummandOps, _refuse, _sum_by, _Summands
 
 # face entries per numpy batch: bounds the memory of one batch
 _BATCH = 1 << 18
@@ -175,11 +175,8 @@ class OrbitPlane:
     # -- codes and orbits -----------------------------------------------------
 
     def _check_row(self, q: int) -> None:
-        if self.dim ** (q + 1) >= 2**63:
-            raise ValueError(
-                f"row {q} of the plane of a {self.dim}-dimensional algebra has "
-                f"{self.dim}^{q + 1} basis tuples, too many for 64-bit codes"
-            )
+        _refuse(self.dim, q + 1, 1, f"row {q} of the plane of a {self.dim}-dimensional algebra "
+                f"has {self.dim}^{q + 1} basis tuples, too many for 64-bit codes")
 
     def _powers(self, q: int) -> np.ndarray:
         """dim^0, ..., dim^(q+1)."""
@@ -231,7 +228,7 @@ class OrbitPlane:
 
     def _batches(self, q: int, n: int):
         """Slices of n row-q codes whose faces fill at most one batch."""
-        return _spans(np.full(n, (q + 1) * len(self._ops.terms)), _BATCH)
+        return _spans(np.full(n, self._ops.width("b", q)), _BATCH)
 
     # -- survivors ------------------------------------------------------------
 

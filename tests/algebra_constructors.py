@@ -3,12 +3,14 @@
 `product(A, B)` is the direct product: block structure constants and
 unit (1_A, 1_B).  Hochschild and cyclic homology are additive on it
 (Loday, Cyclic Homology, 1.2 and 4.2), so every catalog pair gives a
-check.  Not collected by pytest; the tests import it.
+check.  `reduced_mod(A, p)` is an algebra over Z with its structure
+constants and unit read mod p, for the universal coefficient theorem.
+Not collected by pytest; the tests import it.
 """
 
 from __future__ import annotations
 
-from cychom.algebra import Algebra
+from cychom.algebra import Algebra, algebra_from_json, algebra_to_json
 
 
 def product(A: Algebra, B: Algebra) -> Algebra:
@@ -23,3 +25,8 @@ def product(A: Algebra, B: Algebra) -> Algebra:
                 for k, c in factor.structure[i][j]:
                     dense[at + i][at + j][at + k] = c
     return Algebra.from_structure_constants(A.base, n, dense, [*A.unit, *B.unit])
+
+
+def reduced_mod(A: Algebra, p: int) -> Algebra:
+    """A over Z, read over F_p, through the CLI's JSON schema."""
+    return algebra_from_json({**algebra_to_json(A), "base": "Fp", "p": p})

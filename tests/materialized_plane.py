@@ -10,7 +10,9 @@ the reduced routes against these.
 
 from __future__ import annotations
 
-from cychom.bicomplex import _Layout, _TotalStage, row_truncated_total
+from itertools import accumulate
+
+from cychom.bicomplex import _plane_rows, _TotalStage, row_truncated_total
 from cychom.cyclic import CyclicModule
 from cychom.matrix import ExactMatrix
 from presentation_homology import ChainMap
@@ -39,7 +41,7 @@ def truncation_inclusion(
 ) -> ChainMap:
     """The subcomplex inclusion of the q <= q_from truncation into q <= q_to.
 
-    Row layouts list q in increasing order, so on shared rows the inclusion
+    A degree lists its rows in increasing q, so on shared rows the inclusion
     is the identity on leading summands.
     """
     if q_from > q_to:
@@ -50,14 +52,15 @@ def truncation_inclusion(
     components = {}
     one = X.base.one
     for d in range(lo, hi + 1):
-        sl = _Layout(X, region, d, q_from)
-        tl = _Layout(X, region, d, q_to)
+        sl = _plane_rows(X, region, d, q_from)
+        tl = _plane_rows(X, region, d, q_to)
+        s_at, t_at = (dict(zip(r, accumulate(r.values(), initial=0))) for r in (sl, tl))
         entries = {}
-        for q in sl.qs:
-            so, to = sl.offsets[q], tl.offsets[q]
+        for q in sl:
+            so, to = s_at[q], t_at[q]
             for j in range(X.rank(q)):
                 entries[(to + j, so + j)] = one
         components[d] = ExactMatrix(
-            X.base, tl.total, sl.total, entries, _normalized=True
+            X.base, sum(tl.values()), sum(sl.values()), entries, _normalized=True
         )
     return ChainMap(source=src, target=tgt, components=components)

@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate
 
 import pytest
 
@@ -6,9 +7,9 @@ from cychom.algebra import CATALOG_NAMES, AlgebraError, catalog
 from cychom.bicomplex import (
     _composite_rank,
     _csc,
-    _Layout,
     _persistent_rank,
     _plane_operator,
+    _plane_rows,
     _plane_stages,
     _stage_map,
     _TotalStage,
@@ -90,14 +91,15 @@ def test_flipped_sign_only_breaks_anticommutation():
     # d_h d_h stays in its row and does not involve the vertical sign, and
     # d_v d_v goes two rows down and is (+-b')^2 = 0 with either sign; so
     # every defect of the flipped plane goes exactly one row down
-    def row_of(layout, index):
-        return max(q for q in layout.qs if layout.offsets[q] <= index)
+    def row_of(rows, index):
+        offsets = dict(zip(rows, accumulate(rows.values(), initial=0)))
+        return max(q for q in rows if offsets[q] <= index)
 
     for name in ("dual-numbers", "matrix-algebra(2)"):
         X = module(name, F3)
         C = flipped_plane(X)
         for d in (0, 1):
-            source, target = _Layout(X, "plane", d + 1, 3), _Layout(X, "plane", d - 1, 3)
+            source, target = _plane_rows(X, "plane", d + 1, 3), _plane_rows(X, "plane", d - 1, 3)
             entries = (C.diff(d) * C.diff(d + 1)).entries
             assert entries, (name, d)
             assert all(row_of(target, r) == row_of(source, c) - 1 for r, c in entries), (name, d)

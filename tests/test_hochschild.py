@@ -1,5 +1,7 @@
 """Hochschild homology by one Morse reduction (`hh`) against dense homology."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from cychom.bicomplex import hh
 from cychom.cyclic import cyclic_bar_module, normalized
 from cychom.matrix import ExactMatrix
 from cychom.rings import GF, QQ, ZZ
+from algebra_constructors import reduced_mod
 from tuple_operators import dense_complex
 
 BASES = (GF(2), GF(3), GF(5), QQ, ZZ)
@@ -101,3 +104,33 @@ def test_raw_hh_over_z_is_invariant_under_a_change_of_basis():
     want = hh(cyclic_bar_module(A), (1, 3)).groups
     assert hh(cyclic_bar_module(B), (1, 3)).groups == want
     assert [want[d].torsion for d in (1, 2, 3)] == [(3, 3, 3), (), (3, 3, 3)]
+
+
+def _elementary_products(d: int, rng: random.Random):
+    """A product of one to three elementary matrices 1 + (+-1) e_ij, i != j."""
+    P = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(d), 2)
+        s = rng.choice((-1, 1))
+        P = [[row[k] + (s * row[i] if k == j else 0) for k in range(d)] for row in P]
+    return P
+
+
+@pytest.mark.parametrize("name", ["dual-numbers", "truncated-poly(3)", "group-algebra(2)",
+                                  "group-algebra(3)", "matrix-algebra(2)"])
+def test_hh_satisfies_universal_coefficients(name):
+    # the complexes are free over Z, so dim HH_n(A/p) = rank HH_n(A)
+    # + #{p | t} over the invariant factors t of HH_n(A) and HH_{n-1}(A);
+    # small rebasings keep the Z route's reductions cheap
+    rng = random.Random(name)
+    A = catalog(name, ZZ)
+    for _ in range(2):
+        B = A.rebased(ExactMatrix.from_rows(ZZ, _elementary_products(A.dim, rng)))
+        for build, top in ((cyclic_bar_module, 3), (normalized, 5)):
+            over_z = hh(build(B), (0, top)).groups
+            for p in (2, 3, 5):
+                over_p = hh(build(reduced_mod(B, p)), (0, top)).groups
+                for n in range(top + 1):
+                    torsion = over_z[n].torsion + (over_z[n - 1].torsion if n else ())
+                    want = over_z[n].free_rank + sum(t % p == 0 for t in torsion)
+                    assert over_p[n].dimension == want, (build.__name__, B.unit, p, n)

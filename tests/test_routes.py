@@ -21,6 +21,7 @@ from cychom.cyclic import cyclic_bar_module, normalized
 from cychom.linalg import rank
 from cychom.orbits import OrbitPlane
 from cychom.rings import GF, QQ
+from cychom.tate import GModuleComplex, tate_complex
 from dict_reduction import MorseReduction as DictReduction, dict_engine
 from materialized_plane import cyclic_first_quadrant, materialized_stages
 import per_stage_towers
@@ -219,6 +220,25 @@ def test_orbit_plane_survivor_counts():
     counts = {q: len(plane.survivors(q)) for q in range(9)}
     assert counts == {0: 0, 1: 0, 2: 4, 3: 0, 4: 0, 5: 6, 6: 0, 7: 0, 8: 24}
     assert OrbitPlane(catalog("matrix-algebra(2)", QQ)).survivors(8) == []
+
+
+def test_each_orbit_row_is_a_tate_complex():
+    # row q of the plane is the Tate complex of C_{q+1} acting on X_q by
+    # the signed t = (-1)^q tau, so H^0 and H^-1 of that module have one
+    # class per surviving orbit; rows of at most 256 tuples, 11 on a line
+    for base in (GF(2), GF(3), GF(5)):
+        for name in CATALOG_NAMES:
+            try:
+                A = catalog(name, base)
+            except AlgebraError:
+                continue
+            X, plane = cyclic_bar_module(A), OrbitPlane(A)
+            for q in (q for q in range(11) if A.dim ** (q + 1) <= 256):
+                M = GModuleComplex(base, q + 1, {0: X.rank(q)}, {0: X.cyclic(q)})
+                T = tate_complex(M, (-2, 1))
+                survivors = len(plane.survivors(q))
+                assert T.homology(0).dimension == survivors, (name, base.label(), q)
+                assert T.homology(-1).dimension == survivors, (name, base.label(), q)
 
 
 def _mobius(n):
