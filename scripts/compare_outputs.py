@@ -8,7 +8,7 @@ its standard error and its standard output; a JSON report loses its
 command whose result differs, then a summary; the exit status is 1 on
 any difference and 0 otherwise.
 
-Without --commands the built-in list runs (233 commands, under a
+Without --commands the built-in list runs (236 commands, under a
 minute per tree on a 2-core machine): `tate` on every named module,
 orders 1..8, over Z, F3 and Q, and once as CSV; `check-5-1` and
 `check-5-3` for orders 0..7, and `check-5-1` for order 12 and once as
@@ -17,7 +17,8 @@ with an unknown criterion; `hp-poly` (rows 2..12) and `hc-minus-poly`
 (rows 2..10) on every catalog algebra over F2, F3 and F5;
 `hc-minus-poly` in degrees up to 2..4 on nine configurations; the
 benchmark's orbit-towers and chain-reduction jobs on catalog algebras;
-a few `hh`, `hc`, `hp` and `conjugate-check` runs, among them two
+a few `hh`, `hc`, `hp` and `conjugate-check` runs, among them three
+over Q on matrix-algebra(2), whose reductions make Fraction pivots, two
 quartic field extensions and `--p` without `--base Fp`; `--out` paths
 that cannot be written; two `hh` degrees refused for 64-bit codes; and
 raw and normalized `hh` over Z in degrees 0..6 on group-algebra(3),
@@ -112,6 +113,11 @@ def default_commands() -> list[list[str]]:
         ["hp", "--algebra", "dual-numbers", *_fp("3"), "--degrees", "-3..3"],
         ["hp", "--algebra", "matrix-algebra(2)", *_fp("3"), "--degrees", "0..1"],
         ["hp", "--algebra", "group-algebra(3)", "--base", "Q", "--degrees", "-2..2"],
+        # Q pivots: the two-block mixed complex, a large hc, and blocks of edge cells
+        ["hp", "--algebra", "matrix-algebra(2)", "--base", "Q", "--degrees", "0..1"],
+        ["hc", "--algebra", "matrix-algebra(2)", "--base", "Q", "--degrees", "0..7"],
+        ["hc-minus-poly", "--algebra", "matrix-algebra(2)", "--base", "Q", "--degrees", "-1..2",
+         "--q-schedule", _rows(0, 6)],
         ["conjugate-check", "--algebra", "ground-field", *_fp("5"), "--degrees", "0..3"],
         ["conjugate-check", "--algebra", "field-extension(1,1)", *_fp("2"), "--degrees", "-2..2",
          "--q-schedule", _rows(0, 14, 2)],

@@ -705,8 +705,7 @@ def _s_tower_run(
 
     for j in range(depth, -1, -1):
         rep.stages.append((d + 2 * j, group_at(d + 2 * j)))
-    run = 0
-    run_alive = True
+    isos = []
     for j in range(depth, 0, -1):
         n = d + 2 * j
         r = _s_rank(stage, n) if n >= 2 else 0
@@ -715,15 +714,11 @@ def _s_tower_run(
             rep.dying.append(
                 f"{src_dim - r} class(es) die along S: HC_{n} -> HC_{n - 2}"
             )
-        iso = src_dim == tgt_dim and r == src_dim
-        if run_alive and iso:
-            run += 1
-            if run == persistence:
-                rep.verdict = "stabilized"
-                rep.q_star = d + 2 * depth
-                rep.value = rep.stages[0][1]
-        elif run_alive and not iso:
-            run_alive = False
+        isos.append(src_dim == tgt_dim and r == src_dim)
+    if all(isos[:persistence]):
+        rep.verdict = "stabilized"
+        rep.q_star = d + 2 * depth
+        rep.value = rep.stages[0][1]
     return rep
 
 
@@ -740,6 +735,8 @@ def hp_s_tower_table(
     lo_d, hi_d = degrees
     if lo_d > hi_d:
         raise ValueError("empty degree interval")
+    if persistence < 2:
+        raise ValueError("persistence must be >= 2")
     depths = {d: persistence + max(0, -(d // 2)) for d in range(lo_d, hi_d + 1)}
     stage = _first_quadrant(X, 0, max(d + 2 * k for d, k in depths.items()))
     reports = {d: _s_tower_run(stage, d, k, persistence) for d, k in depths.items()}

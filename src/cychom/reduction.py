@@ -51,26 +51,20 @@ itself, which by the same argument reach only older survivors: the
 rank of H_d(earlier stage) -> H_d(later stage) is the number of the
 later stage's degree-d survivors that the earlier stage already had.
 
-Pivot rule.  A column is cancelled against its largest row (the
-smallest row made the seed-7 benchmark reduction 4x slower).  Over F_p
-every entry is a unit.  Over Q a +-1 entry is preferred, so values stay
-Python ints and only a column without one makes a Fraction pivot.  The
-preferred entry must lie in the block of the largest row, or the pair
-would end an older class while a newer one lives on; without one there
-the largest row is taken.  Over Z only +-1 entries cancel; a column without
-one keeps its residual, and passes over the surviving non-empty columns
-repeat while one cancels, since fill-in can make units in columns
-already passed (they also drop coordinates of upper cells cancelled
-since).  The choice depends only on the current entries and the block
-bounds, so repeated runs reduce identically.
+Pivot rule.  Over a field a column is cancelled against its largest
+row, its newest cell, so every pair is a persistence pair (the smallest
+row made the seed-7 benchmark reduction 4x slower).  Over Z only the
+largest +-1 entry cancels; a column without one keeps its residual, and
+passes over the surviving non-empty columns repeat while one cancels,
+since fill-in can make units in columns already passed (they also drop
+coordinates of upper cells cancelled since).  The choice depends only on
+the current entries, so repeated runs reduce identically.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -105,15 +99,12 @@ class MorseReduction:
         # log entries: (a, b, lam, col_b items but a)
         self.log: list[tuple] = []
         self._blocks: dict[int, list[range]] = {}  # the ids of each degree, block by block
-        self._firsts: list[int] = []  # the first id of each block
         self._pending: dict[int, list] = {}  # degree -> CSC blocks the next sweep reads
         self._piv: list[int] = []  # log index of a lower cell, _UPPER, or -1
         self._negs: list = []  # -1 / lam per log entry
         self._residual: dict[int, dict] = {}  # surviving cells with a nonzero boundary
         self._cols: list | None = None  # cols, built on demand
         self._reduced = True
-        self._alive_by_degree: dict[int, list[int]] = {}  # survivors of the last sweep
-        self._fresh: dict[int, list[range]] = {}  # cells added since
         self.add_cells(ranks or {}, boundaries or {})
 
     def add_cells(self, ranks: dict[int, int], boundaries: dict[int, tuple]) -> None:
@@ -127,7 +118,6 @@ class MorseReduction:
             below = d - 1 in ranks or d - 1 in self.ranks
             if d not in ranks or not below or len(indptr) != ranks[d] + 1:
                 raise ValueError(f"the boundary out of degree {d} does not fit the ranks")
-        self._firsts.append(len(self.degree))
         first = {}
         for d in sorted(ranks):
             first[d], n = len(self.degree), ranks[d]
@@ -136,9 +126,7 @@ class MorseReduction:
             self.degree += [d] * n
             self.alive_flags += [True] * n
             self._piv += [-1] * n
-            new = range(first[d], first[d] + n)
-            self._blocks.setdefault(d, []).append(new)
-            self._fresh.setdefault(d, []).append(new)
+            self._blocks.setdefault(d, []).append(range(first[d], first[d] + n))
         for d, (indptr, rows, values) in boundaries.items():
             if len(rows):
                 self._pending.setdefault(d, []).append((first[d], indptr, rows, values))
@@ -207,11 +195,6 @@ class MorseReduction:
                     cancelled |= self._settle(b, col, heap, True)
         self._reduced = True
         self._cols = None
-        flags = self.alive_flags
-        for d in self._blocks:
-            cells = chain(self._alive_by_degree.get(d, ()), *self._fresh.get(d, ()))
-            self._alive_by_degree[d] = [i for i in cells if flags[i]]
-        self._fresh = {}
 
     def _settle(self, b: int, col: dict, heap: list, drop: bool) -> bool:
         """Clear column b, then cancel it or keep it as a residual; True if cancelled."""
@@ -221,19 +204,14 @@ class MorseReduction:
             col = {x: c for x, c in col.items() if self._piv[x] != _UPPER}
         if not col:
             return False
-        kind = self.ring.kind
-        if kind == "Fp":
+        if self.ring.is_field:
             a = max(col)
         else:
             units = [x for x, c in col.items() if c == 1 or c == -1]
-            a = max(units) if units else None
-            if kind == "Q" and (a is None or a < self._firsts[-1]):
-                top = max(col)  # a unit older than top's block would break the elder rule
-                if a is None or a < self._firsts[bisect_right(self._firsts, top) - 1]:
-                    a = top
-        if a is None:
-            self._residual[b] = col
-            return False
+            if not units:
+                self._residual[b] = col
+                return False
+            a = max(units)
         self._cancel(a, b, col)
         return True
 
@@ -281,10 +259,11 @@ class MorseReduction:
     # -- results ------------------------------------------------------------
 
     def alive(self, degree: int | None = None) -> list[int]:
-        """Surviving cells, in id order, read per degree from an index."""
+        """Surviving cells, in id order: all of them, or those of one degree."""
+        flags = self.alive_flags
         if degree is None:
-            return [i for i, ok in enumerate(self.alive_flags) if ok]
-        return list(chain(self._alive_by_degree.get(degree, ()), *self._fresh.get(degree, ())))
+            return [i for i, ok in enumerate(flags) if ok]
+        return [i for new in self._blocks.get(degree, ()) for i in new if flags[i]]
 
     def is_exactly_reduced(self, degree: int | None = None) -> bool:
         """True when reduce() left no residual boundary entries (always, over a field)."""

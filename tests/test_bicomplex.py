@@ -265,6 +265,29 @@ def test_hc_over_q_does_not_depend_on_a_fractional_basis():
     assert got == want and any(v.denominator > 1 for v in got.values())
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_group_algebra_of_cp_in_the_powers_of_g_minus_1_is_truncated_poly(p):
+    # over F_p, x = g - 1 has x^p = g^p - 1 = 0, so the basis
+    # x^k = sum_i C(k, i) (-1)^(k-i) g^i turns F_p[C_p] into F_p[x]/(x^p):
+    # the same algebra, so every theory gives the same table
+    from math import comb
+
+    base = GF(p)
+    P = ExactMatrix.from_rows(base, [[comb(k, i) * (-1) ** ((k - i) % 2) for k in range(p)]
+                                     for i in range(p)])
+    G, T = catalog(f"group-algebra({p})", base), catalog(f"truncated-poly({p})", base)
+    rebased = G.rebased(P)
+    assert (rebased.structure, rebased.unit) == (T.structure, T.unit)
+    for theory in (
+        lambda A: hh(normalized(A), (0, 6)),
+        lambda A: hc(cyclic_bar_module(A), 6),
+        lambda A: hp_s_tower_table(cyclic_bar_module(A), (-2, 4)),
+        lambda A: hp_poly(cyclic_bar_module(A), (-2, 2), range(2, 13)),
+        lambda A: hc_minus_poly(cyclic_bar_module(A), (-2, 0), range(2, 11)),
+    ):
+        assert theory(G).to_json() == theory(T).to_json()
+
+
 def test_hc_rejects_negative_top_degree():
     with pytest.raises(ValueError):
         hc(module("ground-field", F3), -1)
@@ -306,7 +329,7 @@ def test_s_tower_table_matches_single_degree_route():
         assert single.reports[d].to_json() == table.reports[d].to_json()
 
 
-def test_s_tower_depth_guards():
+def test_s_tower_depth_guards(monkeypatch):
     # every degree walks depth + 1 stages, and the deepest persistence run
     # ends in degree >= 0: below the quadrant the groups are zero and their
     # maps vacuous isomorphisms
@@ -319,6 +342,15 @@ def test_s_tower_depth_guards():
             assert rep.stages[persistence][0] >= 0, (persistence, d)
     with pytest.raises(ValueError):
         hp_s_tower_table(X, (2, -2))
+    # a persistence below 2 is refused, as hp_poly refuses it, before the
+    # first-quadrant complex is built
+    def unbuilt(*args):
+        raise AssertionError("the first quadrant was built")
+
+    monkeypatch.setattr("cychom.bicomplex._first_quadrant", unbuilt)
+    for persistence in (1, 0):
+        with pytest.raises(ValueError, match="persistence must be >= 2"):
+            hp_s_tower_table(X, (0, 2), persistence)
 
 
 def test_char_p_pattern_small():

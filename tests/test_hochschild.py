@@ -1,16 +1,19 @@
 """Hochschild homology by one Morse reduction (`hh`) against dense homology."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cychom.algebra import CATALOG_NAMES, AlgebraError, catalog
 from cychom.bicomplex import hh
+from cychom.complexes import HomologyGroup
 from cychom.cyclic import cyclic_bar_module, normalized
 from cychom.matrix import ExactMatrix
 from cychom.rings import GF, QQ, ZZ
-from algebra_constructors import reduced_mod
+from cychom.tate import named_module, tate_complex
+from algebra_constructors import group_algebra, reduced_mod
 from tuple_operators import dense_complex
 
 BASES = (GF(2), GF(3), GF(5), QQ, ZZ)
@@ -134,3 +137,32 @@ def test_hh_satisfies_universal_coefficients(name):
                     torsion = over_z[n].torsion + (over_z[n - 1].torsion if n else ())
                     want = over_z[n].free_rank + sum(t % p == 0 for t in torsion)
                     assert over_p[n].dimension == want, (build.__name__, B.unit, p, n)
+
+
+# -- Burghelea: HH_*(k[G]) is the sum over conjugacy classes [g] of H_*(C_G(g); k)
+
+
+@pytest.mark.parametrize("base, want", [
+    (GF(2), ["F2^3", "F2^2", "F2^2", "F2^2", "F2^2"]),
+    (GF(3), ["F3^3", "F3", "F3", "F3^2", "F3^2"]),
+    (QQ, ["Q^3", "0", "0", "0", "0"]),
+    (ZZ, ["Z^3", "Z/2 + Z/6", "0", "Z/6 + Z/6", "0"]),
+], ids=["F2", "F3", "Q", "Z"])
+def test_hh_of_s3_is_burghelea_sum(base, want):
+    # the classes of 1, a transposition and a 3-cycle have centralizers
+    # S_3, C_2 and C_3, so HH_* = H_*(S_3) + H_*(C_2) + H_*(C_3)
+    A = group_algebra(base, sorted(permutations(range(3))), lambda g, h: tuple(g[i] for i in h))
+    groups = hh(normalized(A), (0, 4)).groups
+    assert [groups[d].label() for d in range(5)] == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hh_of_cyclic_group_rings_over_z_is_n_copies_of_group_homology(n):
+    # C_n is abelian: n classes, each with centralizer C_n, and
+    # H_k(C_n; Z) is the Tate group of degree -k - 1 for k >= 1
+    groups = hh(normalized(catalog(f"group-algebra({n})", ZZ)), (0, 5)).groups
+    assert groups[0] == HomologyGroup(ZZ, n)
+    tate = tate_complex(named_module("trivial-Z", n), (-8, 1))
+    for k in range(1, 6):
+        one = tate.homology(-k - 1)
+        assert groups[k] == HomologyGroup(ZZ, n * one.free_rank, tuple(sorted(one.torsion * n))), k

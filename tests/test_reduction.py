@@ -169,9 +169,9 @@ def test_integer_reduction_matches_snf_homology(m, n, data):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32), st.sampled_from([2, 3, 5]))
 def test_alive_index_matches_scan_of_flags(seed, p):
-    # alive(d) after reduce() reads a per-degree index; it must list what a
-    # scan of alive_flags finds, in id order.  Only odd degrees get random
-    # boundaries, so d o d = 0 holds.
+    # alive(d) after reduce() reads the flags of the degree's blocks; it
+    # must list what a scan of alive_flags finds, in id order.  Only odd
+    # degrees get random boundaries, so d o d = 0 holds.
     import random
 
     rnd = random.Random(seed)
@@ -516,10 +516,10 @@ def _keyed_state(red, key):
 
 
 def test_q_pivots_keep_the_elder_rule_across_blocks():
-    # blocks a1 | a2 | b with db = a1 + 2 a2: the unit a1 is older than
-    # a2's block, so b cancels a2, and a1 survives the third block, as its
-    # class does (a1 = -2 a2 there): rank(step 1 -> step 3) counts 1.  In
-    # one block the unit is preferred
+    # blocks a1 | a2 | b with db = a1 + 2 a2: b cancels its newest cell
+    # a2, and a1 survives the third block, as its class does (a1 = -2 a2
+    # there): rank(step 1 -> step 3) counts 1.  One block logs the same
+    # pair, since the rule reads no block bounds
     a1, a2, b = range(3)
     red = MorseReduction(QQ)
     for ranks in ({0: 1}, {0: 1}):
@@ -531,7 +531,7 @@ def test_q_pivots_keep_the_elder_rule_across_blocks():
     assert red.alive(0) == [a1]
     one = MorseReduction(QQ, {0: 2, 1: 1}, {1: csc_from_columns([{a1: 1, a2: 2}])})
     one.reduce()
-    assert [entry[:3] for entry in one.log] == [(a1, b, 1)]
+    assert [entry[:3] for entry in one.log] == [(a2, b, 2)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -551,21 +551,12 @@ def test_row_blocks_match_one_shot_reductions(ring, data):
         if r < top and data.draw(st.booleans(), label="sweep later"):
             continue
         grown.reduce()
-        if ring.kind == "Q":
-            # the unit preference reads the row blocks, so the one-shot
-            # sweep gets the same blocks before it runs
-            whole, whole_key = MorseReduction(ring), []
-            for s in range(r + 1):
-                ranks, boundaries, keys, _ = _row_block(C, rows, s)
-                whole.add_cells(ranks, boundaries)
-                whole_key += keys
-        else:
-            whole = MorseReduction(
-                ring,
-                upto,
-                {d: csc_from_columns(M.col(j) for j in range(upto[d])) for d, M in C.diffs.items()},
-            )
-            whole_key = [(d, j) for d in sorted(upto) for j in range(upto[d])]
+        whole = MorseReduction(
+            ring,
+            upto,
+            {d: csc_from_columns(M.col(j) for j in range(upto[d])) for d, M in C.diffs.items()},
+        )
+        whole_key = [(d, j) for d in sorted(upto) for j in range(upto[d])]
         whole.reduce()
         assert _keyed_state(grown, key) == _keyed_state(whole, whole_key), r
         for d in rows:
